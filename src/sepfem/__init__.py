@@ -47,14 +47,12 @@ from .marking import (
     IndicatorField,
     WeightedDataSize,
     approx,
-    cumulative_marks,
     doerfler_select,
     tilde_mu_children,
 )
 from .mesh import (
     BisectionForest,
     MeshError,
-    TaggedTriangle,
     Triangulation,
     complete_partition,
     initial_mesh,
@@ -80,7 +78,6 @@ from .quadrature import (
     integrate,
     integrate_many,
     mu2_elements,
-    mu_element,
     triangle_rule,
 )
 
@@ -121,12 +118,10 @@ __all__ = [
     "IndicatorField",
     "WeightedDataSize",
     "approx",
-    "cumulative_marks",
     "doerfler_select",
     "tilde_mu_children",
     "BisectionForest",
     "MeshError",
-    "TaggedTriangle",
     "Triangulation",
     "complete_partition",
     "initial_mesh",
@@ -148,7 +143,6 @@ __all__ = [
     "integrate",
     "integrate_many",
     "mu2_elements",
-    "mu_element",
     "triangle_rule",
     "__version__",
 ]

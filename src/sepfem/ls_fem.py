@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .edges import Connectivity, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
@@ -120,7 +119,7 @@ def assemble_ls(T: Triangulation, f, rule=None):
     return S, rhs, conn, interior
 
 
-def solve_ls(T: Triangulation, f, rule=None, method="direct") -> LsSolution:
+def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
     """Minimize the least-squares functional; gradient residual <= 1e-10."""
     rule = rule if rule is not None else triangle_rule(5)
     S, rhs, conn, interior = assemble_ls(T, f, rule)
@@ -128,20 +127,12 @@ def solve_ls(T: Triangulation, f, rule=None, method="direct") -> LsSolution:
     if bnorm == 0.0:
         x = np.zeros(S.shape[0])
         res = 0.0
-    elif method == "direct":
+    else:
         coords = np.concatenate(
             (conn.midpoints, T.forest.coords()[conn.node_vertices[interior]])
         )
         x = solve_spd(S, rhs, coords)
         res = float(np.linalg.norm(S @ x - rhs)) / bnorm
-    elif method == "cg":
-        M = spla.LinearOperator(S.shape, matvec=lambda v: v / S.diagonal())
-        x, info = spla.cg(S, rhs, M=M, rtol=1e-12, maxiter=100 * S.shape[0])
-        if info != 0:
-            raise SolverError(f"cg did not converge (info={info})")
-        res = float(np.linalg.norm(S @ x - rhs)) / bnorm
-    else:
-        raise ValueError(f"unknown solver method {method!r}")
     if res > _RESIDUAL_TOL:
         raise SolverError(f"least-squares residual {res:.3e} above {_RESIDUAL_TOL:g}")
     p = x[: conn.n_edges]
@@ -240,14 +231,13 @@ class LeastSquaresPoisson:
 
     kind = "ls"
 
-    def __init__(self, data_field, quad_degree: int = 5, method: str = "direct"):
+    def __init__(self, data_field, quad_degree: int = 5):
         self.field = data_field
         self.rule = triangle_rule(quad_degree)
-        self.method = method
         self.oscillation = ElementOscillation(data_field, self.rule)
 
     def solve(self, T: Triangulation) -> LsSolution:
-        return solve_ls(T, self.field, self.rule, self.method)
+        return solve_ls(T, self.field, self.rule)
 
     def eta(self, T: Triangulation, sol: LsSolution) -> IndicatorField:
         return eta_ls(T, sol)

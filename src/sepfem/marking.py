@@ -27,7 +27,6 @@ __all__ = [
     "tilde_mu_children",
     "ApproxState",
     "approx",
-    "cumulative_marks",
     "ElementOscillation",
     "WeightedDataSize",
 ]
@@ -112,13 +111,6 @@ def tilde_mu_children(mu_parent: float, tilde_parent: float, mu_child1: float, m
     return t, t
 
 
-def cumulative_marks(coarse: Triangulation, fine: Triangulation) -> int:
-    """Element count added between a mesh and one of its refinements."""
-    if not fine.refines(coarse):
-        raise ValueError("fine mesh does not refine the coarse one")
-    return fine.n_elements - coarse.n_elements
-
-
 class _CachedElementValue:
     """Per-forest cache of a nonnegative per-element value."""
 
@@ -141,13 +133,10 @@ class _CachedElementValue:
         cache = self._cache(forest)
         v = cache.get(n)
         if v is None:
-            tri = forest.coords()[list(forest.vertices_of(n))]
+            tri = forest.node_coords(n)
             v = float(self._compute_batch(tri[np.newaxis, :, :])[0])
             cache[n] = v
         return v
-
-    def functional(self, forest: BisectionForest):
-        return lambda n: self.node_value(forest, n)
 
     def mesh_values2(self, T: Triangulation) -> IndicatorField:
         """Squared values for all leaves, filling the per-node cache."""

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "MeshError",
-    "TaggedTriangle",
-    "bisect",
     "BisectionForest",
     "Triangulation",
     "complete_partition",
@@ -43,31 +41,11 @@ class MeshError(Exception):
     """Raised for degenerate geometry or non-terminating completion."""
 
 
-class TaggedTriangle(NamedTuple):
-    v: tuple[int, int, int]
-    generation: int
-
-
 def _signed_area(coords, a, b, c):
     ax, ay = coords[a]
     bx, by = coords[b]
     cx, cy = coords[c]
     return 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-
-
-def bisect(t: TaggedTriangle, midpoint: int, coords) -> tuple[TaggedTriangle, TaggedTriangle]:
-    """Bisect a tagged triangle at the midpoint of its refinement edge.
-
-    Returns the two children, each tagged so that its refinement edge is
-    the edge opposite the new vertex.  ``coords`` must index vertex
-    coordinates; a degenerate (zero-area) parent is rejected.
-    """
-    v0, v1, v2 = t.v
-    if abs(_signed_area(coords, v0, v1, v2)) == 0.0:
-        raise MeshError(f"degenerate triangle {t.v}")
-    left = TaggedTriangle((v2, v0, midpoint), t.generation + 1)
-    right = TaggedTriangle((v1, v2, midpoint), t.generation + 1)
-    return left, right
 
 
 class BisectionForest:
@@ -156,20 +134,19 @@ class BisectionForest:
 
     # -- nodes --------------------------------------------------------------
 
-    def triangle(self, n: int) -> TaggedTriangle:
-        return TaggedTriangle(self._tri[n], self._gen[n])
-
     def vertices_of(self, n: int) -> tuple[int, int, int]:
         return self._tri[n]
+
+    def node_coords(self, n: int) -> np.ndarray:
+        """(3, 2) coordinates of the vertices of node ``n``."""
+        vx, vy = self._vx, self._vy
+        return np.array([(vx[v], vy[v]) for v in self._tri[n]])
 
     def generation(self, n: int) -> int:
         return self._gen[n]
 
     def parent(self, n: int) -> int:
         return self._parent[n]
-
-    def children(self, n: int):
-        return self._children[n]
 
     @property
     def n_nodes(self) -> int:

@@ -7,7 +7,7 @@ and a piecewise-constant u with
     (div p, v) = -(f, v)             for all piecewise constants v,
 
 so div p equals minus the elementwise mean of f exactly.  The data
-enter only through those means, so the direct solve factors the SPD
+enter only through those means, so the solver factors the SPD
 Crouzeix-Raviart system with the same load and recovers p and u from it
 exactly by Marini's local formulas; the residual is still measured on
 the saddle-point system.  The error estimator combines an
@@ -19,12 +19,10 @@ inclusion-ordered.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .edges import Connectivity, prolong_rt0, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
@@ -60,7 +58,6 @@ class MixedSolution:
     u: np.ndarray          # piecewise-constant multiplier per element
     residual: float
     f_means: np.ndarray    # quadratured elementwise means of the data
-    matrices: tuple = field(repr=False, default=None)
 
     @property
     def div_p(self) -> np.ndarray:
@@ -148,47 +145,28 @@ def _solve_marini(conn: Connectivity, load):
     return p, u
 
 
-def _solve_minres(A, B, rhs):
-    K = sp.bmat([[A, B.T], [B, None]], format="csc")
-    # block-diagonal preconditioner: lumped flux mass and the Schur
-    # surrogate diag(B diag(A)^-1 B^T)
-    da = A.diagonal()
-    schur = np.asarray((B.multiply(B) @ (1.0 / da))).ravel()
-    d = np.concatenate((da, schur))
-    M = spla.LinearOperator(K.shape, matvec=lambda x: x / d)
-    x, info = spla.minres(K, rhs, M=M, rtol=1e-12, maxiter=200 * K.shape[0])
-    if info != 0:
-        raise SolverError(f"minres did not converge (info={info})")
-    return x[: A.shape[0]], x[A.shape[0] :]
-
-
-def solve_mixed(T: Triangulation, f, rule=None, method="direct") -> MixedSolution:
+def solve_mixed(T: Triangulation, f, rule=None) -> MixedSolution:
     """Solve the mixed system; the relative residual must meet 1e-10.
 
-    ``method="direct"`` recovers the solution from one SPD
-    Crouzeix-Raviart solve (see ``_solve_marini``); ``"minres"`` runs
-    preconditioned MINRES on the saddle-point system.  Either way the
-    residual is measured on the full saddle-point system in (p, u).
+    The solution is recovered from one SPD Crouzeix-Raviart solve (see
+    ``_solve_marini``), and the residual is measured on the full
+    saddle-point system in (p, u), with the blocks A and B of
+    ``assemble_mixed``.
     """
-    if method not in ("direct", "minres"):
-        raise ValueError(f"unknown solver method {method!r}")
     rule = rule if rule is not None else triangle_rule(5)
     A, B, load, conn = assemble_mixed(T, f, rule)
     bnorm = float(np.linalg.norm(load))
     if bnorm == 0.0:
         p, u, res = np.zeros(conn.n_edges), np.zeros(len(load)), 0.0
     else:
-        if method == "direct":
-            p, u = _solve_marini(conn, load)
-        else:
-            p, u = _solve_minres(A, B, np.concatenate((np.zeros(conn.n_edges), -load)))
+        p, u = _solve_marini(conn, load)
         r = np.concatenate((A @ p + B.T @ u, B @ p + load))
         res = float(np.linalg.norm(r)) / bnorm
         if res > _RESIDUAL_TOL:
             raise SolverError(
                 f"mixed solve residual {res:.3e} above {_RESIDUAL_TOL:g}"
             )
-    return MixedSolution(conn, p, u, res, load / conn.areas, matrices=(A, B))
+    return MixedSolution(conn, p, u, res, load / conn.areas)
 
 
 def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:
@@ -232,14 +210,13 @@ class MixedPoisson:
 
     kind = "mixed"
 
-    def __init__(self, data_field, quad_degree: int = 5, method: str = "direct"):
+    def __init__(self, data_field, quad_degree: int = 5):
         self.field = data_field
         self.rule = triangle_rule(quad_degree)
-        self.method = method
         self.oscillation = ElementOscillation(data_field, self.rule)
 
     def solve(self, T: Triangulation) -> MixedSolution:
-        return solve_mixed(T, self.field, self.rule, self.method)
+        return solve_mixed(T, self.field, self.rule)
 
     def eta(self, T: Triangulation, sol: MixedSolution) -> IndicatorField:
         return eta_mixed(T, sol)

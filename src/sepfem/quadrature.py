@@ -16,7 +16,6 @@ __all__ = [
     "triangle_rule",
     "integrate",
     "integrate_many",
-    "mu_element",
     "mu2_elements",
     "element_means",
     "ScalarField",
@@ -150,11 +149,6 @@ def mu2_elements(f, tris, rule: QuadratureRule) -> np.ndarray:
     means = vals @ rule.weights
     dev = vals - means[:, np.newaxis]
     return _areas(t) * ((dev * dev) @ rule.weights)
-
-
-def mu_element(f, tri, rule: QuadratureRule) -> float:
-    """Data oscillation mu(K) >= 0 of one triangle."""
-    return float(math.sqrt(mu2_elements(f, tri, rule)[0]))
 
 
 class ScalarField:

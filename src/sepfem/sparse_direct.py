@@ -3,9 +3,8 @@
 Both discretizations reduce their linear algebra to one SPD system: the
 least-squares optimality system, and the Crouzeix-Raviart system from
 which the mixed solution is recovered.  ``solve_spd`` factors it with
-CHOLMOD (from cvxopt) when cvxopt imports and the factorization
-succeeds.  Otherwise it runs SuperLU in symmetric mode, without
-pivoting, on a geometric nested-dissection ordering of the unknowns.
+SuperLU in symmetric mode, without pivoting, on a geometric
+nested-dissection ordering of the unknowns.
 """
 
 from __future__ import annotations
@@ -16,33 +15,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = ["solve_spd", "nested_dissection"]
 
-try:
-    from cvxopt import cholmod, matrix, spmatrix
-
-    _HAVE_CVXOPT = True
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _HAVE_CVXOPT = False
-
 _LEAF_SIZE = 32
-
-
-def _solve_cholmod(S, rhs) -> np.ndarray | None:
-    coo = S.tocoo()
-    keep = coo.row >= coo.col
-    A = spmatrix(
-        matrix(np.ascontiguousarray(coo.data[keep], dtype=np.float64)),
-        coo.row[keep].tolist(),
-        coo.col[keep].tolist(),
-        coo.shape,
-    )
-    x = matrix(np.ascontiguousarray(rhs, dtype=np.float64))
-    try:
-        F = cholmod.symbolic(A)
-        cholmod.numeric(A, F)
-        cholmod.solve(F, x)
-    except ArithmeticError:
-        return None
-    return np.asarray(x, dtype=np.float64).ravel()
 
 
 def nested_dissection(S, coords) -> np.ndarray:
@@ -126,12 +99,8 @@ def solve_spd(S, rhs, coords) -> np.ndarray:
 
     ``coords`` holds one point per unknown (an edge midpoint for an edge
     unknown, the vertex for a nodal one) and drives the nested-dissection
-    ordering of the SuperLU factorization used without CHOLMOD.
+    ordering of the SuperLU factorization.
     """
-    if _HAVE_CVXOPT:
-        x = _solve_cholmod(S, rhs)
-        if x is not None:
-            return x
     perm = nested_dissection(S, coords)
     Sp = S.tocsr()[perm][:, perm].tocsc()
     lu = spla.splu(

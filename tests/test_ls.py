@@ -252,27 +252,6 @@ def test_potential_vanishes_on_the_boundary():
     assert np.any(sol.u != 0.0)
 
 
-def test_cg_path_matches_direct_on_small_mesh():
-    T = unit_square_criss().uniform_refine()
-    f = field_from_name("one")
-    a = solve_ls(T, f, method="direct")
-    b = solve_ls(T, f, method="cg")
-    assert np.max(np.abs(a.p - b.p)) < 1e-8
-    with pytest.raises(ValueError):
-        solve_ls(T, f, method="nope")
-
-
-def test_direct_solver_agrees_with_superlu_fallback(monkeypatch):
-    T = l_shape().uniform_refine().uniform_refine()
-    f = field_from_name("radial-alpha:0.6")
-    a = solve_ls(T, f, method="direct")
-    monkeypatch.setattr("sepfem.sparse_direct._HAVE_CVXOPT", False)
-    b = solve_ls(T, f, method="direct")
-    assert np.max(np.abs(a.p - b.p)) < 1e-9
-    assert np.max(np.abs(a.u - b.u)) < 1e-9
-    assert abs(a.ls_total - b.ls_total) < 1e-12 * max(a.ls_total, 1.0)
-
-
 def test_problem_wrapper_contract():
     prob = LeastSquaresPoisson(field_from_name("linear-x"))
     assert prob.kind == "ls"

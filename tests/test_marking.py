@@ -17,7 +17,6 @@ from sepfem import (
     IndicatorField,
     WeightedDataSize,
     approx,
-    cumulative_marks,
     doerfler_select,
     field_from_name,
     tilde_mu_children,
@@ -190,11 +189,3 @@ def test_weighted_data_size_matches_direct_formula():
 
     l2sq = integrate_many(lambda x, y: x * x, coords, rule)
     assert np.allclose(field.values, areas**2 * l2sq, rtol=1e-13)
-
-
-def test_cumulative_marks_counts_added_elements():
-    T0 = unit_square_criss()
-    T1 = T0.refine([T0.leaf_ids[0]])
-    assert cumulative_marks(T0, T1) == T1.n_elements - 2
-    with pytest.raises(ValueError):
-        cumulative_marks(T1, T0)

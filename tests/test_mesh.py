@@ -92,6 +92,16 @@ def test_generations_track_bisection_depth():
     assert T2.is_conforming()
 
 
+def test_node_coords_match_the_forest_coordinate_array():
+    forest = l_shape().forest
+    c0, c1 = forest.split(0)
+    forest.split(c1)  # adds a vertex after the split that created c0
+    for n in range(forest.n_nodes):
+        want = forest.coords()[list(forest.vertices_of(n))]
+        assert np.array_equal(forest.node_coords(n), want)
+    assert forest.node_coords(c0).shape == (3, 2)
+
+
 def test_overlay_of_diverged_meshes():
     T0 = unit_square_criss()
     A = T0.refine([T0.leaf_ids[0]])

@@ -30,7 +30,10 @@ PNORM2_LSHAPE_CONST = 0.325
 
 
 def dense_mixed_solve(T, fval):
-    """Independent dense mixed solve for a constant data field."""
+    """Independent dense mixed solve for piecewise-constant data.
+
+    ``fval`` is one value for every element, or an array of element means.
+    """
     tris = T.tris()
     coords = T.forest.coords()
     pairs = set()
@@ -269,25 +272,15 @@ def test_volume_term_halves_under_one_sweep_with_frozen_flux():
     assert abs(vol_f - 0.5 * vol_c) < 1e-13 * vol_c
 
 
-def test_minres_path_matches_direct():
-    T = unit_square_criss().uniform_refine()
-    f = field_from_name("linear-x")
-    a = solve_mixed(T, f, method="direct")
-    b = solve_mixed(T, f, method="minres")
-    assert np.max(np.abs(a.p - b.p)) < 1e-8
-    assert np.max(np.abs(a.u - b.u)) < 1e-8
-    with pytest.raises(ValueError):
-        solve_mixed(T, f, method="nope")
-
-
-def test_direct_solver_agrees_with_superlu_fallback(monkeypatch):
-    T = unit_square_criss().uniform_refine().uniform_refine()
-    f = field_from_name("radial-alpha:0.6")
-    a = solve_mixed(T, f, method="direct")
-    monkeypatch.setattr("sepfem.sparse_direct._HAVE_CVXOPT", False)
-    b = solve_mixed(T, f, method="direct")
-    assert np.max(np.abs(a.p - b.p)) < 1e-9
-    assert np.max(np.abs(a.u - b.u)) < 1e-9
+def test_nonconstant_load_matches_dense_oracle():
+    # the element means of linear-x are the centroids' x coordinates
+    T = l_shape().uniform_refine().uniform_refine()
+    sol = solve_mixed(T, field_from_name("linear-x"))
+    means = T.tri_coords()[:, :, 0].mean(axis=1)
+    edges, p_ref, u_ref, _ = dense_mixed_solve(T, means)
+    perm = align(sol.conn, edges)
+    assert np.max(np.abs(sol.p[perm] - p_ref)) < 1e-12
+    assert np.max(np.abs(sol.u - u_ref)) < 1e-12
 
 
 def test_data_means_are_quadratured_element_means():

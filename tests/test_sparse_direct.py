@@ -44,8 +44,7 @@ def test_ordering_is_a_permutation_that_cuts_fill():
     assert 3 * fill(S.tocsr()[perm][:, perm]) < fill(S)
 
 
-def test_superlu_path_matches_reference_solve(monkeypatch):
-    monkeypatch.setattr("sepfem.sparse_direct._HAVE_CVXOPT", False)
+def test_superlu_path_matches_reference_solve():
     S, rhs, coords = ls_system(3)
     x = solve_spd(S, rhs, coords)
     ref = spla.spsolve(sp.csc_matrix(S), rhs)
