@@ -41,7 +41,7 @@ from .driver import (
 )
 from .ls_fem import LeastSquaresPoisson
 from .marking import ApproxState, ElementOscillation
-from .mesh import l_shape, read_mesh, unit_square_criss, write_mesh
+from .mesh import MeshError, l_shape, read_mesh, unit_square_criss, write_mesh
 from .mixed_fem import MixedPoisson, SolverError
 from .quadrature import field_from_name, triangle_rule
 
@@ -134,6 +134,7 @@ def _read_config(path, parser):
 
 
 def _validate(args, parser):
+    """Check the flags; returns the loop parameters and the initial mesh."""
     if args.problem not in _PROBLEMS:
         parser.error(f"--problem must be one of {', '.join(_PROBLEMS)}")
     if args.domain not in _DOMAINS:
@@ -156,12 +157,15 @@ def _validate(args, parser):
         parser.error("--approx-tol must be positive")
     if args.dump_solution and (args.mode == "approx-only" or args.problem == "data-only"):
         parser.error("--dump-solution needs a problem with a discrete solution")
-    return params
+    return params, _initial_mesh(args, parser)
 
 
-def _initial_mesh(args):
+def _initial_mesh(args, parser):
     if args.mesh is not None:
-        return read_mesh(args.mesh)
+        try:
+            return read_mesh(args.mesh)
+        except (OSError, MeshError) as err:
+            parser.error(f"--mesh {args.mesh}: {err}")
     if args.domain == "l-shape":
         return l_shape()
     return unit_square_criss()
@@ -203,9 +207,8 @@ def _dump_solution(path, problem, T, sol):
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _approx_only(args) -> str:
+def _approx_only(args, T0) -> str:
     f = field_from_name(args.field)
-    T0 = _initial_mesh(args)
     rule = triangle_rule(args.quad_degree)
     values = ElementOscillation(f, rule)
     state = ApproxState(T0, values)
@@ -219,20 +222,11 @@ def _approx_only(args) -> str:
     return f"n_elements={T.n_elements} mu2={mu2!r} tol={args.approx_tol!r}"
 
 
-def _single_run(args) -> str:
-    """One complete run; returns the one-line summary."""
+def _single_run(args, params, T0) -> str:
+    """One complete run from what ``_validate`` returned; returns the one-line summary."""
     if args.mode == "approx-only":
-        return _approx_only(args)
-    params = SafemParams(
-        theta_a=args.theta_a,
-        kappa=args.kappa,
-        rho_b=args.rho_b,
-        sigma_tol=args.sigma_tol,
-        max_elements=args.max_elements,
-        quad_degree=args.quad_degree,
-    )
+        return _approx_only(args, T0)
     data_field = field_from_name(args.field)
-    T0 = _initial_mesh(args)
     problem = _make_problem(args, data_field)
     runner = {"safem": safem_run, "cafem": cafem_run, "uniform": uniform_run}[args.mode]
     result = runner(problem, T0, params)
@@ -266,7 +260,7 @@ def _suffix_path(path, label):
 
 
 def _expand_sweep(args, parser):
-    """Cartesian product of namespaces, one per sweep combination."""
+    """One validated run per sweep combination: (label, (args, params, T0))."""
     combos = [(args, "")]
     for spec in args.sweep:
         key, sep, values = spec.partition("=")
@@ -294,8 +288,7 @@ def _expand_sweep(args, parser):
         ns.out = _suffix_path(args.out, label)
         ns.report = _suffix_path(args.report, label)
         ns.dump_solution = _suffix_path(args.dump_solution, label)
-        _validate(ns, parser)
-        out.append((ns, label))
+        out.append((label, (ns, *_validate(ns, parser))))
     return out
 
 
@@ -307,16 +300,16 @@ def main(argv=None) -> int:
     if known.config is not None:
         parser.set_defaults(**_read_config(known.config, parser))
     args = parser.parse_args(argv)
-    _validate(args, parser)
+    run = (args, *_validate(args, parser))
     try:
         if args.sweep:
             runs = _expand_sweep(args, parser)
             with ThreadPoolExecutor(max_workers=min(4, len(runs))) as pool:
-                summaries = list(pool.map(lambda r: _single_run(r[0]), runs))
-            for (_, label), summary in zip(runs, summaries):
+                summaries = list(pool.map(lambda r: _single_run(*r[1]), runs))
+            for (label, _), summary in zip(runs, summaries):
                 print(f"[{label}] {summary}")
             return 0
-        print(_single_run(args))
+        print(_single_run(*run))
         return 0
     except SolverError as err:
         where = "unknown" if err.level is None else err.level

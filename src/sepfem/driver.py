@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .edges import _coarse_rows
 from .marking import ApproxState, IndicatorField, WeightedDataSize, doerfler_select
 from .mesh import Triangulation
 from .mixed_fem import SolverError
@@ -65,13 +64,14 @@ class SafemParams:
     def __post_init__(self):
         if not 0.0 < self.theta_a <= 1.0:
             raise ValueError(f"theta_a must be in (0, 1], got {self.theta_a}")
-        if self.kappa <= 0.0:
+        # written so that NaN fails every check
+        if not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not 0.0 < self.rho_b < 1.0:
             raise ValueError(f"rho_b must be in (0, 1), got {self.rho_b}")
-        if self.sigma_tol < 0.0:
+        if not self.sigma_tol >= 0.0:
             raise ValueError(f"sigma_tol must be nonnegative, got {self.sigma_tol}")
-        if self.max_elements < 1:
+        if not self.max_elements >= 1:
             raise ValueError(f"max_elements must be at least 1, got {self.max_elements}")
         if not 1 <= int(self.quad_degree) <= 5:
             raise ValueError(f"quad_degree must be in 1..5, got {self.quad_degree}")
@@ -313,9 +313,9 @@ class DataApproximationProblem:
         return IndicatorField(T.leaf_ids, np.zeros(T.n_elements))
 
     def delta(self, Tc: Triangulation, Tf: Triangulation, sol_c, sol_f) -> float:
-        if not Tf.refines(Tc):
+        rows = Tf.coarse_rows(Tc)
+        if np.any(rows < 0):
             raise ValueError("delta requires the second mesh to refine the first")
-        rows = _coarse_rows(Tf, Tc)
         w_coarse = Tc.areas()[rows]
         w_fine = Tf.areas()
         f = self.field

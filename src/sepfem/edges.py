@@ -30,24 +30,14 @@ class Connectivity:
         self.tris = tris
         self.pts = T.tri_coords()
         self.areas = T.areas()
-        n = len(tris)
 
-        pair = np.empty((n, 3, 2), dtype=np.int64)
-        pair[:, 0, 0], pair[:, 0, 1] = tris[:, 1], tris[:, 2]
-        pair[:, 1, 0], pair[:, 1, 1] = tris[:, 2], tris[:, 0]
-        pair[:, 2, 0], pair[:, 2, 1] = tris[:, 0], tris[:, 1]
-        lo = pair.min(axis=2)
-        hi = pair.max(axis=2)
-        keys = (lo.astype(np.int64) << 32) + hi
-        flat = keys.reshape(-1)
-        ukeys, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
-        if np.any(counts > 2):
-            raise MeshError("edge shared by more than two elements")
-        self.n_edges = len(ukeys)
-        self.edges = np.column_stack((ukeys >> 32, ukeys & ((1 << 32) - 1)))
-        self.elem_edges = inverse.reshape(n, 3)
+        keys, self.elem_edges, counts = T.edge_table()
+        if not T.is_conforming():
+            raise MeshError("triangulation is not conforming")
+        self.n_edges = len(keys)
+        self.edges = np.column_stack((keys >> 32, keys & ((1 << 32) - 1)))
 
-        order = np.argsort(inverse, kind="stable")
+        order = np.argsort(self.elem_edges.ravel(), kind="stable")
         elems = order // 3
         locals_ = order % 3
         starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
@@ -59,12 +49,6 @@ class Connectivity:
         self.edge_elems[two, 1] = elems[starts[two] + 1]
         self.edge_local[two, 1] = locals_[starts[two] + 1]
         self.boundary_edge = ~two
-        if np.any(self.boundary_edge):
-            bkeys = np.asarray(
-                [(a << 32) + b for a, b in T.forest.boundary_edges], dtype=np.int64
-            )
-            if not np.all(np.isin(ukeys[self.boundary_edge], bkeys)):
-                raise MeshError("triangulation is not conforming")
 
         coords = T.forest.coords()
         pa = coords[self.edges[:, 0]]
@@ -180,34 +164,6 @@ def tangential_jump_norms(conn: Connectivity, local_dofs: np.ndarray) -> np.ndar
     return conn.lengths * (j0 * j0 + j0 * j1 + j1 * j1) / 3.0
 
 
-def _coarse_rows(fine: Triangulation, coarse: Triangulation):
-    """Map each fine leaf to the row index of its coarse ancestor leaf."""
-    forest = fine.forest
-    coarse_row = {int(n): i for i, n in enumerate(coarse.leaf_ids)}
-    out = np.empty(fine.n_elements, dtype=np.int64)
-    memo: dict[int, int] = {}
-    for i, n in enumerate(fine.leaf_ids):
-        n = int(n)
-        row = memo.get(n)
-        if row is None:
-            path = []
-            m = n
-            while m != -1 and m not in memo:
-                r = coarse_row.get(m)
-                if r is not None:
-                    memo[m] = r
-                    break
-                path.append(m)
-                m = forest.parent(m)
-            if m == -1:
-                raise ValueError("fine mesh does not refine the coarse one")
-            row = memo[m]
-            for q in path:
-                memo[q] = row
-        out[i] = row
-    return out
-
-
 def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.ndarray:
     """Coefficients of a coarse RT0 field on the edges of a nested fine mesh.
 
@@ -215,10 +171,14 @@ def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.n
     Edges present in both meshes keep their coefficient verbatim (the
     global normal is vertex based, hence mesh independent); new edges
     sample p(mid) . n of the coarse field, exact because the field is
-    affine on the coarse element containing the edge.
+    affine on the coarse element containing the edge.  Raises ValueError
+    when a fine leaf has no ancestor-or-self among the coarse leaves.
     """
-    ckeys = (coarse.edges[:, 0] << 32) + coarse.edges[:, 1]  # sorted by construction
-    keys = (fine.edges[:, 0] << 32) + fine.edges[:, 1]
+    rows = fine.mesh.coarse_rows(coarse.mesh)
+    if np.any(rows < 0):
+        raise ValueError("fine mesh does not refine the coarse one")
+    ckeys = coarse.mesh.edge_table()[0]
+    keys = fine.mesh.edge_table()[0]
     pos = np.minimum(np.searchsorted(ckeys, keys), len(ckeys) - 1)
     shared = ckeys[pos] == keys
     out = np.empty(fine.n_edges)
@@ -226,7 +186,7 @@ def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.n
     new_rows = np.nonzero(~shared)[0]
     if len(new_rows):
         rows_fine = fine.edge_elems[new_rows, 0]
-        anc = _coarse_rows(fine.mesh, coarse.mesh)[rows_fine]
+        anc = rows[rows_fine]
         coords = fine.mesh.forest.coords()
         mids = 0.5 * (
             coords[fine.edges[new_rows, 0]] + coords[fine.edges[new_rows, 1]]

@@ -3,8 +3,12 @@
 All triangulations of one experiment are leaf sets of a single grow-only
 bisection forest.  Nodes are never mutated or deleted, midpoints are
 deduplicated forest-wide, and every derived mesh keeps ancestry
-information, which makes the overlay of two meshes a plain tree union
-and nesting checks a walk to the root.
+information.  ``Triangulation.coarse_rows`` maps the leaves of one
+mesh to their ancestor-or-self leaves in another with a few vectorized
+passes over the forest's parent array; nesting checks, the overlay of
+two meshes and the prolongation between nested meshes all read it.
+``Triangulation.edge_table`` is the one place that derives a mesh's
+edges.
 
 A triangle is stored as an index triple (v0, v1, v2): the refinement
 edge is (v0, v1) and v2 is the newest vertex.  Bisection inserts the
@@ -72,6 +76,7 @@ class BisectionForest:
         self._tri: list[tuple[int, int, int]] = []
         self._gen: list[int] = []
         self._parent: list[int] = []
+        self._parents_cache = np.empty(0, dtype=np.int64)
         self._children: list[tuple[int, int] | None] = []
         self.midpoint: dict[tuple[int, int], int] = {}
 
@@ -117,6 +122,14 @@ class BisectionForest:
     def n_vertices(self) -> int:
         return len(self._vx)
 
+    def boundary_keys(self) -> np.ndarray:
+        """Keys ``(a << 32) + b``, a < b, of every boundary edge created so far."""
+        return np.fromiter(
+            ((a << 32) + b for a, b in self.boundary_edges),
+            dtype=np.int64,
+            count=len(self.boundary_edges),
+        )
+
     def get_midpoint(self, a: int, b: int) -> int:
         key = (a, b) if a < b else (b, a)
         m = self.midpoint.get(key)
@@ -148,6 +161,15 @@ class BisectionForest:
     def parent(self, n: int) -> int:
         return self._parent[n]
 
+    def parents(self) -> np.ndarray:
+        """Parent of every node, -1 for a root; only new nodes are converted."""
+        done = len(self._parents_cache)
+        if done != len(self._parent):
+            self._parents_cache = np.concatenate(
+                (self._parents_cache, np.asarray(self._parent[done:], dtype=np.int64))
+            )
+        return self._parents_cache
+
     @property
     def n_nodes(self) -> int:
         return len(self._tri)
@@ -172,14 +194,6 @@ class BisectionForest:
         ch = (i, i + 1)
         self._children[n] = ch
         return ch
-
-    def ancestor_in(self, n: int, leaf_set) -> int:
-        """Return the ancestor-or-self of ``n`` contained in ``leaf_set``, or -1."""
-        while n != -1:
-            if n in leaf_set:
-                return n
-            n = self._parent[n]
-        return -1
 
 
 def _tri_edges(t):
@@ -364,27 +378,56 @@ class Triangulation:
             angles.append(np.arccos(np.clip(dot / (na * nb), -1.0, 1.0)))
         return float(np.min(np.column_stack(angles)))
 
-    def _edge_keys(self):
-        tris = self.tris()
-        e = np.concatenate(
-            (tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]), axis=0
-        )
-        e.sort(axis=1)
-        return e[:, 0].astype(np.int64) * (1 << 32) + e[:, 1].astype(np.int64)
+    def edge_table(self):
+        """The edges of the leaf set, each once.
+
+        Returns ``(keys, elem_edges, counts)``: the sorted edge keys
+        ``(a << 32) + b`` with a < b, the (n, 3) rows in ``keys`` of each
+        leaf's edges (local edge i is opposite local vertex i), and the
+        number of leaves holding each edge.
+        """
+        out = self._cache.get("edge_table")
+        if out is None:
+            pair = self.tris()[:, [[1, 2], [2, 0], [0, 1]]]
+            keys = (pair.min(axis=2) << 32) + pair.max(axis=2)
+            keys, inverse, counts = np.unique(
+                keys.ravel(), return_inverse=True, return_counts=True
+            )
+            out = (keys, inverse.reshape(-1, 3), counts)
+            self._cache["edge_table"] = out
+        return out
 
     def is_conforming(self) -> bool:
         """True iff every edge is matched: twice interior, once on the boundary."""
-        keys, counts = np.unique(self._edge_keys(), return_counts=True)
+        keys, _, counts = self.edge_table()
         if np.any(counts > 2):
             return False
-        single = keys[counts == 1]
-        if len(single) == 0:
-            return True
-        bkeys = np.asarray(
-            [a * (1 << 32) + b for a, b in self.forest.boundary_edges],
-            dtype=np.int64,
-        )
-        return bool(np.all(np.isin(single, bkeys)))
+        return bool(np.all(np.isin(keys[counts == 1], self.forest.boundary_keys())))
+
+    def coarse_rows(self, coarser: "Triangulation") -> np.ndarray:
+        """Row in ``coarser.leaf_ids`` of each leaf's ancestor-or-self, or -1.
+
+        Every row is -1 when the meshes live in different forests.  Each
+        pass looks the open leaves' current ancestors up among the sorted
+        coarse ids and moves the misses one generation up.  A node is
+        created after its parent, so a node below the smallest coarse id
+        has no ancestor among them and drops out.
+        """
+        rows = np.full(self.n_elements, -1, dtype=np.int64)
+        if self.forest is not coarser.forest:
+            return rows
+        parents = self.forest.parents()
+        ids = coarser.leaf_ids
+        idx = np.arange(self.n_elements)
+        node = self.leaf_ids
+        while len(idx):
+            pos = np.minimum(np.searchsorted(ids, node), len(ids) - 1)
+            hit = ids[pos] == node
+            rows[idx[hit]] = pos[hit]
+            idx, node = idx[~hit], parents[node[~hit]]
+            keep = node >= ids[0]
+            idx, node = idx[keep], node[keep]
+        return rows
 
     # -- refinement ---------------------------------------------------------
 
@@ -413,25 +456,13 @@ class Triangulation:
         """
         if self.forest is not other.forest:
             raise MeshError("overlay requires triangulations of one forest")
-        mine = self.leaf_set
-        theirs = other.leaf_set
-        anc = self.forest.ancestor_in
-        out = set()
-        for n in self.leaf_ids:
-            if anc(int(n), theirs) != -1:
-                out.add(int(n))
-        for n in other.leaf_ids:
-            if anc(int(n), mine) != -1:
-                out.add(int(n))
-        return Triangulation(self.forest, out)
+        mine = self.leaf_ids[self.coarse_rows(other) >= 0]
+        theirs = other.leaf_ids[other.coarse_rows(self) >= 0]
+        return Triangulation(self.forest, np.union1d(mine, theirs))
 
     def refines(self, coarser: "Triangulation") -> bool:
         """True iff every leaf of ``self`` descends from a leaf of ``coarser``."""
-        if self.forest is not coarser.forest:
-            return False
-        cs = coarser.leaf_set
-        anc = self.forest.ancestor_in
-        return all(anc(int(n), cs) != -1 for n in self.leaf_ids)
+        return bool(np.all(self.coarse_rows(coarser) >= 0))
 
 
 def complete_partition(forest: BisectionForest, leaf_ids) -> Triangulation:
@@ -518,17 +549,10 @@ def write_mesh(T: Triangulation, path) -> None:
     used = sorted({int(v) for v in tris.ravel()})
     remap = {g: i for i, g in enumerate(used)}
     coords = T.forest.coords()
-    edge_keys = {
-        (min(a, b), max(a, b))
-        for a, b in (
-            (int(t[i]), int(t[(i + 1) % 3])) for t in tris for i in range(3)
-        )
-    }
-    boundary = sorted(
-        (remap[a], remap[b])
-        for a, b in T.forest.boundary_edges
-        if (a, b) in edge_keys
-    )
+    keys = T.edge_table()[0]
+    keys = keys[np.isin(keys, T.forest.boundary_keys())].tolist()
+    # keys are sorted and remap is increasing, so the pairs come out sorted
+    boundary = [(remap[k >> 32], remap[k & 0xFFFFFFFF]) for k in keys]
     lines = [f"vertices {len(used)}"]
     for g in used:
         lines.append("%.17g %.17g" % (coords[g, 0], coords[g, 1]))
@@ -547,40 +571,49 @@ def read_mesh(path) -> Triangulation:
 
     The file becomes the root mesh of a fresh forest; the refedge flag
     selects which edge is the refinement edge (flag i: edge (v_i,
-    v_{i+1 mod 3})).
+    v_{i+1 mod 3})).  Any malformed, degenerate or non-conforming file
+    raises MeshError; a missing one raises OSError.
     """
     with open(path) as fh:
-        tokens = fh.read().split()
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError:
+            raise MeshError("not a text file") from None
     pos = 0
 
-    def take(n):
+    def take(conv, n):
         nonlocal pos
         out = tokens[pos : pos + n]
         if len(out) != n:
             raise MeshError("truncated mesh file")
         pos += n
-        return out
+        try:
+            return [conv(v) for v in out]
+        except ValueError:
+            raise MeshError(f"expected {conv.__name__} values, got {' '.join(out)!r}") from None
 
     def section(name):
-        word, count = take(2)
+        (word,) = take(str, 1)
         if word != name:
             raise MeshError(f"expected section {name!r}, got {word!r}")
-        return int(count)
+        return take(int, 1)[0]
 
     nv = section("vertices")
-    pts = np.asarray([[float(v) for v in take(2)] for _ in range(nv)])
+    pts = np.asarray([take(float, 2) for _ in range(nv)])
     nt = section("triangles")
     tris = []
     for _ in range(nt):
-        v0, v1, v2, flag = (int(v) for v in take(4))
+        v0, v1, v2, flag = take(int, 4)
         order = ((v0, v1, v2), (v1, v2, v0), (v2, v0, v1))
-        try:
-            tris.append(order[flag])
-        except IndexError:
-            raise MeshError(f"refedge flag must be 0, 1 or 2, got {flag}") from None
+        if flag not in (0, 1, 2):
+            raise MeshError(f"refedge flag must be 0, 1 or 2, got {flag}")
+        tris.append(order[flag])
     nb = section("boundary")
-    boundary = [tuple(int(v) for v in take(2)) for _ in range(nb)]
+    boundary = [tuple(take(int, 2)) for _ in range(nb)]
     if pos != len(tokens):
         raise MeshError("trailing data in mesh file")
     forest = BisectionForest(pts, tris, boundary=boundary)
-    return Triangulation.initial(forest)
+    T = Triangulation.initial(forest)
+    if not T.is_conforming():
+        raise MeshError("the triangles and the boundary block do not form a conforming mesh")
+    return T

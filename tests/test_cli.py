@@ -34,6 +34,32 @@ def test_parser_defaults():
     assert args.out is None and args.report is None and args.sweep is None
 
 
+GOOD_MESH = """vertices 4
+0 0
+1 0
+1 1
+0 1
+triangles 2
+0 1 2 2
+0 2 3 0
+boundary 4
+0 1
+1 2
+2 3
+0 3
+"""
+
+# each bad mesh file is GOOD_MESH with one piece of text replaced
+BAD_MESHES = {
+    "refedge-flag-7.mesh": ("0 1 2 2", "0 1 2 7"),
+    "vertex-out-of-range.mesh": ("0 2 3 0", "0 2 9 0"),
+    "non-finite-coordinate.mesh": ("1 1\n", "1 inf\n"),
+    "non-numeric-token.mesh": ("1 0\n", "1 x\n"),
+    "boundary-edge-missing.mesh": ("boundary 4\n0 1\n", "boundary 3\n"),
+    "not-text.mesh": ("0 3\n", "0 3\xff\n"),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -50,12 +76,29 @@ def test_parser_defaults():
         ["--mode", "approx-only", "--approx-tol", "-2"],
         ["--dump-solution", "x", "--mode", "approx-only"],
         ["--dump-solution", "x", "--problem", "data-only"],
+        ["--kappa", "nan"],
+        ["--sigma-tol", "nan"],
+        ["--mesh", "missing.mesh"],
+        *(["--mesh", name] for name in BAD_MESHES),
     ],
 )
-def test_bad_usage_exits_2(argv, tmp_path):
+def test_bad_usage_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, (old, new) in BAD_MESHES.items():
+        assert old in GOOD_MESH
+        (tmp_path / name).write_bytes(GOOD_MESH.replace(old, new, 1).encode("latin-1"))
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+    if argv[0] == "--mesh":
+        assert f"--mesh {argv[1]}:" in capsys.readouterr().err
+
+
+def test_good_mesh_file_runs(tmp_path, capsys):
+    # the base of every bad mesh file in test_bad_usage_exits_2
+    path = tmp_path / "good.mesh"
+    path.write_text(GOOD_MESH)
+    assert run_ok(["--mesh", str(path)] + SMALL, capsys).startswith("fitted_s=")
 
 
 def test_single_run_summary_and_csv(tmp_path, capsys):

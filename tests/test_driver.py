@@ -46,6 +46,10 @@ def test_params_validation():
         SafemParams(max_elements=0)
     with pytest.raises(ValueError):
         SafemParams(quad_degree=9)
+    nan = float("nan")
+    for name in ("theta_a", "kappa", "rho_b", "sigma_tol"):
+        with pytest.raises(ValueError):
+            SafemParams(**{name: nan})
 
 
 def test_smooth_data_runs_in_case_a_and_replays_exactly():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sepfem import (
+    Connectivity,
     MeshError,
     Triangulation,
     complete_partition,
@@ -217,3 +218,76 @@ def test_read_mesh_supports_further_refinement(tmp_path):
     R1 = R.refine([R.leaf_ids[0]])
     assert R1.is_conforming()
     assert abs(R1.area() - 3.0) < 1e-12
+
+
+def ancestor_in(forest, n, leaf_set):
+    """Reference walk: the ancestor-or-self of node ``n`` in ``leaf_set``, or -1."""
+    while n != -1:
+        if n in leaf_set:
+            return n
+        n = forest.parent(n)
+    return -1
+
+
+def test_coarse_rows_refines_and_overlay_match_an_ancestor_walk():
+    # two chains refine apart and every fifth step one of them becomes
+    # their overlay
+    rng = np.random.default_rng(11)
+    T0 = unit_square_criss()
+    forest = T0.forest
+    chains = [T0, T0]
+    meshes = [T0]
+    proper_overlays = 0
+    for step in range(45):
+        if step % 5 == 4:
+            a, b = chains
+            out = a.overlay(b)
+            expected = {
+                int(n)
+                for A, B in ((a, b), (b, a))
+                for n in A.leaf_ids
+                if ancestor_in(forest, int(n), B.leaf_set) != -1
+            }
+            assert out.leaf_set == expected
+            proper_overlays += out.leaf_set not in (a.leaf_set, b.leaf_set)
+            chains[int(rng.integers(2))] = out
+        else:
+            i = step % 2
+            src = chains[i] if chains[i].n_elements <= 200 else T0
+            k = int(rng.integers(1, 4))
+            pick = rng.choice(src.n_elements, size=min(k, src.n_elements), replace=False)
+            out = chains[i] = src.refine(src.leaf_ids[pick])
+        meshes.append(out)
+    assert proper_overlays >= 5
+    nested = 0
+    for fine in meshes:
+        for coarse in meshes:
+            row_of = {int(n): i for i, n in enumerate(coarse.leaf_ids)}
+            expected = [
+                row_of.get(ancestor_in(forest, int(n), row_of), -1) for n in fine.leaf_ids
+            ]
+            assert fine.coarse_rows(coarse).tolist() == expected
+            assert fine.refines(coarse) == (min(expected) >= 0)
+            nested += fine.refines(coarse)
+    # both outcomes are exercised
+    assert len(meshes) < nested < len(meshes) ** 2
+
+    stranger = unit_square_criss()
+    assert np.all(meshes[-1].coarse_rows(stranger) == -1)
+    assert not meshes[-1].refines(stranger)
+    with pytest.raises(MeshError):
+        meshes[-1].overlay(stranger)
+
+
+def test_hanging_node_is_not_conforming():
+    T0 = unit_square_criss()
+    Connectivity(T0)
+    # bisect one triangle of the criss square without its neighbour: the
+    # new midpoint hangs on the shared diagonal
+    c0, c1 = T0.forest.split(int(T0.leaf_ids[0]))
+    H = Triangulation(T0.forest, [c0, c1, int(T0.leaf_ids[1])])
+    assert abs(H.area() - 1.0) < 1e-15
+    assert not H.is_conforming()
+    with pytest.raises(MeshError):
+        Connectivity(H)
+
