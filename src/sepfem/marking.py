@@ -7,7 +7,8 @@ nonconforming partition by bisecting, each pass, all elements whose
 surrogate weight attains the maximum, until the data total meets a
 tolerance; the surrogate is propagated to children by a fixed recursion
 instead of being recomputed, which is what makes the greedy choice
-cheap and the element counts tolerance-optimal.
+cheap and the element counts tolerance-optimal.  The element values of
+all children of one pass come from one quadrature call.
 """
 
 from __future__ import annotations
@@ -129,26 +130,31 @@ class _CachedElementValue:
     def _compute_batch(self, coords):
         raise NotImplementedError
 
-    def node_value(self, forest: BisectionForest, n: int) -> float:
+    def _values(self, forest, nodes: list, coords) -> list:
+        """Values of ``nodes``, the uncached ones computed in one batch.
+
+        ``coords(rows)`` returns the (m, 3, 2) vertex coordinates of
+        ``nodes[i]`` for ``i`` in ``rows``.
+        """
         cache = self._cache(forest)
-        v = cache.get(n)
-        if v is None:
-            tri = forest.node_coords(n)
-            v = float(self._compute_batch(tri[np.newaxis, :, :])[0])
-            cache[n] = v
-        return v
+        missing = [i for i, n in enumerate(nodes) if n not in cache]
+        if missing:
+            vals = self._compute_batch(coords(missing))
+            for i, v in zip(missing, vals.tolist()):
+                cache[nodes[i]] = v
+        return [cache[n] for n in nodes]
+
+    def node_values(self, forest: BisectionForest, nodes: list) -> list:
+        """Values of the forest nodes in ``nodes``, filling the per-node cache."""
+        return self._values(
+            forest, nodes, lambda rows: forest.node_coords([nodes[i] for i in rows])
+        )
 
     def mesh_values2(self, T: Triangulation) -> IndicatorField:
         """Squared values for all leaves, filling the per-node cache."""
-        cache = self._cache(T.forest)
-        ids = T.leaf_ids
-        missing = [i for i, n in enumerate(ids) if int(n) not in cache]
-        if missing:
-            vals = self._compute_batch(T.tri_coords()[missing])
-            for i, v in zip(missing, vals):
-                cache[int(ids[i])] = float(v)
-        out = np.asarray([cache[int(n)] for n in ids])
-        return IndicatorField(ids, out * out)
+        vals = self._values(T.forest, T.leaf_ids.tolist(), lambda rows: T.tri_coords()[rows])
+        out = np.asarray(vals)
+        return IndicatorField(T.leaf_ids, out * out)
 
 
 class ElementOscillation(_CachedElementValue):
@@ -176,7 +182,11 @@ class ApproxState:
     Keeps the (possibly nonconforming) working partition, the element
     values mu(K), and the surrogate weights, so that successive calls
     with decreasing tolerances continue where the previous call stopped
-    instead of restarting from the initial mesh.
+    instead of restarting from the initial mesh.  Each greedy pass makes
+    one quadrature call for the children of all elements it bisects, and
+    so does each completion check; the quadrature gives every element
+    the same bits in any batch, so the result equals that of a greedy
+    fetching one child at a time.
     """
 
     def __init__(self, T0: Triangulation, values: _CachedElementValue, cap: int = 2_000_000):
@@ -188,8 +198,8 @@ class ApproxState:
         self.tilde: dict[int, float] = {}
         self.partition: set[int] = set()
         self._heap: list[tuple[float, int]] = []
-        for n in (int(i) for i in T0.leaf_ids):
-            m = values.node_value(self.forest, n)
+        roots = T0.leaf_ids.tolist()
+        for n, m in zip(roots, values.node_values(self.forest, roots)):
             self.mu[n] = m
             self.tilde[n] = m
             self.partition.add(n)
@@ -201,28 +211,13 @@ class ApproxState:
     def _resync(self):
         self.mu2_total = math.fsum(self.mu[n] ** 2 for n in self.partition)
 
-    def _bisect(self, n: int):
-        c0, c1 = self.forest.split(n)
-        m0 = self.values.node_value(self.forest, c0)
-        m1 = self.values.node_value(self.forest, c1)
-        t0, t1 = tilde_mu_children(self.mu[n], self.tilde[n], m0, m1)
-        self.partition.discard(n)
-        for c, m, t in ((c0, m0, t0), (c1, m1, t1)):
-            self.mu[c] = m
-            self.tilde[c] = t
-            self.partition.add(c)
-            heapq.heappush(self._heap, (-t, c))
-        self.mu2_total += m0 * m0 + m1 * m1 - self.mu[n] ** 2
-        self._updates += 1
-        if self._updates % 4096 == 0:
-            self._resync()
-        if len(self.partition) > self.cap:
-            raise RuntimeError(
-                f"data approximation exceeded the partition cap ({self.cap} elements)"
-            )
-
     def _pass(self):
-        """Bisect every element attaining the maximal surrogate weight."""
+        """Bisect every element attaining the maximal surrogate weight.
+
+        All elements of the pass are split first and their children's
+        values fetched in one call; the updates then run element by
+        element, in the order a one-at-a-time greedy would make them.
+        """
         heap = self._heap
         part = self.partition
         while heap and heap[0][1] not in part:
@@ -235,8 +230,26 @@ class ApproxState:
             _, n = heapq.heappop(heap)
             if n in part:
                 batch.append(n)
-        for n in batch:
-            self._bisect(n)
+        children = [c for n in batch for c in self.forest.split(n)]
+        child_mu = self.values.node_values(self.forest, children)
+        for k, n in enumerate(batch):
+            c0, c1 = children[2 * k], children[2 * k + 1]
+            m0, m1 = child_mu[2 * k], child_mu[2 * k + 1]
+            t0, t1 = tilde_mu_children(self.mu[n], self.tilde[n], m0, m1)
+            part.discard(n)
+            for c, m, t in ((c0, m0, t0), (c1, m1, t1)):
+                self.mu[c] = m
+                self.tilde[c] = t
+                part.add(c)
+                heapq.heappush(heap, (-t, c))
+            self.mu2_total += m0 * m0 + m1 * m1 - self.mu[n] ** 2
+            self._updates += 1
+            if self._updates % 4096 == 0:
+                self._resync()
+            if len(part) > self.cap:
+                raise RuntimeError(
+                    f"data approximation exceeded the partition cap ({self.cap} elements)"
+                )
 
     def run(self, tol: float) -> Triangulation:
         """Refine until the squared data total is at most ``tol``, then complete.
@@ -254,9 +267,8 @@ class ApproxState:
                         break
                 self._pass()
             T = complete_partition(self.forest, self.partition)
-            total = math.fsum(
-                self.values.node_value(self.forest, int(n)) ** 2 for n in T.leaf_ids
-            )
+            mu = self.values.node_values(self.forest, T.leaf_ids.tolist())
+            total = math.fsum(m**2 for m in mu)
             if total <= tol:
                 return T
             # completion pushed the quadratured total marginally over the

@@ -71,7 +71,7 @@ class BisectionForest:
         self._vx = [float(x) for x in pts[:, 0]]
         self._vy = [float(y) for y in pts[:, 1]]
         self.vertex_parents: list[tuple[int, int] | None] = [None] * len(self._vx)
-        self._coords_cache = None
+        self._coords_cache = np.empty((0, 2))
 
         self._tri: list[tuple[int, int, int]] = []
         self._gen: list[int] = []
@@ -112,10 +112,11 @@ class BisectionForest:
     # -- vertices -----------------------------------------------------------
 
     def coords(self) -> np.ndarray:
-        if self._coords_cache is None or len(self._coords_cache) != len(self._vx):
-            self._coords_cache = np.column_stack(
-                (np.asarray(self._vx), np.asarray(self._vy))
-            )
+        """(n_vertices, 2) coordinates; only new vertices are converted."""
+        done = len(self._coords_cache)
+        if done != len(self._vx):
+            new = np.column_stack((self._vx[done:], self._vy[done:]))
+            self._coords_cache = np.concatenate((self._coords_cache, new))
         return self._coords_cache
 
     @property
@@ -150,10 +151,14 @@ class BisectionForest:
     def vertices_of(self, n: int) -> tuple[int, int, int]:
         return self._tri[n]
 
-    def node_coords(self, n: int) -> np.ndarray:
-        """(3, 2) coordinates of the vertices of node ``n``."""
-        vx, vy = self._vx, self._vy
-        return np.array([(vx[v], vy[v]) for v in self._tri[n]])
+    def node_coords(self, nodes) -> np.ndarray:
+        """(m, 3, 2) vertex coordinates of the nodes in ``nodes``.
+
+        Read from the vertex lists, so a call costs the nodes asked for,
+        not the forest-wide array that ``coords`` would convert.
+        """
+        vx, vy, tri = self._vx, self._vy, self._tri
+        return np.array([[(vx[v], vy[v]) for v in tri[n]] for n in nodes]).reshape(-1, 3, 2)
 
     def generation(self, n: int) -> int:
         return self._gen[n]

@@ -2,7 +2,12 @@
 
 All element integrals in the package go through one fixed rule so that
 every derived quantity (data oscillation, load vectors, estimator volume
-terms) is computed from the same discrete definition.
+terms) is computed from the same discrete definition.  Every element
+also gets the same arithmetic whatever batch it is evaluated in: the
+sum over the quadrature points is taken row by row in a fixed order, so
+a value computed for one triangle equals, bit for bit, the value the
+same triangle gets among thousands.  Cached values and exact ties of
+the greedy data approximation depend on that.
 """
 
 from __future__ import annotations
@@ -117,6 +122,14 @@ def _values_at_points(f, tris, rule):
     return f(pts[:, :, 0], pts[:, :, 1])
 
 
+def _weighted_sum(vals, weights):
+    # the reduction over the quadrature points; a matrix-vector product
+    # (BLAS gemv) would sum each row in an order that depends on the
+    # other rows of the batch, and einsum's order follows the memory
+    # layout, hence the contiguous copy
+    return np.einsum("nq,q->n", np.ascontiguousarray(vals), weights)
+
+
 def integrate(f, tri, rule: QuadratureRule) -> float:
     """Quadrature of ``f`` over one triangle given by (3, 2) vertex coords."""
     return float(integrate_many(f, tri, rule)[0])
@@ -126,14 +139,14 @@ def integrate_many(f, tris, rule: QuadratureRule) -> np.ndarray:
     """Quadrature of ``f`` over a batch of triangles, shape (n, 3, 2) -> (n,)."""
     t = _tri_array(tris)
     vals = _values_at_points(f, t, rule)
-    return _areas(t) * (vals @ rule.weights)
+    return _areas(t) * _weighted_sum(vals, rule.weights)
 
 
 def element_means(f, tris, rule: QuadratureRule) -> np.ndarray:
     """Elementwise means of ``f`` (the piecewise-constant best approximation)."""
     t = _tri_array(tris)
     vals = _values_at_points(f, t, rule)
-    return vals @ rule.weights
+    return _weighted_sum(vals, rule.weights)
 
 
 def mu2_elements(f, tris, rule: QuadratureRule) -> np.ndarray:
@@ -146,9 +159,9 @@ def mu2_elements(f, tris, rule: QuadratureRule) -> np.ndarray:
     """
     t = _tri_array(tris)
     vals = _values_at_points(f, t, rule)
-    means = vals @ rule.weights
+    means = _weighted_sum(vals, rule.weights)
     dev = vals - means[:, np.newaxis]
-    return _areas(t) * ((dev * dev) @ rule.weights)
+    return _areas(t) * _weighted_sum(dev * dev, rule.weights)
 
 
 class ScalarField:

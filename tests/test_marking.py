@@ -5,12 +5,15 @@ instances and checks the greedy pick is a minimum-cardinality set
 meeting the bulk target.
 """
 
+import collections
+import heapq
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import sepfem.marking
 from sepfem import (
     ApproxState,
     ElementOscillation,
@@ -19,6 +22,7 @@ from sepfem import (
     approx,
     doerfler_select,
     field_from_name,
+    l_shape,
     tilde_mu_children,
     triangle_rule,
     unit_square_criss,
@@ -189,3 +193,106 @@ def test_weighted_data_size_matches_direct_formula():
 
     l2sq = integrate_many(lambda x, y: x * x, coords, rule)
     assert np.allclose(field.values, areas**2 * l2sq, rtol=1e-13)
+
+
+class OneNodePerCall:
+    """Element values fetched one node per call, each on a one-row batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def node_values(self, forest, nodes):
+        return [self.inner.node_values(forest, [n])[0] for n in nodes]
+
+
+class OneAtATimeApprox(ApproxState):
+    """The greedy with one value call per child element.
+
+    Splits one element at a time, fetches each child's value on its own
+    and updates before splitting the next: the reference for the
+    per-pass batching of ``ApproxState._pass``.
+    """
+
+    def __init__(self, T0, values):
+        super().__init__(T0, OneNodePerCall(values))
+
+    def _bisect(self, n):
+        c0, c1 = self.forest.split(n)
+        (m0,) = self.values.node_values(self.forest, [c0])
+        (m1,) = self.values.node_values(self.forest, [c1])
+        t0, t1 = tilde_mu_children(self.mu[n], self.tilde[n], m0, m1)
+        self.partition.discard(n)
+        for c, m, t in ((c0, m0, t0), (c1, m1, t1)):
+            self.mu[c] = m
+            self.tilde[c] = t
+            self.partition.add(c)
+            heapq.heappush(self._heap, (-t, c))
+        self.mu2_total += m0 * m0 + m1 * m1 - self.mu[n] ** 2
+        self._updates += 1
+        if self._updates % 4096 == 0:
+            self._resync()
+
+    def _pass(self):
+        heap, part = self._heap, self.partition
+        while heap[0][1] not in part:
+            heapq.heappop(heap)
+        top = heap[0][0]
+        batch = []
+        while heap and heap[0][0] == top:
+            _, n = heapq.heappop(heap)
+            if n in part:
+                batch.append(n)
+        for n in batch:
+            self._bisect(n)
+
+
+def test_batched_greedy_equals_the_one_at_a_time_greedy_bit_for_bit():
+    f = field_from_name("radial-alpha:0.6")
+    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    for tol in (1e-1, 1e-2, 3e-3, 1e-3, 5e-4):
+        T = batched.run(tol)
+        T_ref = reference.run(tol)
+        assert np.array_equal(T.leaf_ids, T_ref.leaf_ids)
+        assert batched.partition == reference.partition
+        assert batched.mu2_total.hex() == reference.mu2_total.hex()
+        assert batched.mu == reference.mu and batched.tilde == reference.tilde
+    # past one periodic resync of the running total
+    assert batched._updates > 4096
+
+
+def test_cached_values_do_not_depend_on_which_call_computed_them():
+    f = field_from_name("radial-alpha:0.6")
+    osc = ElementOscillation(f, triangle_rule(5))
+    T = ApproxState(l_shape(), osc).run(1e-3)
+    after = osc.mesh_values2(T)  # APPROX's cache, filled pass by pass
+    fresh = ElementOscillation(f, triangle_rule(5)).mesh_values2(T)
+    assert np.array_equal(after.values, fresh.values)
+    first = ElementOscillation(f, triangle_rule(5))
+    before = first.mesh_values2(T)  # filled in one batch, before APPROX runs
+    assert np.array_equal(before.values, fresh.values)
+    state = ApproxState(l_shape(), first)
+    T_again = state.run(1e-3)
+    assert np.array_equal(T_again.leaf_ids, T.leaf_ids)
+
+
+def test_approx_computes_values_once_per_pass(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr, name in (
+        (ElementOscillation, "_compute_batch", "values"),
+        (ApproxState, "_pass", "passes"),
+        (sepfem.marking, "complete_partition", "completions"),
+    ):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    state = ApproxState(l_shape(), ElementOscillation(field_from_name("radial-alpha:0.6")))
+    state.run(1e-3)
+    assert calls["passes"] > 100 and calls["completions"] >= 1
+    assert calls["values"] <= calls["passes"] + calls["completions"] + 1

@@ -95,12 +95,17 @@ def test_generations_track_bisection_depth():
 
 def test_node_coords_match_the_forest_coordinate_array():
     forest = l_shape().forest
+    before = forest.coords()
     c0, c1 = forest.split(0)
     forest.split(c1)  # adds a vertex after the split that created c0
-    for n in range(forest.n_nodes):
-        want = forest.coords()[list(forest.vertices_of(n))]
-        assert np.array_equal(forest.node_coords(n), want)
-    assert forest.node_coords(c0).shape == (3, 2)
+    coords = forest.coords()
+    assert np.array_equal(coords[: len(before)], before)
+    nodes = [c1, 0, c0, forest.n_nodes - 1, 0]
+    want = coords[[list(forest.vertices_of(n)) for n in nodes]]
+    assert np.array_equal(forest.node_coords(nodes), want)
+    assert forest.node_coords([c0]).shape == (1, 3, 2)
+    assert forest.node_coords([]).shape == (0, 3, 2)
+    assert forest.coords() is coords  # no new vertex, nothing converted
 
 
 def test_overlay_of_diverged_meshes():

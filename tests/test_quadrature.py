@@ -15,6 +15,7 @@ from sepfem import (
     field_from_name,
     integrate,
     integrate_many,
+    l_shape,
     mu2_elements,
     triangle_rule,
 )
@@ -140,7 +141,28 @@ def test_batch_integration_matches_elementwise_loop():
     f = field_from_name("radial-alpha:0.4@7,9")
     batch = integrate_many(f, tris, rule)
     single = [integrate(f, tris[i], rule) for i in range(len(tris))]
-    assert np.allclose(batch, single, rtol=0.0, atol=1e-15)
+    assert np.array_equal(batch, single)
+
+
+@pytest.mark.parametrize("fn", [integrate_many, element_means, mu2_elements])
+def test_batched_values_equal_row_by_row_values_bit_for_bit(fn):
+    # cached element values and the greedy's exact ties rely on a
+    # triangle getting the same bits in any batch
+    T = l_shape()
+    for _ in range(6):
+        T = T.uniform_refine()
+    tris = T.tri_coords()
+    assert len(tris) == 384
+    f = field_from_name("radial-alpha:0.6")
+    rule = triangle_rule(5)
+    batch = fn(f, tris, rule)
+    single = np.concatenate([fn(f, tris[i : i + 1], rule) for i in range(len(tris))])
+    assert np.array_equal(batch, single)
+    halves = np.empty_like(batch)
+    halves[::2], halves[1::2] = fn(f, tris[::2], rule), fn(f, tris[1::2], rule)
+    assert np.array_equal(batch, halves)
+    # a layout other than C order gets the same bits too
+    assert np.array_equal(fn(f, np.asfortranarray(tris), rule), batch)
 
 
 def test_element_means_of_affine_field_is_centroid_value():
