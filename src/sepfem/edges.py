@@ -204,14 +204,15 @@ def prolong_p1(forest, vertex_values: dict, fine: Connectivity) -> np.ndarray:
     value is the parents' average, exact by nestedness.
     """
     vals = dict(vertex_values)
+    parents = forest.vertex_parents()
 
     def value(v):
         out = vals.get(v)
         if out is None:
-            parents = forest.vertex_parents[v]
-            if parents is None:
+            a, b = parents[v].tolist()
+            if a < 0:
                 raise ValueError(f"vertex {v} is not reachable from the coarse nodes")
-            out = 0.5 * (value(parents[0]) + value(parents[1]))
+            out = 0.5 * (value(a) + value(b))
             vals[v] = out
         return out
 

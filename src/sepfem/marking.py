@@ -214,9 +214,10 @@ class ApproxState:
     def _pass(self):
         """Bisect every element attaining the maximal surrogate weight.
 
-        All elements of the pass are split first and their children's
-        values fetched in one call; the updates then run element by
-        element, in the order a one-at-a-time greedy would make them.
+        All elements of the pass are split in one ``BisectionForest.split``
+        call and their children's values fetched in one call; the updates
+        then run element by element, in the order a one-at-a-time greedy
+        would make them.
         """
         heap = self._heap
         part = self.partition
@@ -230,7 +231,7 @@ class ApproxState:
             _, n = heapq.heappop(heap)
             if n in part:
                 batch.append(n)
-        children = [c for n in batch for c in self.forest.split(n)]
+        children = self.forest.split(batch).ravel().tolist()
         child_mu = self.values.node_values(self.forest, children)
         for k, n in enumerate(batch):
             c0, c1 = children[2 * k], children[2 * k + 1]

@@ -1,12 +1,17 @@
 """Tagged-triangle meshes under newest-vertex bisection.
 
 All triangulations of one experiment are leaf sets of a single grow-only
-bisection forest.  Nodes are never mutated or deleted, midpoints are
-deduplicated forest-wide, and every derived mesh keeps ancestry
-information.  ``Triangulation.coarse_rows`` maps the leaves of one
-mesh to their ancestor-or-self leaves in another with a few vectorized
-passes over the forest's parent array; nesting checks, the overlay of
-two meshes and the prolongation between nested meshes all read it.
+bisection forest, kept in numpy arrays: vertex coordinates and vertex
+parents, and per node its vertex triple, parent, generation and first
+child.  Nodes are never mutated or deleted, midpoints are deduplicated
+forest-wide, and every derived mesh keeps ancestry information.
+``Triangulation.refine`` and ``complete_partition`` share one
+conforming closure, which marks edges and bisects in vectorized rounds
+(Funken, Praetorius and Wissgott, CMAM 11, 2011).
+``Triangulation.coarse_rows`` maps the leaves of one mesh to their
+ancestor-or-self leaves in another with a few vectorized passes over
+the forest's parent array; nesting checks, the overlay of two meshes
+and the prolongation between nested meshes all read it.
 ``Triangulation.edge_table`` is the one place that derives a mesh's
 edges.
 
@@ -19,8 +24,6 @@ midpoint m of (v0, v1) and produces the children (v2, v0, m) and
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Iterable
 
 import numpy as np
 
@@ -45,256 +48,227 @@ class MeshError(Exception):
     """Raised for degenerate geometry or non-terminating completion."""
 
 
-def _signed_area(coords, a, b, c):
-    ax, ay = coords[a]
-    bx, by = coords[b]
-    cx, cy = coords[c]
-    return 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+def _grow(arr, n):
+    """``arr``, or a copy of it with doubled capacity, with room for ``n`` rows."""
+    if n <= len(arr):
+        return arr
+    out = np.empty((max(n, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
+    out[: len(arr)] = arr
+    return out
+
+
+def _in_sorted(table, keys):
+    """Mask of the ``keys`` that occur in the sorted array ``table``."""
+    return np.searchsorted(table, keys, "right") > np.searchsorted(table, keys)
+
+
+def _edge_table(tris):
+    """``Triangulation.edge_table`` of the (n, 3) vertex rows ``tris``."""
+    pair = tris[:, [[1, 2], [2, 0], [0, 1]]]
+    keys = (pair.min(axis=2) << 32) + pair.max(axis=2)
+    keys, inverse, counts = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
+    return keys, inverse.reshape(-1, 3), counts
 
 
 class BisectionForest:
     """Grow-only store of all triangles ever created from one initial mesh.
 
-    Vertices and triangle nodes are appended, never changed.  Midpoints
-    are deduplicated by unordered vertex pair, so two refinement paths
-    that split the same edge agree on the new vertex index.  Boundary
-    edges are tracked combinatorially: when a boundary edge is split its
-    halves are boundary edges as well.
+    Vertices and triangle nodes are rows of arrays that are appended to
+    and never rewritten; the children of node n are the consecutive
+    nodes ``c, c + 1`` recorded when n is first split.  Midpoints are
+    deduplicated by edge key ``(a << 32) + b``, a < b, so two refinement
+    paths that split the same edge agree on the new vertex index.
+    Boundary edges are tracked combinatorially: when a boundary edge is
+    split its halves are boundary edges as well.
     """
 
     def __init__(self, points, triangles, boundary=None):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise MeshError("points must be (n, 2)")
         if not np.all(np.isfinite(pts)):
             raise MeshError("vertex coordinates must be finite")
-        self._vx = [float(x) for x in pts[:, 0]]
-        self._vy = [float(y) for y in pts[:, 1]]
-        self.vertex_parents: list[tuple[int, int] | None] = [None] * len(self._vx)
-        self._coords_cache = np.empty((0, 2))
+        tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+        bad = np.any((tri < 0) | (tri >= len(pts)), axis=1)
+        bad |= (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 2] == tri[:, 0])
+        if bad.any():
+            raise MeshError(f"invalid triangle {tuple(tri[bad][0].tolist())}")
+        c = pts[tri]
+        d1, d2 = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
+        area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        if np.any(area == 0.0):
+            raise MeshError(f"degenerate triangle {tuple(tri[area == 0.0][0].tolist())}")
+        flip = area < 0.0
+        tri[flip, :2] = tri[flip, 1::-1]  # keep the tag edge, fix the orientation
 
-        self._tri: list[tuple[int, int, int]] = []
-        self._gen: list[int] = []
-        self._parent: list[int] = []
-        self._parents_cache = np.empty(0, dtype=np.int64)
-        self._children: list[tuple[int, int] | None] = []
-        self.midpoint: dict[tuple[int, int], int] = {}
-
-        tris = [tuple(int(v) for v in t) for t in triangles]
-        nv = len(self._vx)
-        for t in tris:
-            if len(set(t)) != 3 or not all(0 <= v < nv for v in t):
-                raise MeshError(f"invalid triangle {t}")
-        coords = self.coords()
-        for t in tris:
-            v0, v1, v2 = t
-            area = _signed_area(coords, v0, v1, v2)
-            if area == 0.0:
-                raise MeshError(f"degenerate triangle {t}")
-            if area < 0.0:
-                v0, v1 = v1, v0  # keep the tag edge, fix the orientation
-            self._tri.append((v0, v1, v2))
-            self._gen.append(0)
-            self._parent.append(-1)
-            self._children.append(None)
-        self.roots = tuple(range(len(self._tri)))
+        self._xy = pts
+        self._vertex_parents = np.full((len(pts), 2), -1, dtype=np.int64)
+        self._nv = len(pts)
+        self._mid: dict[int, int] = {}
+        self._tri = tri
+        self._parent = np.full(len(tri), -1, dtype=np.int64)
+        self._gen = np.zeros(len(tri), dtype=np.int64)
+        self._child = np.full(len(tri), -1, dtype=np.int64)
+        self._nn = len(tri)
+        self.roots = np.arange(len(tri))
 
         if boundary is None:
-            counts: dict[tuple[int, int], int] = {}
-            for t in self._tri:
-                for e in _tri_edges(t):
-                    counts[e] = counts.get(e, 0) + 1
-            boundary = [e for e, c in counts.items() if c == 1]
-        self.boundary_edges: set[tuple[int, int]] = {
-            (min(a, b), max(a, b)) for a, b in boundary
-        }
+            keys, _, counts = _edge_table(tri)
+            self._boundary = keys[counts == 1]
+        else:
+            b = np.array(boundary, dtype=np.int64).reshape(-1, 2)
+            self._boundary = np.unique((b.min(axis=1) << 32) + b.max(axis=1))
 
     # -- vertices -----------------------------------------------------------
 
     def coords(self) -> np.ndarray:
-        """(n_vertices, 2) coordinates; only new vertices are converted."""
-        done = len(self._coords_cache)
-        if done != len(self._vx):
-            new = np.column_stack((self._vx[done:], self._vy[done:]))
-            self._coords_cache = np.concatenate((self._coords_cache, new))
-        return self._coords_cache
+        """(n_vertices, 2) vertex coordinates."""
+        return self._xy[: self._nv]
+
+    def vertex_parents(self) -> np.ndarray:
+        """(n_vertices, 2) ends a < b of the edge each vertex bisects, -1 for an initial vertex."""
+        return self._vertex_parents[: self._nv]
 
     @property
     def n_vertices(self) -> int:
-        return len(self._vx)
+        return self._nv
 
     def boundary_keys(self) -> np.ndarray:
-        """Keys ``(a << 32) + b``, a < b, of every boundary edge created so far."""
-        return np.fromiter(
-            ((a << 32) + b for a, b in self.boundary_edges),
-            dtype=np.int64,
-            count=len(self.boundary_edges),
-        )
+        """Sorted keys ``(a << 32) + b``, a < b, of every boundary edge created so far."""
+        return self._boundary
 
-    def get_midpoint(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        m = self.midpoint.get(key)
-        if m is not None:
-            return m
-        m = len(self._vx)
-        self._vx.append(0.5 * (self._vx[a] + self._vx[b]))
-        self._vy.append(0.5 * (self._vy[a] + self._vy[b]))
-        self.vertex_parents.append(key)
-        self.midpoint[key] = m
-        if key in self.boundary_edges:
-            self.boundary_edges.add((min(a, m), max(a, m)))
-            self.boundary_edges.add((min(b, m), max(b, m)))
-        return m
+    def midpoints(self, keys) -> np.ndarray:
+        """Midpoint vertex of each edge key, -1 for an edge never split."""
+        get = self._mid.get
+        return np.array([get(k, -1) for k in keys.tolist()], dtype=np.int64)
 
     # -- nodes --------------------------------------------------------------
 
-    def vertices_of(self, n: int) -> tuple[int, int, int]:
-        return self._tri[n]
+    def tris(self, nodes) -> np.ndarray:
+        """(m, 3) vertex indices (v0, v1, v2) of the nodes in ``nodes``."""
+        return self._tri[: self._nn][nodes]
 
     def node_coords(self, nodes) -> np.ndarray:
-        """(m, 3, 2) vertex coordinates of the nodes in ``nodes``.
-
-        Read from the vertex lists, so a call costs the nodes asked for,
-        not the forest-wide array that ``coords`` would convert.
-        """
-        vx, vy, tri = self._vx, self._vy, self._tri
-        return np.array([[(vx[v], vy[v]) for v in tri[n]] for n in nodes]).reshape(-1, 3, 2)
-
-    def generation(self, n: int) -> int:
-        return self._gen[n]
+        """(m, 3, 2) vertex coordinates of the nodes in ``nodes``."""
+        return self._xy[self.tris(np.asarray(nodes, dtype=np.int64))]
 
     def parent(self, n: int) -> int:
-        return self._parent[n]
+        return int(self._parent[: self._nn][n])
 
     def parents(self) -> np.ndarray:
-        """Parent of every node, -1 for a root; only new nodes are converted."""
-        done = len(self._parents_cache)
-        if done != len(self._parent):
-            self._parents_cache = np.concatenate(
-                (self._parents_cache, np.asarray(self._parent[done:], dtype=np.int64))
-            )
-        return self._parents_cache
+        """Parent of every node, -1 for a root."""
+        return self._parent[: self._nn]
 
     @property
     def n_nodes(self) -> int:
-        return len(self._tri)
+        return self._nn
 
-    def split(self, n: int) -> tuple[int, int]:
-        """Get or create the two children of node ``n``."""
-        ch = self._children[n]
-        if ch is not None:
-            return ch
-        v0, v1, v2 = self._tri[n]
-        m = self.get_midpoint(v0, v1)
-        gen = self._gen[n] + 1
-        i = len(self._tri)
-        self._tri.append((v2, v0, m))
-        self._gen.append(gen)
-        self._parent.append(n)
-        self._children.append(None)
-        self._tri.append((v1, v2, m))
-        self._gen.append(gen)
-        self._parent.append(n)
-        self._children.append(None)
-        ch = (i, i + 1)
-        self._children[n] = ch
-        return ch
+    def split(self, nodes) -> np.ndarray:
+        """(m, 2) children of the nodes in ``nodes``, created where missing.
+
+        New nodes and new midpoints are numbered in the order of the
+        nodes in ``nodes`` that first need them.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        first = self._child[: self._nn][nodes]
+        new = np.array(list(dict.fromkeys(nodes[first < 0].tolist())), dtype=np.int64)
+        if len(new):
+            v0, v1, v2 = self._tri[new].T
+            keys = (np.minimum(v0, v1) << 32) + np.maximum(v0, v1)
+            # every vertex after the initial ones is a midpoint in _mid
+            mid, nv0 = self._mid, self._nv
+            base = nv0 - len(mid)
+            m = [mid.setdefault(k, base + len(mid)) for k in keys.tolist()]
+            m = np.array(m, dtype=np.int64)
+            nv = base + len(mid)
+            if nv > nv0:
+                fresh = m >= nv0
+                vkeys = np.empty(nv - nv0, dtype=np.int64)
+                vkeys[m[fresh] - nv0] = keys[fresh]
+                lo, hi = vkeys >> 32, vkeys & 0xFFFFFFFF
+                self._xy = _grow(self._xy, nv)
+                self._vertex_parents = _grow(self._vertex_parents, nv)
+                self._xy[nv0:nv] = 0.5 * (self._xy[lo] + self._xy[hi])
+                self._vertex_parents[nv0:nv, 0] = lo
+                self._vertex_parents[nv0:nv, 1] = hi
+                on = _in_sorted(self._boundary, vkeys)
+                if on.any():
+                    ids = np.arange(nv0, nv)[on]
+                    halves = np.concatenate(((lo[on] << 32) + ids, (hi[on] << 32) + ids))
+                    self._boundary = np.union1d(self._boundary, halves)
+                self._nv = nv
+            nn0, nn = self._nn, self._nn + 2 * len(new)
+            self._tri, self._parent, self._gen, self._child = (
+                _grow(a, nn) for a in (self._tri, self._parent, self._gen, self._child)
+            )
+            self._tri[nn0:nn].reshape(-1, 6)[:] = np.array((v2, v0, m, v1, v2, m)).T
+            self._parent[nn0:nn] = np.repeat(new, 2)
+            self._gen[nn0:nn] = np.repeat(self._gen[new] + 1, 2)
+            self._child[nn0:nn] = -1
+            self._child[new] = np.arange(nn0, nn, 2)
+            self._nn = nn
+            first = self._child[nodes]
+        return first[:, None] + np.arange(2)
 
 
-def _tri_edges(t):
-    v0, v1, v2 = t
-    return (
-        (v0, v1) if v0 < v1 else (v1, v0),
-        (v1, v2) if v1 < v2 else (v2, v1),
-        (v2, v0) if v2 < v0 else (v0, v2),
-    )
+def _closure(forest: BisectionForest, ids, tris, table, forced) -> "Triangulation":
+    """Conforming newest-vertex-bisection closure of a leaf set.
 
-
-def _refine_leafset(forest, leaf_ids, tris, marked, initial_scan):
-    """Worklist refinement: bisect ``marked``, then chase hanging nodes.
-
-    ``tris`` holds the vertices of ``leaf_ids``, row by row.  A leaf
-    hangs when one of its edges has a forest midpoint that is used by
-    some current leaf (the midpoint lies on the open edge, so any leaf
-    using it sits on the other side).  Each split can only create hanging
-    nodes at the new midpoint or on the two children, so a queue seeded
-    with the marked leaves reaches the conforming fixed point.
+    ``ids`` are sorted leaf ids, ``tris`` and ``table`` their vertex
+    rows and ``_edge_table``, and ``forced`` the rows of the leaves that
+    must be bisected.  Each round marks the refinement edges of the
+    forced leaves and every hanging edge: held by one leaf, not on the
+    boundary, with a forest midpoint that is a vertex of a leaf (which
+    can only lie across the edge).  A leaf with a marked edge then marks
+    its refinement edge, until nothing changes.  Every leaf whose
+    refinement edge (local edge 2) is marked is bisected, and its
+    children (v2, v0, m) and (v1, v2, m) are bisected again when the
+    parent's edge 1 or edge 0, their refinement edges, is marked.  So
+    each marked edge is split on both sides: a conforming leaf set is
+    closed after one round, a hanging partition after a few.  Rounds
+    stop when nothing is marked, and the last round's table becomes
+    the result's ``edge_table``.
     """
-    leaf_ids = np.asarray(leaf_ids, dtype=np.int64)
-    leaves = set(leaf_ids.tolist())
-    verts, uses = np.unique(tris, return_counts=True)
-    active = dict(zip(verts.tolist(), uses.tolist()))
-    # the leaves holding each full edge, at most one on either side; a
-    # holder that has been split since is no longer in ``leaves``
-    nxt = np.roll(tris, -1, axis=1)
-    lo = np.minimum(tris, nxt).ravel()
-    hi = np.maximum(tris, nxt).ravel()
-    owner = np.repeat(leaf_ids, 3)
-    order = np.lexsort((hi, lo))
-    lo, hi, owner = lo[order], hi[order], owner[order]
-    again = np.r_[False, (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]
-    holders = [
-        dict(zip(zip(lo[m].tolist(), hi[m].tolist()), owner[m].tolist()))
-        for m in (~again, again)
-    ]
-    new_holders: dict[tuple[int, int], list[int]] = {}
-    tri_of = forest.vertices_of
-
-    midpoint = forest.midpoint
-    queue: deque[int] = deque()
-
-    def hangs(n):
-        for e in _tri_edges(tri_of(n)):
-            m = midpoint.get(e)
-            if m is not None and active.get(m, 0) > 0:
-                return True
-        return False
-
-    for n in sorted(marked):
-        if n not in leaves:
-            raise MeshError(f"marked element {n} is not a leaf")
-        queue.append(n)
-    forced = set(queue)
-    if initial_scan:
-        for n in sorted(leaves):
-            if hangs(n):
-                queue.append(n)
-
-    nsplit = 0
-    while queue:
-        n = queue.popleft()
-        if n not in leaves:
-            continue
-        if n not in forced and not hangs(n):
-            continue
-        nsplit += 1
-        if nsplit > _SPLIT_CAP:
+    n_split = 0
+    while True:
+        keys, elem_edges, counts = table
+        edge = np.zeros(len(keys), dtype=bool)
+        edge[elem_edges[forced, 2]] = True
+        once = np.flatnonzero(counts == 1)
+        once = once[~_in_sorted(forest.boundary_keys(), keys[once])]
+        if len(once):
+            mid = forest.midpoints(keys[once])
+            active = np.zeros(forest.n_vertices + 1, dtype=bool)  # row -1: no midpoint
+            active[tris] = True
+            edge[once[active[mid]]] = True
+        if not edge.any():
+            break
+        while True:
+            on = edge[elem_edges]
+            spread = on.any(axis=1) & ~on[:, 2]
+            if not spread.any():
+                break
+            edge[elem_edges[spread, 2]] = True
+        # number the forced leaves' children first, as a closure bisecting
+        # one leaf at a time does: Doerfler breaks exact ties by id, and
+        # in this order the ties of the symmetric L-shape resolve alike
+        # for any numbering of the initial mesh
+        bis = np.flatnonzero(on[:, 2])
+        bis = np.concatenate((forced, bis[~_in_sorted(forced, bis)]))
+        kids = forest.split(ids[bis])
+        again = on[bis][:, [1, 0]]
+        n_split += len(bis) + int(again.sum())
+        if n_split > _SPLIT_CAP:
             raise MeshError("completion did not terminate (incompatible tags?)")
-        t = tri_of(n)
-        leaves.discard(n)
-        forced.discard(n)
-        for v in t:
-            active[v] -= 1
-        c0, c1 = forest.split(n)
-        for c in (c0, c1):
-            tc = tri_of(c)
-            leaves.add(c)
-            for v in tc:
-                active[v] = active.get(v, 0) + 1
-            for e in _tri_edges(tc):
-                new_holders.setdefault(e, []).append(c)
-        # the split edge (v0, v1) of n now has an active midpoint: any
-        # remaining leaf with that full edge hangs
-        v0, v1, _v2 = t
-        e = (v0, v1) if v0 < v1 else (v1, v0)
-        for nb in (holders[0].get(e), holders[1].get(e), *new_holders.get(e, ())):
-            if nb in leaves:
-                queue.append(nb)
-        # children may hang if the far side is already finer
-        for c in (c0, c1):
-            if hangs(c):
-                queue.append(c)
-    return leaves
+        keep = np.ones(len(ids), dtype=bool)
+        keep[bis] = False
+        ids = np.sort(np.concatenate((ids[keep], kids[~again], forest.split(kids[again]).ravel())))
+        tris = forest.tris(ids)
+        table = _edge_table(tris)
+        forced = forced[:0]
+    T = Triangulation(forest, ids)
+    T._cache.update(tris=tris, edge_table=table)
+    return T
 
 
 class Triangulation:
@@ -308,9 +282,11 @@ class Triangulation:
 
     def __init__(self, forest: BisectionForest, leaf_ids):
         self.forest = forest
-        arr = np.asarray(sorted(int(n) for n in leaf_ids), dtype=np.int64)
+        arr = np.unique(np.asarray(leaf_ids, dtype=np.int64))
         if len(arr) == 0:
             raise MeshError("empty triangulation")
+        if arr[0] < 0 or arr[-1] >= forest.n_nodes:
+            raise MeshError("leaf id out of range")
         self.leaf_ids = arr
         self._leaf_set = None
         self._cache = {}
@@ -338,11 +314,7 @@ class Triangulation:
         """(n, 3) vertex indices, row order matching ``leaf_ids``."""
         out = self._cache.get("tris")
         if out is None:
-            out = np.asarray(
-                [self.forest.vertices_of(int(n)) for n in self.leaf_ids],
-                dtype=np.int64,
-            )
-            self._cache["tris"] = out
+            out = self._cache["tris"] = self.forest.tris(self.leaf_ids)
         return out
 
     def tri_coords(self) -> np.ndarray:
@@ -366,9 +338,7 @@ class Triangulation:
         return math.fsum(self.areas().tolist())
 
     def generations(self) -> np.ndarray:
-        return np.asarray(
-            [self.forest.generation(int(n)) for n in self.leaf_ids], dtype=np.int64
-        )
+        return self.forest._gen[self.leaf_ids]
 
     def min_angle(self) -> float:
         """Smallest interior angle over all leaves, in radians."""
@@ -393,13 +363,7 @@ class Triangulation:
         """
         out = self._cache.get("edge_table")
         if out is None:
-            pair = self.tris()[:, [[1, 2], [2, 0], [0, 1]]]
-            keys = (pair.min(axis=2) << 32) + pair.max(axis=2)
-            keys, inverse, counts = np.unique(
-                keys.ravel(), return_inverse=True, return_counts=True
-            )
-            out = (keys, inverse.reshape(-1, 3), counts)
-            self._cache["edge_table"] = out
+            out = self._cache["edge_table"] = _edge_table(self.tris())
         return out
 
     def is_conforming(self) -> bool:
@@ -407,7 +371,7 @@ class Triangulation:
         keys, _, counts = self.edge_table()
         if np.any(counts > 2):
             return False
-        return bool(np.all(np.isin(keys[counts == 1], self.forest.boundary_keys())))
+        return bool(np.all(_in_sorted(self.forest.boundary_keys(), keys[counts == 1])))
 
     def coarse_rows(self, coarser: "Triangulation") -> np.ndarray:
         """Row in ``coarser.leaf_ids`` of each leaf's ancestor-or-self, or -1.
@@ -436,18 +400,22 @@ class Triangulation:
 
     # -- refinement ---------------------------------------------------------
 
-    def refine(self, marked: Iterable[int]) -> "Triangulation":
+    def refine(self, marked) -> "Triangulation":
         """Bisect every marked leaf at least once and complete to conformity.
 
-        Completion chases hanging nodes through the forest, so the result
-        is again conforming; marked elements are never leaves of the
-        result and untouched elements carry over unchanged.
+        The result is the conforming closure, so marked elements are
+        never leaves of it and untouched elements carry over unchanged.
+        A marked id that is not a leaf raises MeshError.
         """
-        marked = [int(n) for n in marked]
-        if not marked:
+        marked = np.asarray(marked, dtype=np.int64).reshape(-1)
+        if not len(marked):
             return self
-        leaves = _refine_leafset(self.forest, self.leaf_ids, self.tris(), marked, False)
-        return Triangulation(self.forest, leaves)
+        rows = np.minimum(np.searchsorted(self.leaf_ids, marked), self.n_elements - 1)
+        bad = self.leaf_ids[rows] != marked
+        if bad.any():
+            raise MeshError(f"marked element {marked[bad][0]} is not a leaf")
+        rows = np.unique(rows)
+        return _closure(self.forest, self.leaf_ids, self.tris(), self.edge_table(), rows)
 
     def uniform_refine(self) -> "Triangulation":
         """Refine with every leaf marked (doubles the leaf count at least)."""
@@ -472,10 +440,9 @@ class Triangulation:
 
 def complete_partition(forest: BisectionForest, leaf_ids) -> Triangulation:
     """Smallest conforming closure of a (possibly hanging) partition."""
-    ids = [int(n) for n in leaf_ids]
-    tris = np.asarray([forest.vertices_of(n) for n in ids], dtype=np.int64).reshape(-1, 3)
-    leaves = _refine_leafset(forest, ids, tris, [], True)
-    return Triangulation(forest, leaves)
+    ids = np.unique(np.fromiter(leaf_ids, dtype=np.int64))
+    tris = forest.tris(ids)
+    return _closure(forest, ids, tris, _edge_table(tris), ids[:0])
 
 
 # -- initial meshes ---------------------------------------------------------
@@ -555,7 +522,7 @@ def write_mesh(T: Triangulation, path) -> None:
     remap = {g: i for i, g in enumerate(used)}
     coords = T.forest.coords()
     keys = T.edge_table()[0]
-    keys = keys[np.isin(keys, T.forest.boundary_keys())].tolist()
+    keys = keys[_in_sorted(T.forest.boundary_keys(), keys)].tolist()
     # keys are sorted and remap is increasing, so the pairs come out sorted
     boundary = [(remap[k >> 32], remap[k & 0xFFFFFFFF]) for k in keys]
     lines = [f"vertices {len(used)}"]
@@ -576,8 +543,9 @@ def read_mesh(path) -> Triangulation:
 
     The file becomes the root mesh of a fresh forest; the refedge flag
     selects which edge is the refinement edge (flag i: edge (v_i,
-    v_{i+1 mod 3})).  Any malformed, degenerate or non-conforming file
-    raises MeshError; a missing one raises OSError.
+    v_{i+1 mod 3})).  Any malformed, degenerate, folded or non-conforming
+    file, or a boundary block whose edges are not exactly the edges of
+    one triangle each, raises MeshError; a missing file raises OSError.
     """
     with open(path) as fh:
         try:
@@ -621,4 +589,13 @@ def read_mesh(path) -> Triangulation:
     T = Triangulation.initial(forest)
     if not T.is_conforming():
         raise MeshError("the triangles and the boundary block do not form a conforming mesh")
+    # the forest orients every triangle counterclockwise, so two triangles
+    # on opposite sides of an edge run along it in opposite directions
+    t = T.tris()
+    directed = (t << 32) + np.roll(t, -1, axis=1)
+    if len(np.unique(directed)) != directed.size:
+        raise MeshError("two triangles lie on the same side of an edge (repeated or folded)")
+    keys, _, counts = T.edge_table()
+    if not np.array_equal(keys[counts == 1], forest.boundary_keys()):
+        raise MeshError("a boundary edge is not an edge of exactly one triangle")
     return T

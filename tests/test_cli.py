@@ -57,6 +57,10 @@ BAD_MESHES = {
     "non-numeric-token.mesh": ("1 0\n", "1 x\n"),
     "boundary-edge-missing.mesh": ("boundary 4\n0 1\n", "boundary 3\n"),
     "not-text.mesh": ("0 3\n", "0 3\xff\n"),
+    "repeated-triangle.mesh": (
+        "0 2 3 0\nboundary 4\n0 1\n1 2\n2 3\n0 3\n", "0 1 2 2\nboundary 0\n"
+    ),
+    "interior-edge-in-boundary.mesh": ("boundary 4\n", "boundary 5\n0 2\n"),
 }
 
 

@@ -217,7 +217,7 @@ class OneAtATimeApprox(ApproxState):
         super().__init__(T0, OneNodePerCall(values))
 
     def _bisect(self, n):
-        c0, c1 = self.forest.split(n)
+        c0, c1 = self.forest.split([n])[0].tolist()
         (m0,) = self.values.node_values(self.forest, [c0])
         (m1,) = self.values.node_values(self.forest, [c1])
         t0, t1 = tilde_mu_children(self.mu[n], self.tilde[n], m0, m1)

@@ -5,22 +5,28 @@ bisects the shared diagonal, completion forces the neighbor, and the
 result has exactly four congruent right isosceles triangles.
 """
 
+import copy
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+import sepfem.mesh
 from sepfem import (
     Connectivity,
+    ElementOscillation,
     MeshError,
     Triangulation,
     complete_partition,
+    field_from_name,
     initial_mesh,
     l_shape,
     read_mesh,
     unit_square_criss,
     write_mesh,
 )
+from sepfem.marking import ApproxState
 
 
 def test_criss_initial_mesh():
@@ -95,17 +101,16 @@ def test_generations_track_bisection_depth():
 
 def test_node_coords_match_the_forest_coordinate_array():
     forest = l_shape().forest
-    before = forest.coords()
-    c0, c1 = forest.split(0)
-    forest.split(c1)  # adds a vertex after the split that created c0
+    before = forest.coords().copy()
+    c0, c1 = forest.split([0])[0]
+    forest.split([c1])  # adds a vertex after the split that created c0
     coords = forest.coords()
     assert np.array_equal(coords[: len(before)], before)
     nodes = [c1, 0, c0, forest.n_nodes - 1, 0]
-    want = coords[[list(forest.vertices_of(n)) for n in nodes]]
+    want = coords[forest.tris(nodes)]
     assert np.array_equal(forest.node_coords(nodes), want)
     assert forest.node_coords([c0]).shape == (1, 3, 2)
     assert forest.node_coords([]).shape == (0, 3, 2)
-    assert forest.coords() is coords  # no new vertex, nothing converted
 
 
 def test_overlay_of_diverged_meshes():
@@ -142,7 +147,7 @@ def test_complete_partition_closes_hanging_nodes():
     T0 = unit_square_criss()
     forest = T0.forest
     a, b = (int(n) for n in T0.leaf_ids)
-    c0, c1 = forest.split(a)
+    c0, c1 = forest.split([a])[0]
     # partition {c0, c1, b} hangs at the diagonal midpoint of b
     T = complete_partition(forest, [c0, c1, b])
     assert T.is_conforming()
@@ -289,10 +294,127 @@ def test_hanging_node_is_not_conforming():
     Connectivity(T0)
     # bisect one triangle of the criss square without its neighbour: the
     # new midpoint hangs on the shared diagonal
-    c0, c1 = T0.forest.split(int(T0.leaf_ids[0]))
+    c0, c1 = T0.forest.split(T0.leaf_ids[:1])[0]
     H = Triangulation(T0.forest, [c0, c1, int(T0.leaf_ids[1])])
     assert abs(H.area() - 1.0) < 1e-15
     assert not H.is_conforming()
     with pytest.raises(MeshError):
         Connectivity(H)
 
+
+def test_batched_split_shares_midpoints_and_reuses_children():
+    forest = unit_square_criss().forest
+    # both triangles have the diagonal as refinement edge
+    kids = forest.split([1, 0, 1])
+    assert kids.shape == (3, 2) and np.array_equal(kids[0], kids[2])
+    assert forest.n_nodes == 6 and forest.n_vertices == 5
+    assert forest.tris(kids[:2].ravel())[:, 2].tolist() == [4] * 4
+    assert forest.vertex_parents()[4].tolist() == [0, 2]
+    assert np.array_equal(forest.split([0, 1]), kids[[1, 0]])
+    assert forest.n_nodes == 6 and forest.parents().tolist() == [-1, -1, 1, 1, 0, 0]
+
+
+def worklist_closure(forest, leaf_ids, marked):
+    """Reference: the conforming closure computed one bisection at a time.
+
+    Bisects the marked leaves, then any leaf that hangs: one of its edges
+    has a forest midpoint that is a vertex of a current leaf (the
+    midpoint lies on the open edge, so that leaf sits on the other
+    side).  A split can only make leaves hang at the new midpoint or on
+    the two children, so a queue seeded with the marked and the hanging
+    leaves reaches the closure.  Returns the set of leaf ids.
+    """
+    midpoint = {tuple(p): v for v, p in enumerate(forest.vertex_parents().tolist()) if p[0] >= 0}
+    leaves, active, holders = set(), {}, {}
+
+    def edges(n):
+        v0, v1, v2 = forest.tris([n])[0].tolist()
+        return [(min(a, b), max(a, b)) for a, b in ((v0, v1), (v1, v2), (v2, v0))]
+
+    def toggle(n, add):
+        (leaves.add if add else leaves.discard)(n)
+        for v in forest.tris([n])[0].tolist():
+            active[v] = active.get(v, 0) + (1 if add else -1)
+        for e in edges(n):
+            (holders.setdefault(e, set()).add if add else holders[e].discard)(n)
+
+    def hangs(n):
+        return any(active.get(midpoint.get(e), 0) > 0 for e in edges(n))
+
+    for n in leaf_ids:
+        toggle(int(n), True)
+    forced = {int(n) for n in marked}
+    if not forced <= leaves:
+        raise MeshError("marked element is not a leaf")
+    queue = deque(sorted(forced))
+    queue.extend(n for n in sorted(leaves) if hangs(n))
+    while queue:
+        n = queue.popleft()
+        if n not in leaves or (n not in forced and not hangs(n)):
+            continue
+        forced.discard(n)
+        toggle(n, False)
+        c0, c1 = forest.split([n])[0].tolist()
+        split_edge = edges(n)[0]
+        midpoint[split_edge] = int(forest.tris([c0])[0][2])
+        for c in (c0, c1):
+            toggle(c, True)
+        # a leaf still holding the split edge now hangs, and so may a child
+        queue.extend(holders[split_edge])
+        queue.extend(c for c in (c0, c1) if hangs(c))
+    return leaves
+
+
+def triples(forest, ids):
+    """The leaves' vertex coordinates (v0, v1, v2), sorted: the leaf set geometrically."""
+    return sorted(map(tuple, forest.node_coords(sorted(ids)).reshape(-1, 6).tolist()))
+
+
+@pytest.mark.parametrize("start", [unit_square_criss, l_shape])
+def test_refine_matches_the_worklist_closure(start, monkeypatch):
+    # later rounds would repair a round that leaves a marked edge unsplit,
+    # so the edge tables are counted too: refine reuses the input's table
+    # and closes a conforming mesh in one bisecting round, whose table is
+    # the result's
+    tables = []
+    edge_table = sepfem.mesh._edge_table
+    monkeypatch.setattr(sepfem.mesh, "_edge_table", lambda t: tables.append(1) or edge_table(t))
+    rng = np.random.default_rng(8)
+    T = start()
+    for step in range(60):
+        if T.n_elements > 1500:
+            T = start()
+        # a handful of marks, or a bulk of about a third of the leaves
+        k = max(1, T.n_elements // 3) if step % 3 == 2 else int(rng.integers(1, 5))
+        pick = rng.choice(T.n_elements, size=min(k, T.n_elements), replace=False)
+        marked = T.leaf_ids[pick]
+        ref = copy.deepcopy(T.forest)
+        expected = worklist_closure(ref, T.leaf_ids, marked)
+        T.edge_table()
+        before = len(tables)
+        T = T.refine(marked)
+        assert len(tables) == before + 1
+        assert T.is_conforming()
+        assert triples(T.forest, T.leaf_ids) == triples(ref, expected)
+
+
+def test_complete_partition_matches_the_worklist_closure():
+    state = ApproxState(l_shape(), ElementOscillation(field_from_name("radial-alpha:0.6")))
+    hanging = 0
+    for tol in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3):
+        state.run(tol)
+        ref = copy.deepcopy(state.forest)
+        expected = worklist_closure(ref, state.partition, [])
+        T = complete_partition(state.forest, state.partition)
+        assert T.is_conforming()
+        assert triples(T.forest, T.leaf_ids) == triples(ref, expected)
+        hanging += T.n_elements > len(state.partition)
+    assert hanging >= 3
+
+
+def test_refine_rejects_marks_that_are_not_leaves():
+    T0 = unit_square_criss()
+    T1 = T0.refine([T0.leaf_ids[0]])
+    for bad in (int(T0.leaf_ids[0]), T1.forest.n_nodes + 5, -1):
+        with pytest.raises(MeshError):
+            T1.refine([bad])
