@@ -86,10 +86,11 @@ class Connectivity:
         if self._rt_mass is None:
             mids = 0.5 * (self.pts[:, [1, 2, 0], :] + self.pts[:, [2, 0, 1], :])
             scale = self.elem_edge_lengths / (2.0 * self.areas[:, np.newaxis])
-            # phi[n, q, i, :] = scale_i * (m_q - P_i)
-            diff = mids[:, :, np.newaxis, :] - self.pts[:, np.newaxis, :, :]
-            phi = scale[:, np.newaxis, :, np.newaxis] * diff
-            m = np.einsum("nqik,nqjk->nij", phi, phi) * (
+            # phi[n, i, q, :] = scale_i * (m_q - P_i), the three midpoint
+            # values of basis function i side by side in one row of six
+            diff = mids[:, np.newaxis, :, :] - self.pts[:, :, np.newaxis, :]
+            phi = (scale[:, :, np.newaxis, np.newaxis] * diff).reshape(-1, 3, 6)
+            m = (phi @ phi.transpose(0, 2, 1)) * (
                 self.areas[:, np.newaxis, np.newaxis] / 3.0
             )
             self._rt_mass = m

@@ -22,6 +22,7 @@ from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .mixed_fem import SolverError
 from .quadrature import integrate_many, triangle_rule
+from . import sparse_direct
 from .sparse_direct import solve_spd
 
 __all__ = [
@@ -48,6 +49,8 @@ class LsSolution:
     residual: float           # relative gradient residual of the discrete minimum
     ls_total: float
     ls_per_element: np.ndarray = field(repr=False, default=None)
+    unknowns: int = 0         # size of the factored system, 0 if none was
+    lu_nnz: int = 0           # and the L+U entries of its factor
 
 
 def assemble_ls(T: Triangulation, f, rule=None):
@@ -127,11 +130,13 @@ def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
     if bnorm == 0.0:
         x = np.zeros(S.shape[0])
         res = 0.0
+        unknowns = lu_nnz = 0
     else:
         coords = np.concatenate(
             (conn.midpoints, T.forest.coords()[conn.node_vertices[interior]])
         )
         x = solve_spd(S, rhs, coords)
+        unknowns, lu_nnz = S.shape[0], sparse_direct.last_lu_nnz
         res = float(np.linalg.norm(S @ x - rhs)) / bnorm
     if res > _RESIDUAL_TOL:
         raise SolverError(f"least-squares residual {res:.3e} above {_RESIDUAL_TOL:g}")
@@ -139,7 +144,7 @@ def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
     u = np.zeros(conn.n_nodes)
     u[interior] = x[conn.n_edges :]
     total, per_elem = ls_functional(T, f, p, u, rule, conn=conn)
-    return LsSolution(conn, p, u, res, total, per_elem)
+    return LsSolution(conn, p, u, res, total, per_elem, unknowns, lu_nnz)
 
 
 def _rt_at_mids(conn: Connectivity, local_dofs):
@@ -251,4 +256,9 @@ class LeastSquaresPoisson:
         return delta_ls(sol_c, sol_f)
 
     def extras(self, T: Triangulation, sol: LsSolution) -> dict:
-        return {"ls_total": sol.ls_total, "solver_residual": sol.residual}
+        return {
+            "ls_total": sol.ls_total,
+            "solver_residual": sol.residual,
+            "unknowns": sol.unknowns,
+            "lu_nnz": sol.lu_nnz,
+        }

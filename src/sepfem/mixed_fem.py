@@ -28,6 +28,7 @@ from .edges import Connectivity, prolong_rt0, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import integrate_many, triangle_rule
+from . import sparse_direct
 from .sparse_direct import solve_spd
 
 __all__ = [
@@ -58,6 +59,8 @@ class MixedSolution:
     u: np.ndarray          # piecewise-constant multiplier per element
     residual: float
     f_means: np.ndarray    # quadratured elementwise means of the data
+    unknowns: int = 0      # size of the factored CR system, 0 if none was
+    lu_nnz: int = 0        # and the L+U entries of its factor
 
     @property
     def div_p(self) -> np.ndarray:
@@ -108,12 +111,14 @@ def _solve_marini(conn: Connectivity, load):
     The flux coefficient of an edge is the normal trace of p at its
     midpoint, taken from the first element holding the edge.  The CR
     unknowns are the midpoint values on interior edges; a mesh without
-    interior edges needs no solve.
+    interior edges needs no solve.  Returns p, u, the number of CR
+    unknowns factored and the L+U entries of the factor.
     """
     f_means = load / conn.areas
     interior = ~conn.boundary_edge
     nint = int(interior.sum())
     u_cr = np.zeros(conn.n_edges)
+    lu_nnz = 0
     if nint:
         index = np.full(conn.n_edges, -1, dtype=np.int64)
         index[interior] = np.arange(nint)
@@ -134,6 +139,7 @@ def _solve_marini(conn: Connectivity, load):
             dof.ravel()[owned], weights=np.repeat(load / 3.0, 3)[owned], minlength=nint
         )
         u_cr[interior] = solve_spd(S, b, conn.midpoints[interior])
+        lu_nnz = sparse_direct.last_lu_nnz
 
     u_loc = u_cr[conn.elem_edges]
     grad = -2.0 * np.einsum("ni,nik->nk", u_loc, conn.p1_grads())
@@ -142,7 +148,7 @@ def _solve_marini(conn: Connectivity, load):
     flux = grad[k0] - 0.5 * f_means[k0, np.newaxis] * (conn.midpoints - centroid[k0])
     p = np.einsum("ek,ek->e", flux, conn.normals)
     u = u_loc.mean(axis=1) + f_means * (conn.elem_edge_lengths**2).sum(axis=1) / 144.0
-    return p, u
+    return p, u, nint, lu_nnz
 
 
 def solve_mixed(T: Triangulation, f, rule=None) -> MixedSolution:
@@ -158,15 +164,16 @@ def solve_mixed(T: Triangulation, f, rule=None) -> MixedSolution:
     bnorm = float(np.linalg.norm(load))
     if bnorm == 0.0:
         p, u, res = np.zeros(conn.n_edges), np.zeros(len(load)), 0.0
+        unknowns = lu_nnz = 0
     else:
-        p, u = _solve_marini(conn, load)
+        p, u, unknowns, lu_nnz = _solve_marini(conn, load)
         r = np.concatenate((A @ p + B.T @ u, B @ p + load))
         res = float(np.linalg.norm(r)) / bnorm
         if res > _RESIDUAL_TOL:
             raise SolverError(
                 f"mixed solve residual {res:.3e} above {_RESIDUAL_TOL:g}"
             )
-    return MixedSolution(conn, p, u, res, load / conn.areas)
+    return MixedSolution(conn, p, u, res, load / conn.areas, unknowns, lu_nnz)
 
 
 def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:
@@ -230,4 +237,9 @@ class MixedPoisson:
         # the discrete constraint: elementwise div p + mean(f) = 0
         worst = float(np.max(np.abs(sol.div_p + sol.f_means)))
         scale = float(np.max(np.abs(sol.f_means))) or 1.0
-        return {"constraint_residual": worst / scale, "solver_residual": sol.residual}
+        return {
+            "constraint_residual": worst / scale,
+            "solver_residual": sol.residual,
+            "unknowns": sol.unknowns,
+            "lu_nnz": sol.lu_nnz,
+        }

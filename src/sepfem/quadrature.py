@@ -117,8 +117,14 @@ def _areas(tris):
 
 
 def _values_at_points(f, tris, rule):
-    # (n, q, 2) cartesian quadrature points
-    pts = np.einsum("qb,nbk->nqk", rule.points, tris)
+    # (n, q, 2) cartesian quadrature points; each sums its three vertex
+    # terms in a fixed order, so a triangle gets the same bits in any batch
+    b = rule.points
+    pts = (
+        b[:, 0, np.newaxis] * tris[:, np.newaxis, 0, :]
+        + b[:, 1, np.newaxis] * tris[:, np.newaxis, 1, :]
+        + b[:, 2, np.newaxis] * tris[:, np.newaxis, 2, :]
+    )
     return f(pts[:, :, 0], pts[:, :, 1])
 
 

@@ -22,6 +22,7 @@ from sepfem import (
     write_csv,
 )
 
+from sepfem import sparse_direct
 from sepfem.ls_fem import LeastSquaresPoisson
 
 
@@ -105,6 +106,22 @@ def test_record_bookkeeping_invariants():
     assert all(r.delta2 >= 0.0 for r in res.records[:-1])
     assert len(res.meshes) == len(res.records)
     assert len(res.solutions) == len(res.records)
+
+
+@pytest.mark.parametrize("cls", [MixedPoisson, LeastSquaresPoisson])
+def test_records_carry_the_factored_size_and_fill(cls, monkeypatch):
+    factored = []
+    splu = sparse_direct.spla.splu
+
+    def counting_splu(A, **kwargs):
+        lu = splu(A, **kwargs)
+        factored.append((A.shape[0], lu.nnz))
+        return lu
+
+    monkeypatch.setattr(sparse_direct.spla, "splu", counting_splu)
+    res = safem_run(cls(field_from_name("one")), l_shape(), small_params())
+    assert len(factored) == len(res.records)
+    assert [(r.extra["unknowns"], r.extra["lu_nnz"]) for r in res.records] == factored
 
 
 def test_safem_equals_cafem_when_data_term_vanishes():
