@@ -65,7 +65,6 @@ from .mixed_fem import (
     MixedPoisson,
     MixedSolution,
     SolverError,
-    assemble_mixed,
     delta_mixed,
     eta_mixed,
     solve_mixed,
@@ -132,7 +131,6 @@ __all__ = [
     "MixedPoisson",
     "MixedSolution",
     "SolverError",
-    "assemble_mixed",
     "delta_mixed",
     "eta_mixed",
     "solve_mixed",

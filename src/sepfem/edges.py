@@ -13,7 +13,7 @@ import numpy as np
 
 from .mesh import MeshError, Triangulation
 
-__all__ = ["Connectivity", "rt_vertex_traces", "tangential_jump_norms", "prolong_rt0", "prolong_p1"]
+__all__ = ["Connectivity", "rt_at_points", "tangential_jump_norms", "prolong_rt0", "prolong_p1"]
 
 
 class Connectivity:
@@ -116,19 +116,17 @@ class Connectivity:
         return self.elem_signs * p[self.elem_edges]
 
 
-def rt_vertex_traces(conn: Connectivity, local_dofs: np.ndarray) -> np.ndarray:
-    """(n, 3, 2) value of the elementwise RT0 field at the three vertices."""
-    scale = conn.elem_edge_lengths / (2.0 * conn.areas[:, np.newaxis])
-    diff = conn.pts[:, :, np.newaxis, :] - conn.pts[:, np.newaxis, :, :]  # v, basis
-    return np.einsum("ni,nvik->nvk", local_dofs * scale, diff)
-
-
 def rt_at_points(conn: Connectivity, rows, local_dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate elementwise RT0 fields of elements ``rows`` at one point each."""
-    rows = np.asarray(rows, dtype=np.int64)
+    """(m, q, 2) values of elementwise RT0 fields at q points per element.
+
+    Row r of the (m, q, 2) ``points`` lies in element ``rows[r]``, whose
+    outward local coefficients are ``local_dofs[r]``; ``rows`` is any
+    index of the elements, ``slice(None)`` for all of them.  The field
+    is sum_i d_i |E_i| / (2 |K|) (x - P_i).
+    """
     scale = conn.elem_edge_lengths[rows] / (2.0 * conn.areas[rows, np.newaxis])
-    diff = points[:, np.newaxis, :] - conn.pts[rows]  # (m, 3, 2)
-    return np.einsum("mi,mik->mk", local_dofs[rows] * scale, diff)
+    diff = points[:, :, np.newaxis, :] - conn.pts[rows][:, np.newaxis, :, :]
+    return np.einsum("mi,mqik->mqk", local_dofs * scale, diff)
 
 
 def tangential_jump_norms(conn: Connectivity, local_dofs: np.ndarray) -> np.ndarray:
@@ -138,7 +136,7 @@ def tangential_jump_norms(conn: Connectivity, local_dofs: np.ndarray) -> np.ndar
     j0, j1 the squared norm is |E| (j0^2 + j0 j1 + j1^2) / 3 exactly.
     Boundary edges use the one-sided trace.
     """
-    traces = rt_vertex_traces(conn, local_dofs)
+    traces = rt_at_points(conn, slice(None), local_dofs, conn.pts)
 
     def side_vals(s):
         k = conn.edge_elems[:, s]
@@ -192,7 +190,8 @@ def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.n
         mids = 0.5 * (
             coords[fine.edges[new_rows, 0]] + coords[fine.edges[new_rows, 1]]
         )
-        vals = rt_at_points(coarse, anc, coarse.local_flux_dofs(p), mids)
+        dofs = coarse.local_flux_dofs(p)[anc]
+        vals = rt_at_points(coarse, anc, dofs, mids[:, np.newaxis, :])[:, 0, :]
         out[new_rows] = np.einsum("mk,mk->m", vals, fine.normals[new_rows])
     return out
 

@@ -15,15 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .edges import Connectivity, tangential_jump_norms
+from .edges import Connectivity, rt_at_points, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .mixed_fem import SolverError
 from .quadrature import integrate_many, triangle_rule
-from . import sparse_direct
-from .sparse_direct import solve_spd
+from .sparse_direct import _scatter, solve_spd
 
 __all__ = [
     "LsSolution",
@@ -92,33 +90,22 @@ def assemble_ls(T: Triangulation, f, rule=None):
     int_index[interior] = np.arange(nint)
     elem_int = int_index[conn.elem_nodes]  # (n, 3), -1 on boundary nodes
 
-    rows_pp = np.repeat(conn.elem_edges[:, :, np.newaxis], 3, axis=2).ravel()
-    cols_pp = np.repeat(conn.elem_edges[:, np.newaxis, :], 3, axis=1).ravel()
-    vals_pp = (mloc + divloc).ravel()
-
-    rows_pu = np.repeat(conn.elem_edges[:, :, np.newaxis], 3, axis=2).ravel()
-    cols_pu = np.repeat(elem_int[:, np.newaxis, :], 3, axis=1).ravel()
-    vals_pu = (-cloc).ravel()
-    keep = cols_pu >= 0
-
-    rows_uu = np.repeat(elem_int[:, :, np.newaxis], 3, axis=2).ravel()
-    cols_uu = np.repeat(elem_int[:, np.newaxis, :], 3, axis=1).ravel()
-    vals_uu = kloc.ravel()
-    keep_uu = (rows_uu >= 0) & (cols_uu >= 0)
-
+    # one (6, 6) block per element on its three fluxes and three nodes
+    block = np.empty((n, 6, 6))
+    block[:, :3, :3] = mloc + divloc
+    block[:, :3, 3:] = -cloc
+    block[:, 3:, :3] = -cloc.transpose(0, 2, 1)
+    block[:, 3:, 3:] = kloc
+    dofs = np.concatenate(
+        (conn.elem_edges, np.where(elem_int >= 0, ne + elem_int, -1)), axis=1
+    )
     ndof = ne + nint
-    rows = np.concatenate(
-        (rows_pp, rows_pu[keep], ne + cols_pu[keep], (ne + rows_uu[keep_uu]))
-    )
-    cols = np.concatenate(
-        (cols_pp, ne + cols_pu[keep], rows_pu[keep], (ne + cols_uu[keep_uu]))
-    )
-    vals = np.concatenate((vals_pp, vals_pu[keep], vals_pu[keep], vals_uu[keep_uu]))
-    S = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+    S = _scatter(block, dofs, ndof)
 
     load = integrate_many(f, conn.pts, rule)  # int_K f
-    rhs = np.zeros(ndof)
-    np.add.at(rhs, conn.elem_edges.ravel(), (-dvec * load[:, np.newaxis]).ravel())
+    rhs = np.bincount(
+        conn.elem_edges.ravel(), weights=(-dvec * load[:, np.newaxis]).ravel(), minlength=ndof
+    )
     return S, rhs, conn, interior
 
 
@@ -135,8 +122,8 @@ def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
         coords = np.concatenate(
             (conn.midpoints, T.forest.coords()[conn.node_vertices[interior]])
         )
-        x = solve_spd(S, rhs, coords)
-        unknowns, lu_nnz = S.shape[0], sparse_direct.last_lu_nnz
+        x, lu_nnz = solve_spd(S, rhs, coords)
+        unknowns = S.shape[0]
         res = float(np.linalg.norm(S @ x - rhs)) / bnorm
     if res > _RESIDUAL_TOL:
         raise SolverError(f"least-squares residual {res:.3e} above {_RESIDUAL_TOL:g}")
@@ -147,12 +134,16 @@ def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
     return LsSolution(conn, p, u, res, total, per_elem, unknowns, lu_nnz)
 
 
-def _rt_at_mids(conn: Connectivity, local_dofs):
-    """(n, 3, 2) RT0 values at the edge midpoints of each element."""
-    mids = 0.5 * (conn.pts[:, [1, 2, 0], :] + conn.pts[:, [2, 0, 1], :])
-    scale = conn.elem_edge_lengths / (2.0 * conn.areas[:, np.newaxis])
-    diff = mids[:, :, np.newaxis, :] - conn.pts[:, np.newaxis, :, :]
-    return np.einsum("ni,nqik->nqk", local_dofs * scale, diff)
+def _midpoint_norm2(conn: Connectivity, values):
+    """Per-element squared L2 norms of fields given by (n, 3, 2) midpoint values.
+
+    The midpoint rule is exact for quadratics.  The sum runs over the
+    midpoints in order, so its bits do not depend on the memory layout
+    of ``values``.
+    """
+    sq = values * values
+    at = sq[:, :, 0] + sq[:, :, 1]
+    return (conn.areas / 3.0) * (at[:, 0] + at[:, 1] + at[:, 2])
 
 
 def ls_functional(T: Triangulation, f, p, u, rule=None, conn=None):
@@ -179,9 +170,9 @@ def ls_functional(T: Triangulation, f, p, u, rule=None, conn=None):
     if len(u) != conn.n_nodes:
         raise ValueError("u must carry one value per mesh node")
     gradu = np.einsum("ni,nik->nk", u[conn.elem_nodes], conn.p1_grads())
-    pm = _rt_at_mids(conn, dl)
+    pm = rt_at_points(conn, slice(None), dl, conn.midpoints[conn.elem_edges])
     diff = pm - gradu[:, np.newaxis, :]
-    part_flux = (conn.areas / 3.0) * np.einsum("nqk,nqk->n", diff, diff)
+    part_flux = _midpoint_norm2(conn, diff)
 
     per_elem = part_div + part_flux
     return math.fsum(per_elem.tolist()), per_elem
@@ -196,10 +187,10 @@ def eta_ls(T: Triangulation, sol: LsSolution) -> IndicatorField:
     """
     conn = sol.conn
     dl = conn.local_flux_dofs(sol.p)
-    pm = _rt_at_mids(conn, dl)
+    pm = rt_at_points(conn, slice(None), dl, conn.midpoints[conn.elem_edges])
     pbar = pm.mean(axis=1)  # = value at centroid = elementwise mean
     dev = pm - pbar[:, np.newaxis, :]
-    t_mean = (conn.areas / 3.0) * np.einsum("nqk,nqk->n", dev, dev)
+    t_mean = _midpoint_norm2(conn, dev)
 
     t_tang = tangential_jump_norms(conn, dl)[conn.elem_edges].sum(axis=1)
 

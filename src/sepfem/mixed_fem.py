@@ -10,11 +10,12 @@ so div p equals minus the elementwise mean of f exactly.  The data
 enter only through those means, so the solver factors the SPD
 Crouzeix-Raviart system with the same load and recovers p and u from it
 exactly by Marini's local formulas; the residual is still measured on
-the saddle-point system.  The error estimator combines an
-area-weighted flux volume term with tangential inter-element jumps; the
-distance between nested solutions is the H(div) norm of the flux
-difference, computable exactly because nested RT0 spaces are
-inclusion-ordered.
+the saddle-point system, summed element by element from the local RT0
+mass and the edge lengths, so its matrices are never assembled.  The
+error estimator combines an area-weighted flux volume term with
+tangential inter-element jumps; the distance between nested solutions
+is the H(div) norm of the flux difference, computable exactly because
+nested RT0 spaces are inclusion-ordered.
 """
 
 from __future__ import annotations
@@ -22,19 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .edges import Connectivity, prolong_rt0, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import integrate_many, triangle_rule
-from . import sparse_direct
-from .sparse_direct import solve_spd
+from .sparse_direct import _scatter, solve_spd
 
 __all__ = [
     "SolverError",
     "MixedSolution",
-    "assemble_mixed",
     "solve_mixed",
     "eta_mixed",
     "delta_mixed",
@@ -67,38 +65,7 @@ class MixedSolution:
         return np.einsum("ni,ni->n", self.conn.rt_div(), self.conn.local_flux_dofs(self.p))
 
 
-def assemble_mixed(T: Triangulation, f, rule=None):
-    """Assemble the saddle-point blocks A, B and the element load vector.
-
-    A is the RT0 mass matrix on global flux unknowns, B the divergence
-    coupling with B[k, e] = +-|E_e| for the edges of element k, and the
-    load is the quadrature of f per element (the right-hand side of the
-    second equation is its negative).
-    """
-    rule = rule if rule is not None else triangle_rule(5)
-    conn = Connectivity(T)
-    n, ne = len(conn.tris), conn.n_edges
-
-    mloc = conn.rt_local_mass()
-    sgn = conn.elem_signs
-    vals = mloc * sgn[:, :, np.newaxis] * sgn[:, np.newaxis, :]
-    rows = np.repeat(conn.elem_edges[:, :, np.newaxis], 3, axis=2)
-    cols = np.repeat(conn.elem_edges[:, np.newaxis, :], 3, axis=1)
-    A = sp.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(ne, ne)
-    ).tocsr()
-
-    brow = np.repeat(np.arange(n), 3)
-    bval = (sgn * conn.elem_edge_lengths).ravel()
-    B = sp.coo_matrix(
-        (bval, (brow, conn.elem_edges.ravel())), shape=(n, ne)
-    ).tocsr()
-
-    load = integrate_many(f, conn.pts, rule)
-    return A, B, load, conn
-
-
-def _solve_marini(conn: Connectivity, load):
+def _solve_marini(conn: Connectivity, load, f_means):
     """Flux and potential of the mixed system from one Crouzeix-Raviart solve.
 
     For a piecewise-constant load f_K (Marini, SIAM J. Numer. Anal. 22,
@@ -114,7 +81,6 @@ def _solve_marini(conn: Connectivity, load):
     interior edges needs no solve.  Returns p, u, the number of CR
     unknowns factored and the L+U entries of the factor.
     """
-    f_means = load / conn.areas
     interior = ~conn.boundary_edge
     nint = int(interior.sum())
     u_cr = np.zeros(conn.n_edges)
@@ -128,18 +94,12 @@ def _solve_marini(conn: Connectivity, load):
         kloc = 4.0 * conn.areas[:, np.newaxis, np.newaxis] * np.einsum(
             "nik,njk->nij", grads, grads
         )
-        rows = np.repeat(dof[:, :, np.newaxis], 3, axis=2).ravel()
-        cols = np.repeat(dof[:, np.newaxis, :], 3, axis=1).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        S = sp.coo_matrix(
-            (kloc.ravel()[keep], (rows[keep], cols[keep])), shape=(nint, nint)
-        ).tocsr()
+        S = _scatter(kloc, dof, nint)
         owned = dof.ravel() >= 0
         b = np.bincount(
             dof.ravel()[owned], weights=np.repeat(load / 3.0, 3)[owned], minlength=nint
         )
-        u_cr[interior] = solve_spd(S, b, conn.midpoints[interior])
-        lu_nnz = sparse_direct.last_lu_nnz
+        u_cr[interior], lu_nnz = solve_spd(S, b, conn.midpoints[interior])
 
     u_loc = u_cr[conn.elem_edges]
     grad = -2.0 * np.einsum("ni,nik->nk", u_loc, conn.p1_grads())
@@ -151,29 +111,48 @@ def _solve_marini(conn: Connectivity, load):
     return p, u, nint, lu_nnz
 
 
+def _saddle_residual(conn: Connectivity, p, u, load) -> np.ndarray:
+    """Residual of (p, u) in the saddle-point system, flux rows first.
+
+    The flux rows are A p + B^T u, with A the RT0 mass matrix and
+    B[k, e] = +-|E_e| the divergence coupling; the element rows are
+    B p + load.  Each is summed from the elements' local dofs.
+    """
+    d = conn.local_flux_dofs(p)
+    lengths = conn.elem_edge_lengths
+    local = np.einsum("nij,nj->ni", conn.rt_local_mass(), d) + lengths * u[:, np.newaxis]
+    flux_rows = np.bincount(
+        conn.elem_edges.ravel(),
+        weights=(conn.elem_signs * local).ravel(),
+        minlength=conn.n_edges,
+    )
+    return np.concatenate((flux_rows, (lengths * d).sum(axis=1) + load))
+
+
 def solve_mixed(T: Triangulation, f, rule=None) -> MixedSolution:
     """Solve the mixed system; the relative residual must meet 1e-10.
 
     The solution is recovered from one SPD Crouzeix-Raviart solve (see
     ``_solve_marini``), and the residual is measured on the full
-    saddle-point system in (p, u), with the blocks A and B of
-    ``assemble_mixed``.
+    saddle-point system in (p, u) (see ``_saddle_residual``).  The load
+    is the quadrature of f per element.
     """
     rule = rule if rule is not None else triangle_rule(5)
-    A, B, load, conn = assemble_mixed(T, f, rule)
+    conn = Connectivity(T)
+    load = integrate_many(f, conn.pts, rule)
+    f_means = load / conn.areas
     bnorm = float(np.linalg.norm(load))
     if bnorm == 0.0:
         p, u, res = np.zeros(conn.n_edges), np.zeros(len(load)), 0.0
         unknowns = lu_nnz = 0
     else:
-        p, u, unknowns, lu_nnz = _solve_marini(conn, load)
-        r = np.concatenate((A @ p + B.T @ u, B @ p + load))
-        res = float(np.linalg.norm(r)) / bnorm
+        p, u, unknowns, lu_nnz = _solve_marini(conn, load, f_means)
+        res = float(np.linalg.norm(_saddle_residual(conn, p, u, load))) / bnorm
         if res > _RESIDUAL_TOL:
             raise SolverError(
                 f"mixed solve residual {res:.3e} above {_RESIDUAL_TOL:g}"
             )
-    return MixedSolution(conn, p, u, res, load / conn.areas, unknowns, lu_nnz)
+    return MixedSolution(conn, p, u, res, f_means, unknowns, lu_nnz)
 
 
 def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:

@@ -2,14 +2,16 @@
 
 Both discretizations reduce their linear algebra to one SPD system: the
 least-squares optimality system, and the Crouzeix-Raviart system from
-which the mixed solution is recovered.  ``solve_spd`` factors it with
+which the mixed solution is recovered.  Both are summed from local
+element blocks by ``_scatter``.  ``solve_spd`` factors the system with
 SuperLU in symmetric mode, without pivoting, on a geometric
 nested-dissection ordering of the unknowns (George, SIAM J. Numer.
 Anal. 10, 1973).  Each part is cut across the longer axis of its
 bounding box, at the position near its median that the fewest
 couplings cross (Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998,
 choose among candidate cuts by separator size): on the meshes graded
-toward a corner the exact median runs through the densest region.
+toward a corner the exact median runs through the densest region.  It
+returns the solution with the number of L+U entries of its factor.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ _LEAF_SIZE = 32
 # a part is cut at one of the positions within this share of its size
 # on either side of its median
 _WINDOW = 0.2
-
-# L+U entries of the latest factorization made by ``solve_spd``
-last_lu_nnz = 0
 
 
 def nested_dissection(S, coords) -> np.ndarray:
@@ -149,15 +148,30 @@ def nested_dissection(S, coords) -> np.ndarray:
     return np.lexsort((np.arange(n), -depth, last))
 
 
-def solve_spd(S, rhs, coords) -> np.ndarray:
-    """Solve the sparse SPD system S x = rhs.
+def _scatter(blocks, dofs, n):
+    """CSR matrix of order n summed from local element blocks.
+
+    ``blocks[k]`` is the (q, q) matrix of element k on the unknowns
+    ``dofs[k]``; an entry -1 in ``dofs`` marks an eliminated unknown,
+    whose rows and columns are dropped.
+    """
+    q = dofs.shape[1]
+    rows = np.repeat(dofs[:, :, np.newaxis], q, axis=2).ravel()
+    cols = np.repeat(dofs[:, np.newaxis, :], q, axis=1).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix(
+        (blocks.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)
+    ).tocsr()
+
+
+def solve_spd(S, rhs, coords) -> tuple[np.ndarray, int]:
+    """Solve the sparse SPD system S x = rhs; return x and the factor's size.
 
     ``coords`` holds one point per unknown (an edge midpoint for an edge
     unknown, the vertex for a nodal one) and drives the nested-dissection
-    ordering of the SuperLU factorization.  The factor's number of L+U
-    entries is left in ``last_lu_nnz``.
+    ordering of the SuperLU factorization.  The second value is the
+    number of L+U entries of the factor.
     """
-    global last_lu_nnz
     perm = nested_dissection(S, coords)
     Sp = S.tocsr()[perm][:, perm].tocsc()
     lu = spla.splu(
@@ -166,7 +180,6 @@ def solve_spd(S, rhs, coords) -> np.ndarray:
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
-    last_lu_nnz = int(lu.nnz)
     x = np.empty(len(perm))
     x[perm] = lu.solve(np.asarray(rhs, dtype=np.float64)[perm])
-    return x
+    return x, int(lu.nnz)

@@ -22,8 +22,11 @@ from sepfem import (
     write_csv,
 )
 
+import sepfem.ls_fem
+import sepfem.mixed_fem
 from sepfem import sparse_direct
 from sepfem.ls_fem import LeastSquaresPoisson
+from sepfem.mixed_fem import SolverError
 
 
 def small_params(**kw):
@@ -122,6 +125,31 @@ def test_records_carry_the_factored_size_and_fill(cls, monkeypatch):
     res = safem_run(cls(field_from_name("one")), l_shape(), small_params())
     assert len(factored) == len(res.records)
     assert [(r.extra["unknowns"], r.extra["lu_nnz"]) for r in res.records] == factored
+
+
+@pytest.mark.parametrize(
+    "cls, module", [(MixedPoisson, sepfem.mixed_fem), (LeastSquaresPoisson, sepfem.ls_fem)]
+)
+def test_residual_gates_reject_a_perturbed_solve_and_name_the_level(cls, module, monkeypatch):
+    # every solve from the (first + 1)-th on returns x (1 + 1e-6)
+    calls, first = [0], [0]
+    solve_spd = module.solve_spd
+
+    def perturbed(S, rhs, coords):
+        x, lu_nnz = solve_spd(S, rhs, coords)
+        calls[0] += 1
+        return (x * (1.0 + 1e-6) if calls[0] > first[0] else x), lu_nnz
+
+    monkeypatch.setattr(module, "solve_spd", perturbed)
+    problem = cls(field_from_name("one"))
+    with pytest.raises(SolverError, match="residual"):
+        problem.solve(l_shape().uniform_refine())
+
+    calls[0], first[0] = 0, 2
+    with pytest.raises(SolverError) as err:
+        safem_run(problem, l_shape(), small_params())
+    assert err.value.level == 2
+    assert calls[0] == 3
 
 
 def test_safem_equals_cafem_when_data_term_vanishes():

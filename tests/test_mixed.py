@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sepfem import (
+    Connectivity,
     MixedPoisson,
     delta_mixed,
     eta_mixed,
@@ -22,6 +23,7 @@ from sepfem import (
     triangle_rule,
     unit_square_criss,
 )
+from sepfem.mixed_fem import _saddle_residual
 
 ETA2_SQUARE_CONST = 0.07975889843221229
 ETA2_LSHAPE_CONST = 0.840767435801184
@@ -76,7 +78,7 @@ def dense_mixed_solve(T, fval):
     K = np.block([[A, B.T], [B, np.zeros((n, n))]])
     rhs = np.concatenate([np.zeros(ne), -fval * areas])
     x = np.linalg.solve(K, rhs)
-    return edges, x[:ne], x[ne:], A
+    return edges, x[:ne], x[ne:], A, B
 
 
 def align(conn, edges):
@@ -142,7 +144,7 @@ def test_solver_matches_dense_oracle(mesh_fn):
     T = mesh_fn()
     f = field_from_name("one")
     sol = solve_mixed(T, f)
-    edges, p_ref, u_ref, _ = dense_mixed_solve(T, 1.0)
+    edges, p_ref, u_ref, _, _ = dense_mixed_solve(T, 1.0)
     perm = align(sol.conn, edges)
     assert np.max(np.abs(sol.p[perm] - p_ref)) < 1e-12
     assert np.max(np.abs(sol.u - u_ref)) < 1e-12
@@ -151,7 +153,7 @@ def test_solver_matches_dense_oracle(mesh_fn):
 def test_refined_mesh_still_matches_dense_oracle():
     T = unit_square_criss().uniform_refine().uniform_refine()
     sol = solve_mixed(T, field_from_name("one"))
-    edges, p_ref, u_ref, _ = dense_mixed_solve(T, 1.0)
+    edges, p_ref, u_ref, _, _ = dense_mixed_solve(T, 1.0)
     perm = align(sol.conn, edges)
     assert np.max(np.abs(sol.p[perm] - p_ref)) < 1e-11
     assert np.max(np.abs(sol.u - u_ref)) < 1e-11
@@ -165,10 +167,29 @@ def test_graded_mesh_matches_dense_oracle():
         corner = np.any(np.all(T.tri_coords() == 0.0, axis=2), axis=1)
         T = T.refine(T.leaf_ids[corner])
     sol = solve_mixed(T, field_from_name("one"))
-    edges, p_ref, u_ref, _ = dense_mixed_solve(T, 1.0)
+    edges, p_ref, u_ref, _, _ = dense_mixed_solve(T, 1.0)
     perm = align(sol.conn, edges)
     assert np.max(np.abs(sol.p[perm] - p_ref)) < 1e-11
     assert np.max(np.abs(sol.u - u_ref)) < 1e-11
+
+
+def test_elementwise_residual_is_the_saddle_residual():
+    # random (p, u) and load on a mesh of several element sizes, against
+    # K [p; u] - [0; -load] with the oracle's A and B
+    T = l_shape().uniform_refine()
+    T = T.refine(T.leaf_ids[:3])
+    conn = Connectivity(T)
+    edges, _, _, A, B = dense_mixed_solve(T, 1.0)
+    perm = align(conn, edges)
+    n, ne = T.n_elements, conn.n_edges
+    K = np.block([[A, B.T], [B, np.zeros((n, n))]])
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        p, u, load = rng.standard_normal(ne), rng.standard_normal(n), rng.standard_normal(n)
+        want = K @ np.concatenate((p[perm], u)) - np.concatenate((np.zeros(ne), -load))
+        r = _saddle_residual(conn, p, u, load)
+        got = np.concatenate((r[:ne][perm], r[ne:]))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_mesh_without_interior_edges():
@@ -178,7 +199,7 @@ def test_mesh_without_interior_edges():
     p_want = [-1.0 / 6.0, 1.0 / 6.0, -1.0 / (6.0 * math.sqrt(2.0))]
     assert np.max(np.abs(sol.p - p_want)) < 1e-15
     assert sol.residual <= 1e-10
-    edges, p_ref, u_ref, _ = dense_mixed_solve(T, 1.0)
+    edges, p_ref, u_ref, _, _ = dense_mixed_solve(T, 1.0)
     assert np.max(np.abs(sol.p[align(sol.conn, edges)] - p_ref)) < 1e-14
     assert np.max(np.abs(sol.u - u_ref)) < 1e-14
 
@@ -277,7 +298,7 @@ def test_nonconstant_load_matches_dense_oracle():
     T = l_shape().uniform_refine().uniform_refine()
     sol = solve_mixed(T, field_from_name("linear-x"))
     means = T.tri_coords()[:, :, 0].mean(axis=1)
-    edges, p_ref, u_ref, _ = dense_mixed_solve(T, means)
+    edges, p_ref, u_ref, _, _ = dense_mixed_solve(T, means)
     perm = align(sol.conn, edges)
     assert np.max(np.abs(sol.p[perm] - p_ref)) < 1e-12
     assert np.max(np.abs(sol.u - u_ref)) < 1e-12

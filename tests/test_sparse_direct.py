@@ -204,6 +204,12 @@ def test_degenerate_input_gives_a_permutation(case):
 
 def test_superlu_path_matches_reference_solve():
     S, rhs, coords = ls_system(3)
-    x = solve_spd(S, rhs, coords)
+    x, lu_nnz = solve_spd(S, rhs, coords)
     ref = spla.spsolve(sp.csc_matrix(S), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    perm = nested_dissection(S, coords)
+    lu = spla.splu(
+        S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    assert lu_nnz == lu.nnz
