@@ -68,6 +68,25 @@ def _mu_totals(problem, meshes):
     return [math.sqrt(problem.mu(T).total) for T in meshes]
 
 
+def _worst_ratio(values):
+    """Largest ``values[j] / values[i]`` over the pairs i < j, from 0.0.
+
+    A zero followed by a zero counts as ratio 1, a zero followed by a
+    positive value as inf.  Returns the ratio, the first pair ``"i->j"``
+    attaining it (None when no ratio exceeds 0.0) and the pair count.
+    """
+    worst, worst_pair = 0.0, None
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[i] == 0.0:
+                ratio = 1.0 if values[j] == 0.0 else math.inf
+            else:
+                ratio = values[j] / values[i]
+            if ratio > worst:
+                worst, worst_pair = ratio, f"{i}->{j}"
+    return worst, worst_pair, len(values) * (len(values) - 1) // 2
+
+
 def check_B2(problem, meshes, rtol: float = 1e-9) -> AxiomReport:
     """Monotonicity of the data term: mu never grows under refinement.
 
@@ -75,23 +94,11 @@ def check_B2(problem, meshes, rtol: float = 1e-9) -> AxiomReport:
     hierarchy (the unsquared totals).
     """
     mus = _mu_totals(problem, meshes)
-    worst = 0.0
-    worst_pair = None
-    pairs = 0
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            pairs += 1
-            if mus[i] == 0.0:
-                ratio = 1.0 if mus[j] == 0.0 else math.inf
-            else:
-                ratio = mus[j] / mus[i]
-            if ratio > worst:
-                worst = ratio
-                worst_pair = (i, j)
+    worst, worst_pair, pairs = _worst_ratio(mus)
     passed = worst <= 1.0 + rtol
     witness = {"worst_ratio": worst, "mu_first": mus[0], "mu_last": mus[-1]}
     if worst_pair is not None:
-        witness["worst_pair"] = f"{worst_pair[0]}->{worst_pair[1]}"
+        witness["worst_pair"] = worst_pair
     return AxiomReport("B2", passed, witness, pairs)
 
 
@@ -110,32 +117,12 @@ def check_QM(problem, meshes, solutions=None, ratio_bound: float = 10.0,
     sigmas = []
     for T, sol in zip(meshes, solutions):
         sigmas.append(math.sqrt(problem.eta(T, sol).total + problem.mu(T).total))
-    worst = 0.0
-    worst_pair = None
-    pairs = 0
-    for i in range(len(sigmas)):
-        for j in range(i + 1, len(sigmas)):
-            pairs += 1
-            if sigmas[i] == 0.0:
-                ratio = 1.0 if sigmas[j] == 0.0 else math.inf
-            else:
-                ratio = sigmas[j] / sigmas[i]
-            if ratio > worst:
-                worst = ratio
-                worst_pair = (i, j)
+    worst, worst_pair, pairs = _worst_ratio(sigmas)
     witness = {"worst_sigma_ratio": worst}
     if worst_pair is not None:
-        witness["worst_pair"] = f"{worst_pair[0]}->{worst_pair[1]}"
+        witness["worst_pair"] = worst_pair
     if getattr(problem, "kind", None) == "ls":
-        totals = [sol.ls_total for sol in solutions]
-        worst_ls = 0.0
-        for i in range(len(totals)):
-            for j in range(i + 1, len(totals)):
-                if totals[i] == 0.0:
-                    ratio = 1.0 if totals[j] == 0.0 else math.inf
-                else:
-                    ratio = totals[j] / totals[i]
-                worst_ls = max(worst_ls, ratio)
+        worst_ls, _, _ = _worst_ratio([sol.ls_total for sol in solutions])
         witness["worst_ls_ratio"] = worst_ls
         passed = worst_ls <= 1.0 + rtol
     else:

@@ -148,8 +148,8 @@ def _validate(args, parser):
             rho_b=args.rho_b,
             sigma_tol=args.sigma_tol,
             max_elements=args.max_elements,
-            quad_degree=args.quad_degree,
         )
+        triangle_rule(args.quad_degree)
         field_from_name(args.field)
     except ValueError as err:
         parser.error(str(err))

@@ -59,7 +59,6 @@ class SafemParams:
     rho_b: float = 0.5
     sigma_tol: float = 1e-6
     max_elements: int = 200_000
-    quad_degree: int = 5
 
     def __post_init__(self):
         if not 0.0 < self.theta_a <= 1.0:
@@ -73,8 +72,6 @@ class SafemParams:
             raise ValueError(f"sigma_tol must be nonnegative, got {self.sigma_tol}")
         if not self.max_elements >= 1:
             raise ValueError(f"max_elements must be at least 1, got {self.max_elements}")
-        if not 1 <= int(self.quad_degree) <= 5:
-            raise ValueError(f"quad_degree must be in 1..5, got {self.quad_degree}")
 
 
 @dataclass

@@ -8,7 +8,9 @@ surrogate weight attains the maximum, until the data total meets a
 tolerance; the surrogate is propagated to children by a fixed recursion
 instead of being recomputed, which is what makes the greedy choice
 cheap and the element counts tolerance-optimal.  The element values of
-all children of one pass come from one quadrature call.
+all children of one pass come from one quadrature call, and the greedy
+keeps its state (values, surrogate weights, partition) in arrays
+indexed by forest node.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import weakref
 
 import numpy as np
 
-from .mesh import BisectionForest, Triangulation, complete_partition
+from .mesh import BisectionForest, Triangulation, _grow, complete_partition
 from .quadrature import QuadratureRule, integrate_many, mu2_elements, triangle_rule
 
 __all__ = [
@@ -36,7 +38,7 @@ __all__ = [
 class IndicatorField:
     """Nonnegative squared indicator values keyed by element identifier."""
 
-    __slots__ = ("ids", "values", "_total", "_map")
+    __slots__ = ("ids", "values", "_total")
 
     def __init__(self, ids, values):
         self.ids = np.asarray(ids, dtype=np.int64)
@@ -48,7 +50,6 @@ class IndicatorField:
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0.0):
             raise ValueError("indicator values must be finite and nonnegative")
         self._total = None
-        self._map = None
 
     @property
     def total(self) -> float:
@@ -58,16 +59,6 @@ class IndicatorField:
 
     def __len__(self):
         return len(self.ids)
-
-    def __getitem__(self, eid) -> float:
-        if self._map is None:
-            self._map = {int(i): float(v) for i, v in zip(self.ids, self.values)}
-        return self._map[int(eid)]
-
-    @classmethod
-    def from_dict(cls, d) -> "IndicatorField":
-        ids = sorted(d)
-        return cls(ids, [d[i] for i in ids])
 
 
 def doerfler_select(theta: float, eta2: IndicatorField) -> np.ndarray:
@@ -95,66 +86,64 @@ def doerfler_select(theta: float, eta2: IndicatorField) -> np.ndarray:
     return np.sort(eta2.ids[order[:k]])
 
 
-def tilde_mu_children(mu_parent: float, tilde_parent: float, mu_child1: float, mu_child2: float):
-    """Surrogate weight of both children of a bisected element.
+def tilde_mu_children(mu_parent, tilde_parent, mu_child1, mu_child2) -> np.ndarray:
+    """Surrogate weight that both children of each bisected element get.
 
     tilde(K_j) = tilde(K) * (mu(K_1) + mu(K_2)) / (mu(K) + tilde(K)),
-    and zero when the denominator vanishes.  All arguments are the
-    unsquared element values.
+    and zero where the denominator vanishes.  The arguments are arrays
+    (or scalars) of the unsquared element values, one entry per element.
     """
-    for v in (mu_parent, tilde_parent, mu_child1, mu_child2):
-        if not v >= 0.0:
-            raise ValueError("element values must be nonnegative")
+    mu_parent, tilde_parent, mu_child1, mu_child2 = (
+        np.asarray(v, dtype=float) for v in (mu_parent, tilde_parent, mu_child1, mu_child2)
+    )
+    low = np.minimum(np.minimum(mu_parent, tilde_parent), np.minimum(mu_child1, mu_child2))
+    if not low.min() >= 0.0:
+        raise ValueError("element values must be nonnegative")
     den = mu_parent + tilde_parent
-    if den == 0.0:
-        return 0.0, 0.0
-    t = tilde_parent * (mu_child1 + mu_child2) / den
-    return t, t
+    # a zero denominator means tilde(K) = 0, so the numerator is zero too
+    return tilde_parent * (mu_child1 + mu_child2) / np.where(den == 0.0, 1.0, den)
+
+
+def _pow2(x):
+    # float_power calls the C library's pow, as Python's ** does; x * x
+    # and np.power differ from it in the last bit now and then
+    return np.float_power(x, 2.0)
 
 
 class _CachedElementValue:
-    """Per-forest cache of a nonnegative per-element value."""
+    """Per-forest cache of a nonnegative per-element value.
+
+    Per forest, a value array and a computed-mask, both indexed by node
+    id and grown with the forest.
+    """
 
     def __init__(self, field, rule: QuadratureRule | None = None):
         self.field = field
         self.rule = rule if rule is not None else triangle_rule(5)
         self._caches = weakref.WeakKeyDictionary()
 
-    def _cache(self, forest) -> dict:
-        c = self._caches.get(forest)
-        if c is None:
-            c = {}
-            self._caches[forest] = c
-        return c
-
     def _compute_batch(self, coords):
         raise NotImplementedError
 
-    def _values(self, forest, nodes: list, coords) -> list:
-        """Values of ``nodes``, the uncached ones computed in one batch.
+    def node_values(self, forest: BisectionForest, nodes) -> np.ndarray:
+        """Values of the forest nodes in the id array ``nodes`` (any shape).
 
-        ``coords(rows)`` returns the (m, 3, 2) vertex coordinates of
-        ``nodes[i]`` for ``i`` in ``rows``.
+        The uncached ones are computed in one batch and cached.
         """
-        cache = self._cache(forest)
-        missing = [i for i, n in enumerate(nodes) if n not in cache]
-        if missing:
-            vals = self._compute_batch(coords(missing))
-            for i, v in zip(missing, vals.tolist()):
-                cache[nodes[i]] = v
-        return [cache[n] for n in nodes]
-
-    def node_values(self, forest: BisectionForest, nodes: list) -> list:
-        """Values of the forest nodes in ``nodes``, filling the per-node cache."""
-        return self._values(
-            forest, nodes, lambda rows: forest.node_coords([nodes[i] for i in rows])
-        )
+        nodes = np.asarray(nodes, dtype=np.int64)
+        vals, known = self._caches.get(forest, (np.zeros(0), np.zeros(0, dtype=bool)))
+        vals, known = _grow(vals, forest.n_nodes), _grow(known, forest.n_nodes)
+        self._caches[forest] = vals, known
+        missing = nodes[~known[nodes]]
+        if len(missing):
+            vals[missing] = self._compute_batch(forest.node_coords(missing))
+            known[missing] = True
+        return vals[nodes]
 
     def mesh_values2(self, T: Triangulation) -> IndicatorField:
         """Squared values for all leaves, filling the per-node cache."""
-        vals = self._values(T.forest, T.leaf_ids.tolist(), lambda rows: T.tri_coords()[rows])
-        out = np.asarray(vals)
-        return IndicatorField(T.leaf_ids, out * out)
+        vals = self.node_values(T.forest, T.leaf_ids)
+        return IndicatorField(T.leaf_ids, vals * vals)
 
 
 class ElementOscillation(_CachedElementValue):
@@ -179,14 +168,15 @@ class WeightedDataSize(_CachedElementValue):
 class ApproxState:
     """Resumable greedy data approximation over one bisection forest.
 
-    Keeps the (possibly nonconforming) working partition, the element
-    values mu(K), and the surrogate weights, so that successive calls
-    with decreasing tolerances continue where the previous call stopped
-    instead of restarting from the initial mesh.  Each greedy pass makes
-    one quadrature call for the children of all elements it bisects, and
-    so does each completion check; the quadrature gives every element
-    the same bits in any batch, so the result equals that of a greedy
-    fetching one child at a time.
+    Keeps the (possibly nonconforming) working partition and the
+    surrogate weights in arrays indexed by forest node (the element
+    values mu(K) are read from ``values``' cache), so that successive
+    calls with decreasing tolerances continue where the previous call
+    stopped instead of restarting from the initial mesh.  Each greedy
+    pass makes one quadrature call for the children of all elements it
+    bisects, and so does each completion check; the quadrature gives
+    every element the same bits in any batch, so the result equals that
+    of a greedy fetching one child at a time.
     """
 
     def __init__(self, T0: Triangulation, values: _CachedElementValue, cap: int = 2_000_000):
@@ -194,34 +184,38 @@ class ApproxState:
         self.forest = T0.forest
         self.values = values
         self.cap = int(cap)
-        self.mu: dict[int, float] = {}
-        self.tilde: dict[int, float] = {}
-        self.partition: set[int] = set()
-        self._heap: list[tuple[float, int]] = []
-        roots = T0.leaf_ids.tolist()
-        for n, m in zip(roots, values.node_values(self.forest, roots)):
-            self.mu[n] = m
-            self.tilde[n] = m
-            self.partition.add(n)
-            self._heap.append((-m, n))
+        roots = T0.leaf_ids
+        mu = values.node_values(self.forest, roots)
+        self.tilde = np.zeros(self.forest.n_nodes)
+        self.tilde[roots] = mu
+        self._in = np.zeros(self.forest.n_nodes, dtype=bool)
+        self._in[roots] = True
+        self._heap = list(zip((-mu).tolist(), roots.tolist()))
         heapq.heapify(self._heap)
         self._resync()
         self._updates = 0
 
+    @property
+    def partition(self) -> np.ndarray:
+        """Sorted node ids of the working partition."""
+        return np.flatnonzero(self._in)
+
     def _resync(self):
-        self.mu2_total = math.fsum(self.mu[n] ** 2 for n in self.partition)
+        mu = self.values.node_values(self.forest, self.partition)
+        self.mu2_total = math.fsum(_pow2(mu).tolist())
 
     def _pass(self):
         """Bisect every element attaining the maximal surrogate weight.
 
         All elements of the pass are split in one ``BisectionForest.split``
-        call and their children's values fetched in one call; the updates
-        then run element by element, in the order a one-at-a-time greedy
-        would make them.
+        call, and their values and their children's come from one call;
+        the running total is updated element by element, in the order a
+        one-at-a-time greedy would update it, and is resynced at every
+        4096th update on the partition of that moment.
         """
         heap = self._heap
-        part = self.partition
-        while heap and heap[0][1] not in part:
+        part = self._in
+        while heap and not part[heap[0][1]]:
             heapq.heappop(heap)
         if not heap:
             raise RuntimeError("greedy heap exhausted with a nonempty partition")
@@ -229,28 +223,35 @@ class ApproxState:
         batch = []
         while heap and heap[0][0] == top:
             _, n = heapq.heappop(heap)
-            if n in part:
+            if part[n]:
                 batch.append(n)
-        children = self.forest.split(batch).ravel().tolist()
-        child_mu = self.values.node_values(self.forest, children)
-        for k, n in enumerate(batch):
-            c0, c1 = children[2 * k], children[2 * k + 1]
-            m0, m1 = child_mu[2 * k], child_mu[2 * k + 1]
-            t0, t1 = tilde_mu_children(self.mu[n], self.tilde[n], m0, m1)
-            part.discard(n)
-            for c, m, t in ((c0, m0, t0), (c1, m1, t1)):
-                self.mu[c] = m
-                self.tilde[c] = t
-                part.add(c)
-                heapq.heappush(heap, (-t, c))
-            self.mu2_total += m0 * m0 + m1 * m1 - self.mu[n] ** 2
-            self._updates += 1
+        batch = np.array(batch, dtype=np.int64)
+        children = self.forest.split(batch)
+        family = np.concatenate((batch[:, None], children), axis=1)
+        mu, m0, m1 = self.values.node_values(self.forest, family).T
+        t = tilde_mu_children(mu, self.tilde[batch], m0, m1)
+        self.tilde = _grow(self.tilde, self.forest.n_nodes)
+        self.tilde[children] = t[:, None]
+        for c, neg in zip(children.tolist(), (-t).tolist()):
+            heapq.heappush(heap, (neg, c[0]))
+            heapq.heappush(heap, (neg, c[1]))
+        delta = (m0 * m0 + m1 * m1 - _pow2(mu)).tolist()
+        self._in = part = _grow(part, self.forest.n_nodes)
+        start = 0
+        while start < len(batch):
+            stop = min(len(batch), start + 4096 - self._updates % 4096)
+            part[batch[start:stop]] = False
+            part[children[start:stop]] = True
+            for d in delta[start:stop]:
+                self.mu2_total += d
+            self._updates += stop - start
             if self._updates % 4096 == 0:
                 self._resync()
-            if len(part) > self.cap:
-                raise RuntimeError(
-                    f"data approximation exceeded the partition cap ({self.cap} elements)"
-                )
+            start = stop
+        if len(self.T0.leaf_ids) + self._updates > self.cap:
+            raise RuntimeError(
+                f"data approximation exceeded the partition cap ({self.cap} elements)"
+            )
 
     def run(self, tol: float) -> Triangulation:
         """Refine until the squared data total is at most ``tol``, then complete.
@@ -268,9 +269,8 @@ class ApproxState:
                         break
                 self._pass()
             T = complete_partition(self.forest, self.partition)
-            mu = self.values.node_values(self.forest, T.leaf_ids.tolist())
-            total = math.fsum(m**2 for m in mu)
-            if total <= tol:
+            mu = self.values.node_values(self.forest, T.leaf_ids)
+            if math.fsum(_pow2(mu).tolist()) <= tol:
                 return T
             # completion pushed the quadratured total marginally over the
             # target; force one more greedy pass and try again

@@ -49,10 +49,11 @@ class MeshError(Exception):
 
 
 def _grow(arr, n):
-    """``arr``, or a copy of it with doubled capacity, with room for ``n`` rows."""
+    """``arr``, or a copy with doubled capacity and zeros past its end, with room for ``n`` rows."""
     if n <= len(arr):
         return arr
-    out = np.empty((max(n, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
+    # large zeroed arrays are mapped lazily: capacity not yet used costs no memory
+    out = np.zeros((max(n, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
     out[: len(arr)] = arr
     return out
 

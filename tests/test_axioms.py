@@ -1,6 +1,7 @@
 """Certificate checks: exact synthetic cases and live hierarchies."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from sepfem import (
     AxiomReport,
     DataApproximationProblem,
+    IndicatorField,
     LevelRecord,
     MixedPoisson,
     SafemParams,
@@ -134,6 +136,36 @@ def test_data_monotonicity_trivial_for_data_only_problem():
     report = check_B2(DataApproximationProblem(field_from_name("one")), meshes)
     assert report.passed
     assert report.witness["worst_ratio"] == 1.0
+
+
+class TotalsProblem:
+    """Stub least-squares problem whose meshes are its squared data totals."""
+
+    kind = "ls"
+
+    def mu(self, total2):
+        return IndicatorField([0], [total2])
+
+    def eta(self, total2, sol):
+        return IndicatorField([0], [0.0])
+
+
+def test_worst_ratio_takes_zero_to_zero_as_one_and_zero_to_positive_as_inf():
+    problem = TotalsProblem()
+    flat = [0.0, 0.0]
+    b2 = check_B2(problem, flat)
+    qm = check_QM(problem, flat, [SimpleNamespace(ls_total=t) for t in flat])
+    assert b2.passed and qm.passed and b2.pairs == qm.pairs == 1
+    assert b2.witness["worst_ratio"] == qm.witness["worst_ls_ratio"] == 1.0
+    assert b2.witness["worst_pair"] == qm.witness["worst_pair"] == "0->1"
+    # unsquared totals 2, 0, 0, 1: the first zero-to-positive pair is 1->3
+    totals = [4.0, 0.0, 0.0, 1.0]
+    b2 = check_B2(problem, totals)
+    qm = check_QM(problem, totals, [SimpleNamespace(ls_total=t) for t in totals])
+    assert not b2.passed and not qm.passed and b2.pairs == qm.pairs == 6
+    assert b2.witness["worst_ratio"] == qm.witness["worst_sigma_ratio"] == math.inf
+    assert qm.witness["worst_ls_ratio"] == math.inf
+    assert b2.witness["worst_pair"] == qm.witness["worst_pair"] == "1->3"
 
 
 def test_total_estimator_quasimonotone_on_hierarchies():

@@ -48,8 +48,6 @@ def test_params_validation():
         SafemParams(sigma_tol=-1.0)
     with pytest.raises(ValueError):
         SafemParams(max_elements=0)
-    with pytest.raises(ValueError):
-        SafemParams(quad_degree=9)
     nan = float("nan")
     for name in ("theta_a", "kappa", "rho_b", "sigma_tol"):
         with pytest.raises(ValueError):

@@ -91,7 +91,7 @@ def test_greedy_matches_exhaustive_minimum_on_random_instances():
         theta = float(rng.uniform(0.05, 1.0))
         field = IndicatorField(np.arange(n), values)
         marked = doerfler_select(theta, field)
-        picked = math.fsum(float(field[i]) for i in marked)
+        picked = math.fsum(field.values[np.isin(field.ids, marked)].tolist())
         assert picked >= theta * field.total - 1e-12 * max(field.total, 1.0)
         assert len(marked) == exhaustive_min_bulk(values.tolist(), theta)
 
@@ -108,27 +108,29 @@ def test_indicator_field_validation():
 
 
 def test_indicator_field_lookup_and_total():
-    field = IndicatorField.from_dict({5: 1.5, 2: 0.25})
-    assert field.ids.tolist() == [2, 5]
-    assert field[5] == 1.5
+    field = IndicatorField([5, 2], [1.5, 0.25])
+    assert field.values[field.ids == 5].tolist() == [1.5]
     assert abs(field.total - 1.75) < 1e-15
     assert len(field) == 2
 
 
 def test_tilde_recursion_formula_on_random_inputs():
     rng = np.random.default_rng(77)
-    for _ in range(500):
-        mu, tilde, m1, m2 = rng.uniform(0.0, 10.0, size=4)
-        t1, t2 = tilde_mu_children(mu, tilde, m1, m2)
-        assert t1 == t2
-        expect = tilde * (m1 + m2) / (mu + tilde)
-        assert abs(t1 - expect) <= 1e-14 * max(expect, 1.0)
+    mu, tilde, m1, m2 = rng.uniform(0.0, 10.0, size=(4, 500))
+    t = tilde_mu_children(mu, tilde, m1, m2)
+    for k in range(500):
+        expect = tilde[k] * (m1[k] + m2[k]) / (mu[k] + tilde[k])
+        assert abs(t[k] - expect) <= 1e-14 * max(expect, 1.0)
 
 
 def test_tilde_recursion_degenerate_denominator():
-    assert tilde_mu_children(0.0, 0.0, 1.0, 2.0) == (0.0, 0.0)
+    # a zero denominator gives zero, with no division warning
+    t = tilde_mu_children([0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0])
+    assert t.tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
         tilde_mu_children(-1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        tilde_mu_children([1.0, 1.0], [1.0, 1.0], [1.0, math.nan], [1.0, 1.0])
 
 
 def test_approx_meets_tolerance_and_conformity():
@@ -202,15 +204,18 @@ class OneNodePerCall:
         self.inner = inner
 
     def node_values(self, forest, nodes):
-        return [self.inner.node_values(forest, [n])[0] for n in nodes]
+        nodes = np.asarray(nodes)
+        vals = [self.inner.node_values(forest, [n])[0] for n in nodes.ravel().tolist()]
+        return np.array(vals).reshape(nodes.shape)
 
 
 class OneAtATimeApprox(ApproxState):
     """The greedy with one value call per child element.
 
     Splits one element at a time, fetches each child's value on its own
-    and updates before splitting the next: the reference for the
-    per-pass batching of ``ApproxState._pass``.
+    and updates the arrays and the running total (with Python's ``**``)
+    before splitting the next: the reference for the per-pass batching
+    of ``ApproxState._pass``.
     """
 
     def __init__(self, T0, values):
@@ -218,29 +223,33 @@ class OneAtATimeApprox(ApproxState):
 
     def _bisect(self, n):
         c0, c1 = self.forest.split([n])[0].tolist()
-        (m0,) = self.values.node_values(self.forest, [c0])
-        (m1,) = self.values.node_values(self.forest, [c1])
-        t0, t1 = tilde_mu_children(self.mu[n], self.tilde[n], m0, m1)
-        self.partition.discard(n)
-        for c, m, t in ((c0, m0, t0), (c1, m1, t1)):
-            self.mu[c] = m
+        (mu,) = self.values.node_values(self.forest, [n]).tolist()
+        (m0,) = self.values.node_values(self.forest, [c0]).tolist()
+        (m1,) = self.values.node_values(self.forest, [c1]).tolist()
+        t = float(tilde_mu_children(mu, self.tilde[n], m0, m1))
+        grow = self.forest.n_nodes - len(self.tilde)
+        if grow > 0:
+            self.tilde = np.concatenate((self.tilde, np.zeros(grow)))
+            self._in = np.concatenate((self._in, np.zeros(grow, dtype=bool)))
+        self._in[n] = False
+        for c in (c0, c1):
             self.tilde[c] = t
-            self.partition.add(c)
+            self._in[c] = True
             heapq.heappush(self._heap, (-t, c))
-        self.mu2_total += m0 * m0 + m1 * m1 - self.mu[n] ** 2
+        self.mu2_total += m0 * m0 + m1 * m1 - mu**2
         self._updates += 1
         if self._updates % 4096 == 0:
             self._resync()
 
     def _pass(self):
-        heap, part = self._heap, self.partition
-        while heap[0][1] not in part:
+        heap, part = self._heap, self._in
+        while not part[heap[0][1]]:
             heapq.heappop(heap)
         top = heap[0][0]
         batch = []
         while heap and heap[0][0] == top:
             _, n = heapq.heappop(heap)
-            if n in part:
+            if part[n]:
                 batch.append(n)
         for n in batch:
             self._bisect(n)
@@ -250,15 +259,46 @@ def test_batched_greedy_equals_the_one_at_a_time_greedy_bit_for_bit():
     f = field_from_name("radial-alpha:0.6")
     batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
     reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    # the running total after every pass, which run() resyncs before it stops
+    totals = {batched: [], reference: []}
+    for state, seen in totals.items():
+        def traced(inner=state._pass, state=state, seen=seen):
+            inner()
+            seen.append(state.mu2_total.hex())
+
+        state._pass = traced
     for tol in (1e-1, 1e-2, 3e-3, 1e-3, 5e-4):
         T = batched.run(tol)
         T_ref = reference.run(tol)
+        assert totals[batched] == totals[reference]
         assert np.array_equal(T.leaf_ids, T_ref.leaf_ids)
-        assert batched.partition == reference.partition
+        part = batched.partition
+        assert np.array_equal(part, reference.partition)
         assert batched.mu2_total.hex() == reference.mu2_total.hex()
-        assert batched.mu == reference.mu and batched.tilde == reference.tilde
+        assert np.array_equal(batched.tilde[part], reference.tilde[part])
+        mu = batched.values.node_values(batched.forest, part)
+        assert np.array_equal(mu, reference.values.node_values(reference.forest, part))
     # past one periodic resync of the running total
     assert batched._updates > 4096
+
+
+def test_value_cache_is_kept_per_forest():
+    # node ids of the two meshes overlap, their triangles do not
+    f = field_from_name("radial-alpha:0.6")
+    meshes = [l_shape().uniform_refine(), unit_square_criss().uniform_refine().uniform_refine()]
+    shared = ElementOscillation(f)
+    fresh = [ElementOscillation(f).mesh_values2(T).values for T in meshes]
+    common, rows0, rows1 = np.intersect1d(meshes[0].leaf_ids, meshes[1].leaf_ids,
+                                          return_indices=True)
+    assert len(common) > 0
+    assert not np.array_equal(fresh[0][rows0], fresh[1][rows1])
+    for T, want in zip(meshes, fresh):
+        assert np.array_equal(shared.mesh_values2(T).values, want)
+    for T in meshes:
+        T_next = ApproxState(T, shared).run(1e-3)
+        assert np.array_equal(
+            shared.mesh_values2(T_next).values, ElementOscillation(f).mesh_values2(T_next).values
+        )
 
 
 def test_cached_values_do_not_depend_on_which_call_computed_them():
