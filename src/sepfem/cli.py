@@ -71,6 +71,8 @@ _FLAG_TYPES = {
     "report": ("report", str),
     "dump-solution": ("dump_solution", str),
 }
+# output paths, which --sweep derives per run instead of sweeping
+_OUTPUT_FLAGS = ("out", "report", "dump-solution")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,6 +157,8 @@ def _validate(args, parser):
         parser.error(str(err))
     if args.mode == "approx-only" and not args.approx_tol > 0.0:
         parser.error("--approx-tol must be positive")
+    if args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
     if args.dump_solution and (args.mode == "approx-only" or args.problem == "data-only"):
         parser.error("--dump-solution needs a problem with a discrete solution")
     return params, _initial_mesh(args, parser)
@@ -246,7 +250,7 @@ def _single_run(args, params, T0) -> str:
     if args.dump_solution:
         _dump_solution(args.dump_solution, problem, result.meshes[-1], result.solutions[-1])
     try:
-        fitted = fit_rate(records).s
+        fitted = fit_rate(records)
     except ValueError:
         fitted = math.nan
     return f"fitted_s={fitted!r} levels={len(records)} final_sigma={result.final_sigma!r}"
@@ -267,6 +271,8 @@ def _expand_sweep(args, parser):
         key = key.strip().lstrip("-")
         if not sep or key not in _FLAG_TYPES:
             parser.error(f"--sweep expects <flag>=<v1>,<v2>,... with a known flag, got {spec!r}")
+        if key in _OUTPUT_FLAGS:
+            parser.error(f"--sweep {spec!r}: each run suffixes --{key} with its label; set it once")
         dest, conv = _FLAG_TYPES[key]
         try:
             vals = [conv(v.strip()) for v in values.split(",") if v.strip()]

@@ -37,7 +37,6 @@ __all__ = [
     "SafemParams",
     "LevelRecord",
     "RunResult",
-    "RateFit",
     "safem_run",
     "cafem_run",
     "uniform_run",
@@ -99,34 +98,25 @@ class LevelRecord:
 
 @dataclass
 class RunResult:
-    mode: str
     records: list
     meshes: list
     solutions: list
     stop_reason: str
-    params: SafemParams
 
     @property
     def final_sigma(self) -> float:
         return math.sqrt(self.records[-1].sigma2)
 
     def fitted_rate(self, skip: int = 0) -> float:
-        return fit_rate(self.records[skip:]).s
+        return fit_rate(self.records[skip:])
 
 
-@dataclass
-class RateFit:
-    s: float
-    sup_stats: dict
-
-
-def fit_rate(records, s_grid=()) -> RateFit:
+def fit_rate(records) -> float:
     """Least-squares decay rate of sigma against mesh growth.
 
     Fits log sigma_l = c - s * log(1 + N_l) over all records with
-    sigma > 0 and returns s, plus for each requested exponent the
-    statistic sup_l (1 + N_l)^s * sigma_l.  Fewer than four usable
-    records is an error.
+    sigma > 0 and returns s.  Fewer than four usable records is an
+    error.
     """
     pts = [(r.N, math.sqrt(r.sigma2)) for r in records if r.sigma2 > 0.0]
     if len(pts) < 4:
@@ -134,8 +124,7 @@ def fit_rate(records, s_grid=()) -> RateFit:
     n = np.array([p[0] for p in pts], dtype=float)
     sig = np.array([p[1] for p in pts])
     slope = np.polyfit(np.log1p(n), np.log(sig), 1)[0]
-    sups = {float(s): float(np.max((1.0 + n) ** s * sig)) for s in s_grid}
-    return RateFit(-float(slope), sups)
+    return -float(slope)
 
 
 def write_csv(records, path) -> None:
@@ -179,7 +168,7 @@ def _stop_reason(sigma2, T, params) -> str | None:
     return None
 
 
-def _run_loop(problem, T0, params, mode, advance) -> RunResult:
+def _run_loop(problem, T0, params, advance) -> RunResult:
     """Shared solve / estimate / log / stop / advance loop.
 
     ``advance(T, eta2, mu2, record)`` performs the marking and
@@ -217,7 +206,7 @@ def _run_loop(problem, T0, params, mode, advance) -> RunResult:
         reason = _stop_reason(rec.sigma2, T, params)
         if reason is not None:
             rec.seconds = time.perf_counter() - tic
-            return RunResult(mode, records, meshes, solutions, reason, params)
+            return RunResult(records, meshes, solutions, reason)
         T_next = advance(T, eta2, mu2, rec)
         rec.seconds = time.perf_counter() - tic
         prev = (T, sol)
@@ -254,7 +243,7 @@ def safem_run(problem, T0: Triangulation, params: SafemParams | None = None) -> 
         rec.marked = T_next.n_elements - T.n_elements
         return T_next
 
-    return _run_loop(problem, T0, params, "safem", advance)
+    return _run_loop(problem, T0, params, advance)
 
 
 def cafem_run(problem, T0: Triangulation, params: SafemParams | None = None) -> RunResult:
@@ -268,7 +257,7 @@ def cafem_run(problem, T0: Triangulation, params: SafemParams | None = None) -> 
         rec.marked = len(marked)
         return T.refine(marked)
 
-    return _run_loop(problem, T0, params, "cafem", advance)
+    return _run_loop(problem, T0, params, advance)
 
 
 def uniform_run(problem, T0: Triangulation, params: SafemParams | None = None) -> RunResult:
@@ -279,7 +268,7 @@ def uniform_run(problem, T0: Triangulation, params: SafemParams | None = None) -
         rec.marked = T.n_elements
         return T.uniform_refine().uniform_refine()
 
-    return _run_loop(problem, T0, params, "uniform", advance)
+    return _run_loop(problem, T0, params, advance)
 
 
 class DataApproximationProblem:
@@ -287,9 +276,10 @@ class DataApproximationProblem:
 
     There is no PDE: solve returns None and mu vanishes, so every
     marking decision is driven by the collective indicator
-    eta(K) = |K| * ||f||_L2(K).  The distance between nested meshes is
-    ||(w - w_hat) f||_L2 with the elementwise mesh-size weight w = |K|,
-    the same weight that appears in eta.
+    eta(K) = |K| * ||f||_L2(K), and safem_run never leaves case A.  The
+    distance between nested meshes is ||(w - w_hat) f||_L2 with the
+    elementwise mesh-size weight w = |K|, the same weight that appears
+    in eta.
     """
 
     kind = "data"
@@ -298,7 +288,6 @@ class DataApproximationProblem:
         self.field = data_field
         self.rule = triangle_rule(quad_degree)
         self.size = WeightedDataSize(data_field, self.rule)
-        self.oscillation = self.size  # APPROX drives the same functional
 
     def solve(self, T: Triangulation):
         return None

@@ -13,7 +13,7 @@ import numpy as np
 
 from .mesh import MeshError, Triangulation
 
-__all__ = ["Connectivity", "rt_at_points", "tangential_jump_norms", "prolong_rt0", "prolong_p1"]
+__all__ = ["Connectivity", "prolong_rt0", "prolong_p1"]
 
 
 class Connectivity:

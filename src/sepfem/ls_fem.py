@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class LsSolution:
     u: np.ndarray             # nodal values on all nodes (zero on the boundary)
     residual: float           # relative gradient residual of the discrete minimum
     ls_total: float
-    ls_per_element: np.ndarray = field(repr=False, default=None)
     unknowns: int = 0         # size of the factored system, 0 if none was
     lu_nnz: int = 0           # and the L+U entries of its factor
 
@@ -130,8 +129,8 @@ def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
     p = x[: conn.n_edges]
     u = np.zeros(conn.n_nodes)
     u[interior] = x[conn.n_edges :]
-    total, per_elem = ls_functional(T, f, p, u, rule, conn=conn)
-    return LsSolution(conn, p, u, res, total, per_elem, unknowns, lu_nnz)
+    total = ls_functional(conn, f, p, u, rule)
+    return LsSolution(conn, p, u, res, total, unknowns, lu_nnz)
 
 
 def _midpoint_norm2(conn: Connectivity, values):
@@ -146,16 +145,14 @@ def _midpoint_norm2(conn: Connectivity, values):
     return (conn.areas / 3.0) * (at[:, 0] + at[:, 1] + at[:, 2])
 
 
-def ls_functional(T: Triangulation, f, p, u, rule=None, conn=None):
-    """Least-squares functional value: total and per-element split.
+def ls_functional(conn: Connectivity, f, p, u, rule=None) -> float:
+    """Least-squares functional value LS(f; p, u) on the mesh of ``conn``.
 
     The divergence part integrates (f + div q)^2 with the fixed rule;
     the flux part |q - grad v|^2 is a quadratic polynomial and uses the
-    exact midpoint rule.
+    exact midpoint rule.  The per-element values are summed with fsum.
     """
     rule = rule if rule is not None else triangle_rule(5)
-    if conn is None:
-        conn = Connectivity(T)
     dl = conn.local_flux_dofs(np.asarray(p))
     divp = np.einsum("ni,ni->n", conn.rt_div(), dl)
 
@@ -174,8 +171,7 @@ def ls_functional(T: Triangulation, f, p, u, rule=None, conn=None):
     diff = pm - gradu[:, np.newaxis, :]
     part_flux = _midpoint_norm2(conn, diff)
 
-    per_elem = part_div + part_flux
-    return math.fsum(per_elem.tolist()), per_elem
+    return math.fsum((part_div + part_flux).tolist())
 
 
 def eta_ls(T: Triangulation, sol: LsSolution) -> IndicatorField:

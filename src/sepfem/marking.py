@@ -29,7 +29,6 @@ __all__ = [
     "doerfler_select",
     "tilde_mu_children",
     "ApproxState",
-    "approx",
     "ElementOscillation",
     "WeightedDataSize",
 ]
@@ -102,12 +101,6 @@ def tilde_mu_children(mu_parent, tilde_parent, mu_child1, mu_child2) -> np.ndarr
     den = mu_parent + tilde_parent
     # a zero denominator means tilde(K) = 0, so the numerator is zero too
     return tilde_parent * (mu_child1 + mu_child2) / np.where(den == 0.0, 1.0, den)
-
-
-def _pow2(x):
-    # float_power calls the C library's pow, as Python's ** does; x * x
-    # and np.power differ from it in the last bit now and then
-    return np.float_power(x, 2.0)
 
 
 class _CachedElementValue:
@@ -202,7 +195,7 @@ class ApproxState:
 
     def _resync(self):
         mu = self.values.node_values(self.forest, self.partition)
-        self.mu2_total = math.fsum(_pow2(mu).tolist())
+        self.mu2_total = math.fsum((mu * mu).tolist())
 
     def _pass(self):
         """Bisect every element attaining the maximal surrogate weight.
@@ -235,7 +228,7 @@ class ApproxState:
         for c, neg in zip(children.tolist(), (-t).tolist()):
             heapq.heappush(heap, (neg, c[0]))
             heapq.heappush(heap, (neg, c[1]))
-        delta = (m0 * m0 + m1 * m1 - _pow2(mu)).tolist()
+        delta = (m0 * m0 + m1 * m1 - mu * mu).tolist()
         self._in = part = _grow(part, self.forest.n_nodes)
         start = 0
         while start < len(batch):
@@ -270,19 +263,9 @@ class ApproxState:
                 self._pass()
             T = complete_partition(self.forest, self.partition)
             mu = self.values.node_values(self.forest, T.leaf_ids)
-            if math.fsum(_pow2(mu).tolist()) <= tol:
+            if math.fsum((mu * mu).tolist()) <= tol:
                 return T
             # completion pushed the quadratured total marginally over the
             # target; force one more greedy pass and try again
             self._pass()
 
-
-def approx(tol_prime: float, f, T0: Triangulation, quad_degree: int = 5) -> Triangulation:
-    """One-shot greedy data approximation of the oscillation of ``f``.
-
-    Returns a conforming refinement T of T0 with total squared
-    oscillation at most ``tol_prime``.  For resumable use across a
-    decreasing tolerance sequence hold an :class:`ApproxState`.
-    """
-    state = ApproxState(T0, ElementOscillation(f, triangle_rule(quad_degree)))
-    return state.run(tol_prime)

@@ -1,10 +1,11 @@
 """Tagged-triangle meshes under newest-vertex bisection.
 
 All triangulations of one experiment are leaf sets of a single grow-only
-bisection forest, kept in numpy arrays: vertex coordinates and vertex
-parents, and per node its vertex triple, parent, generation and first
-child.  Nodes are never mutated or deleted, midpoints are deduplicated
-forest-wide, and every derived mesh keeps ancestry information.
+bisection forest, kept in numpy arrays: vertex coordinates, and per node
+its vertex triple, parent and first child.  One edge -> midpoint map
+numbers the midpoints in the order they are created and deduplicates
+them forest-wide.  Nodes are never mutated or deleted, and every derived
+mesh keeps ancestry information.
 ``Triangulation.refine`` and ``complete_partition`` share one
 conforming closure, which marks edges and bisects in vectorized rounds
 (Funken, Praetorius and Wissgott, CMAM 11, 2011).
@@ -103,12 +104,10 @@ class BisectionForest:
         tri[flip, :2] = tri[flip, 1::-1]  # keep the tag edge, fix the orientation
 
         self._xy = pts
-        self._vertex_parents = np.full((len(pts), 2), -1, dtype=np.int64)
         self._nv = len(pts)
         self._mid: dict[int, int] = {}
         self._tri = tri
         self._parent = np.full(len(tri), -1, dtype=np.int64)
-        self._gen = np.zeros(len(tri), dtype=np.int64)
         self._child = np.full(len(tri), -1, dtype=np.int64)
         self._nn = len(tri)
         self.roots = np.arange(len(tri))
@@ -127,8 +126,15 @@ class BisectionForest:
         return self._xy[: self._nv]
 
     def vertex_parents(self) -> np.ndarray:
-        """(n_vertices, 2) ends a < b of the edge each vertex bisects, -1 for an initial vertex."""
-        return self._vertex_parents[: self._nv]
+        """(n_vertices, 2) ends a < b of the edge each vertex bisects, -1 for an initial vertex.
+
+        Midpoints are numbered in the order of their keys in the
+        midpoint map, after the initial vertices.
+        """
+        keys = np.fromiter(self._mid, dtype=np.int64, count=len(self._mid))
+        out = np.full((self._nv, 2), -1, dtype=np.int64)
+        out[self._nv - len(keys) :] = np.column_stack((keys >> 32, keys & 0xFFFFFFFF))
+        return out
 
     @property
     def n_vertices(self) -> int:
@@ -188,10 +194,7 @@ class BisectionForest:
                 vkeys[m[fresh] - nv0] = keys[fresh]
                 lo, hi = vkeys >> 32, vkeys & 0xFFFFFFFF
                 self._xy = _grow(self._xy, nv)
-                self._vertex_parents = _grow(self._vertex_parents, nv)
                 self._xy[nv0:nv] = 0.5 * (self._xy[lo] + self._xy[hi])
-                self._vertex_parents[nv0:nv, 0] = lo
-                self._vertex_parents[nv0:nv, 1] = hi
                 on = _in_sorted(self._boundary, vkeys)
                 if on.any():
                     ids = np.arange(nv0, nv)[on]
@@ -199,12 +202,11 @@ class BisectionForest:
                     self._boundary = np.union1d(self._boundary, halves)
                 self._nv = nv
             nn0, nn = self._nn, self._nn + 2 * len(new)
-            self._tri, self._parent, self._gen, self._child = (
-                _grow(a, nn) for a in (self._tri, self._parent, self._gen, self._child)
+            self._tri, self._parent, self._child = (
+                _grow(a, nn) for a in (self._tri, self._parent, self._child)
             )
             self._tri[nn0:nn].reshape(-1, 6)[:] = np.array((v2, v0, m, v1, v2, m)).T
             self._parent[nn0:nn] = np.repeat(new, 2)
-            self._gen[nn0:nn] = np.repeat(self._gen[new] + 1, 2)
             self._child[nn0:nn] = -1
             self._child[new] = np.arange(nn0, nn, 2)
             self._nn = nn
@@ -279,7 +281,7 @@ class Triangulation:
     across refinements of the same experiment.
     """
 
-    __slots__ = ("forest", "leaf_ids", "_leaf_set", "_cache")
+    __slots__ = ("forest", "leaf_ids", "_cache")
 
     def __init__(self, forest: BisectionForest, leaf_ids):
         self.forest = forest
@@ -289,7 +291,6 @@ class Triangulation:
         if arr[0] < 0 or arr[-1] >= forest.n_nodes:
             raise MeshError("leaf id out of range")
         self.leaf_ids = arr
-        self._leaf_set = None
         self._cache = {}
 
     @classmethod
@@ -299,15 +300,6 @@ class Triangulation:
     @property
     def n_elements(self) -> int:
         return len(self.leaf_ids)
-
-    @property
-    def leaf_set(self) -> frozenset:
-        if self._leaf_set is None:
-            self._leaf_set = frozenset(int(n) for n in self.leaf_ids)
-        return self._leaf_set
-
-    def __contains__(self, n) -> bool:
-        return int(n) in self.leaf_set
 
     # -- geometry views -----------------------------------------------------
 
@@ -337,9 +329,6 @@ class Triangulation:
 
     def area(self) -> float:
         return math.fsum(self.areas().tolist())
-
-    def generations(self) -> np.ndarray:
-        return self.forest._gen[self.leaf_ids]
 
     def min_angle(self) -> float:
         """Smallest interior angle over all leaves, in radians."""
@@ -441,7 +430,7 @@ class Triangulation:
 
 def complete_partition(forest: BisectionForest, leaf_ids) -> Triangulation:
     """Smallest conforming closure of a (possibly hanging) partition."""
-    ids = np.unique(np.fromiter(leaf_ids, dtype=np.int64))
+    ids = np.unique(np.asarray(leaf_ids, dtype=np.int64))
     tris = forest.tris(ids)
     return _closure(forest, ids, tris, _edge_table(tris), ids[:0])
 

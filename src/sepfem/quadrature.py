@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "triangle_rule",
-    "integrate",
     "integrate_many",
     "mu2_elements",
     "element_means",
@@ -101,13 +100,11 @@ def triangle_rule(degree: int = 5) -> QuadratureRule:
     return QuadratureRule(pts, wts, served)
 
 
-def _tri_array(tri):
-    t = np.asarray(tri, dtype=float)
-    if t.shape == (3, 2):
-        return t[np.newaxis, :, :]
-    if t.ndim == 3 and t.shape[1:] == (3, 2):
-        return t
-    raise ValueError("triangle coordinates must have shape (3, 2) or (n, 3, 2)")
+def _tri_array(tris):
+    t = np.asarray(tris, dtype=float)
+    if t.ndim != 3 or t.shape[1:] != (3, 2):
+        raise ValueError("triangle coordinates must have shape (n, 3, 2)")
+    return t
 
 
 def _areas(tris):
@@ -134,11 +131,6 @@ def _weighted_sum(vals, weights):
     # other rows of the batch, and einsum's order follows the memory
     # layout, hence the contiguous copy
     return np.einsum("nq,q->n", np.ascontiguousarray(vals), weights)
-
-
-def integrate(f, tri, rule: QuadratureRule) -> float:
-    """Quadrature of ``f`` over one triangle given by (3, 2) vertex coords."""
-    return float(integrate_many(f, tri, rule)[0])
 
 
 def integrate_many(f, tris, rule: QuadratureRule) -> np.ndarray:
@@ -215,16 +207,17 @@ def field_from_name(spec: str) -> ScalarField:
     if s == "linear-x":
         return ScalarField(lambda x, y: x, "linear-x")
     if s.startswith("radial-alpha:"):
-        body = s.split(":", 1)[1]
-        if "@" in body:
-            a_part, c_part = body.split("@", 1)
-            cx, cy = (float(v) for v in c_part.split(","))
-        else:
-            a_part, cx, cy = body, 0.0, 0.0
+        a_part, at, c_part = s.split(":", 1)[1].partition("@")
         alpha = float(a_part)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"radial-alpha exponent must be in (0, 1), got {alpha}")
-        return ScalarField(_radial(alpha, cx, cy), s)
+        try:
+            centre = [float(v) for v in c_part.split(",")] if at else [0.0, 0.0]
+        except ValueError:
+            centre = []
+        if len(centre) != 2 or not all(map(math.isfinite, centre)):
+            raise ValueError(f"field {spec!r}: the centre after '@' must be two finite numbers x,y")
+        return ScalarField(_radial(alpha, *centre), s)
     if s.startswith("checkerboard:"):
         k = int(s.split(":", 1)[1])
         if k < 1:

@@ -315,7 +315,7 @@ def test_criterion_9_collective_marking_matches_greedy(acceptance_log):
         DataApproximationProblem(f), T0,
         SafemParams(theta_a=0.3, sigma_tol=0.0, max_elements=60_000),
     )
-    s_cafem = fit_rate(res.records).s
+    s_cafem = fit_rate(res.records)
     gap = abs(s_cafem - s_greedy)
     ok = gap <= 0.05
     record(

@@ -84,6 +84,9 @@ BAD_MESHES = {
         ["--sigma-tol", "nan"],
         ["--mesh", "missing.mesh"],
         *(["--mesh", name] for name in BAD_MESHES),
+        ["--seed", "-1", "--report", "r.txt"],
+        ["--field", "radial-alpha:0.5@nan,0"],
+        ["--field", "radial-alpha:0.5@1"],
     ],
 )
 def test_bad_usage_exits_2(argv, tmp_path, monkeypatch, capsys):
@@ -94,8 +97,11 @@ def test_bad_usage_exits_2(argv, tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+    err = capsys.readouterr().err
     if argv[0] == "--mesh":
-        assert f"--mesh {argv[1]}:" in capsys.readouterr().err
+        assert f"--mesh {argv[1]}:" in err
+    if argv[0] == "--field":
+        assert repr(argv[1]) in err
 
 
 def test_good_mesh_file_runs(tmp_path, capsys):
@@ -216,7 +222,7 @@ def test_approx_only_report_has_rate_line(tmp_path, capsys):
 
 def test_initial_mesh_from_file(tmp_path, capsys):
     T1 = unit_square_criss().refine([0])
-    T = T1.refine(sorted(T1.leaf_set)[:2])
+    T = T1.refine(T1.leaf_ids[:2])
     path = tmp_path / "start.mesh"
     write_mesh(T, str(path))
     out = run_ok(
@@ -287,12 +293,15 @@ def test_sweep_field_values_and_label_sanitizing(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ["bogus=1,2", "theta-a=", "theta-a=a,b", "theta-a"],
+    ["bogus=1,2", "theta-a=", "theta-a=a,b", "theta-a",
+     "out=a.csv,b.csv", "report=r1.txt,r2.txt", "dump-solution=d1,d2"],
 )
-def test_sweep_bad_specs_exit_2(spec):
+def test_sweep_bad_specs_exit_2(spec, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
         main(SMALL + ["--sweep", spec])
     assert err.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_validates_each_combination():

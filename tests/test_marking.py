@@ -19,7 +19,6 @@ from sepfem import (
     ElementOscillation,
     IndicatorField,
     WeightedDataSize,
-    approx,
     doerfler_select,
     field_from_name,
     l_shape,
@@ -139,7 +138,7 @@ def test_approx_meets_tolerance_and_conformity():
     rule = triangle_rule(5)
     osc = ElementOscillation(f, rule)
     for tol in (1e-2, 1e-3, 1e-4):
-        T = approx(tol, f, T0)
+        T = ApproxState(T0, ElementOscillation(f, rule)).run(tol)
         assert T.is_conforming()
         assert osc.mesh_values2(T).total <= tol
         assert T.refines(T0)
@@ -179,7 +178,7 @@ def test_approx_rejects_nonpositive_tolerance():
 def test_constant_field_needs_no_refinement():
     f = field_from_name("one")
     T0 = unit_square_criss()
-    T = approx(1e-12, f, T0)
+    T = ApproxState(T0, ElementOscillation(f, triangle_rule(5))).run(1e-12)
     assert T.n_elements == T0.n_elements
 
 
@@ -213,7 +212,7 @@ class OneAtATimeApprox(ApproxState):
     """The greedy with one value call per child element.
 
     Splits one element at a time, fetches each child's value on its own
-    and updates the arrays and the running total (with Python's ``**``)
+    and updates the arrays and the running total (squares as ``x * x``)
     before splitting the next: the reference for the per-pass batching
     of ``ApproxState._pass``.
     """
@@ -236,7 +235,7 @@ class OneAtATimeApprox(ApproxState):
             self.tilde[c] = t
             self._in[c] = True
             heapq.heappush(self._heap, (-t, c))
-        self.mu2_total += m0 * m0 + m1 * m1 - mu**2
+        self.mu2_total += m0 * m0 + m1 * m1 - mu * mu
         self._updates += 1
         if self._updates % 4096 == 0:
             self._resync()

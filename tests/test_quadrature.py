@@ -5,6 +5,7 @@ reference triangle: int x^a y^b dx dy = a! b! / (a + b + 2)!.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,14 +14,13 @@ from sepfem import (
     QuadratureRule,
     element_means,
     field_from_name,
-    integrate,
     integrate_many,
     l_shape,
     mu2_elements,
     triangle_rule,
 )
 
-REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+REF = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
 
 
 def ref_monomial(a, b):
@@ -37,7 +37,7 @@ def test_monomials_exact_to_served_degree(degree):
     assert rule.degree >= degree
     for a in range(rule.degree + 1):
         for b in range(rule.degree + 1 - a):
-            got = integrate(monomial(a, b), REF, rule)
+            (got,) = integrate_many(monomial(a, b), REF, rule)
             assert abs(got - ref_monomial(a, b)) < 1e-15
 
 
@@ -49,7 +49,7 @@ def test_degree_three_request_served_by_degree_four_rule():
 
 
 def test_x_squared_y_squared_on_reference_triangle():
-    got = integrate(monomial(2, 2), REF, triangle_rule(4))
+    (got,) = integrate_many(monomial(2, 2), REF, triangle_rule(4))
     assert abs(got - 1.0 / 180.0) < 1e-16
 
 
@@ -95,7 +95,7 @@ def test_constant_integrates_to_area_on_random_triangles():
             (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
             - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
         )
-        got = integrate(lambda x, y: np.ones_like(x), tri, rule)
+        (got,) = integrate_many(lambda x, y: np.ones_like(x), tri[np.newaxis], rule)
         assert abs(got - area) < 1e-13 * max(area, 1.0)
 
 
@@ -129,7 +129,7 @@ def test_integration_is_additive_under_midpoint_subdivision():
                 [m01, m12, m20],
             ]
         )
-        whole = integrate(poly, tri, rule)
+        (whole,) = integrate_many(poly, tri[np.newaxis], rule)
         split = integrate_many(poly, parts, rule).sum()
         assert abs(whole - split) < 1e-12 * max(1.0, abs(whole))
 
@@ -140,7 +140,7 @@ def test_batch_integration_matches_elementwise_loop():
     tris = rng.normal(size=(20, 3, 2))
     f = field_from_name("radial-alpha:0.4@7,9")
     batch = integrate_many(f, tris, rule)
-    single = [integrate(f, tris[i], rule) for i in range(len(tris))]
+    single = [integrate_many(f, tris[i : i + 1], rule)[0] for i in range(len(tris))]
     assert np.array_equal(batch, single)
 
 
@@ -215,3 +215,13 @@ def test_unknown_fields_rejected():
     for bad in ("nope", "radial-alpha:1.5", "radial-alpha:0", "checkerboard:0"):
         with pytest.raises(ValueError):
             field_from_name(bad)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["radial-alpha:0.5@nan,0", "radial-alpha:0.5@0,inf", "radial-alpha:0.5@1",
+     "radial-alpha:0.5@1,2,3", "radial-alpha:0.5@", "radial-alpha:0.5@x,1"],
+)
+def test_radial_centre_must_be_two_finite_numbers(spec):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        field_from_name(spec)
