@@ -5,6 +5,14 @@ fixed normal of edge (a, b) with a < b is the right perpendicular of
 P_b - P_a.  Vertex indices live in the bisection forest, so a geometric
 edge keeps its normal in every triangulation that contains it, which
 makes flux degrees of freedom transfer verbatim between nested meshes.
+
+The forest orients every triangle counterclockwise, and the right
+perpendicular of an edge walked counterclockwise points out of the
+triangle.  So the global normal of local edge i, walked from local
+vertex i + 1 to i + 2, points out of its element exactly when vertex
+i + 1 has the smaller index.  The two triangles sharing an edge walk it
+in opposite directions, hence hold it with opposite signs, and a
+signed sum over the holders of an edge is the jump across it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,9 @@ class Connectivity:
 
     Local edge i of an element is the edge opposite local vertex i.
     ``elem_signs[k, i]`` is +1 when the global normal of that edge points
-    out of element k.
+    out of element k, read from the vertex order (see the module
+    docstring).  ``edge_elem`` is the lowest-numbered element holding
+    each edge.
     """
 
     def __init__(self, T: Triangulation):
@@ -36,35 +46,18 @@ class Connectivity:
             raise MeshError("triangulation is not conforming")
         self.n_edges = len(keys)
         self.edges = np.column_stack((keys >> 32, keys & ((1 << 32) - 1)))
-
-        order = np.argsort(self.elem_edges.ravel(), kind="stable")
-        elems = order // 3
-        locals_ = order % 3
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        self.edge_elems = np.full((self.n_edges, 2), -1, dtype=np.int64)
-        self.edge_local = np.zeros((self.n_edges, 2), dtype=np.int64)
-        self.edge_elems[:, 0] = elems[starts]
-        self.edge_local[:, 0] = locals_[starts]
-        two = counts == 2
-        self.edge_elems[two, 1] = elems[starts[two] + 1]
-        self.edge_local[two, 1] = locals_[starts[two] + 1]
-        self.boundary_edge = ~two
+        self.boundary_edge = counts != 2
+        self.edge_elem = np.full(self.n_edges, len(tris), dtype=np.int64)
+        np.minimum.at(self.edge_elem, self.elem_edges.ravel(), np.arange(len(tris)).repeat(3))
 
         coords = T.forest.coords()
         pa = coords[self.edges[:, 0]]
         pb = coords[self.edges[:, 1]]
         tang = pb - pa
         self.lengths = np.hypot(tang[:, 0], tang[:, 1])
-        self.tangents = tang / self.lengths[:, np.newaxis]
-        self.normals = np.column_stack((self.tangents[:, 1], -self.tangents[:, 0]))
+        self.normals = np.column_stack((tang[:, 1], -tang[:, 0])) / self.lengths[:, np.newaxis]
         self.midpoints = 0.5 * (pa + pb)
-
-        # outward sign: the global normal against the direction from the
-        # opposite vertex to the edge midpoint (always strictly outward)
-        outward = self.midpoints[self.elem_edges] - self.pts  # (n, 3, 2)
-        nrm = self.normals[self.elem_edges]
-        dots = np.einsum("nik,nik->ni", outward, nrm)
-        self.elem_signs = np.where(dots > 0.0, 1.0, -1.0)
+        self.elem_signs = np.where(tris[:, [1, 2, 0]] < tris[:, [2, 0, 1]], 1.0, -1.0)
 
         # compact node numbering for nodal spaces
         self.node_vertices = np.unique(tris)
@@ -115,6 +108,19 @@ class Connectivity:
         """(n, 3) outward-oriented local coefficients of a global flux vector."""
         return self.elem_signs * p[self.elem_edges]
 
+    def signed_edge_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per edge, the sum over its holders of ``elem_signs`` times ``values``.
+
+        ``values`` is (n, 3) or (n, 3, 2), one entry per local edge.  The
+        holders of an interior edge have opposite signs, so the sum is
+        the jump of the values across it; a boundary edge gets its one
+        side.  Holders are added in element order.
+        """
+        signed = self.elem_signs.reshape(-1, 1) * values.reshape(self.elem_signs.size, -1)
+        idx = self.elem_edges.ravel()
+        sums = [np.bincount(idx, weights=col, minlength=self.n_edges) for col in signed.T]
+        return np.column_stack(sums).reshape((self.n_edges,) + values.shape[2:])
+
 
 def rt_at_points(conn: Connectivity, rows, local_dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(m, q, 2) values of elementwise RT0 fields at q points per element.
@@ -137,29 +143,16 @@ def tangential_jump_norms(conn: Connectivity, local_dofs: np.ndarray) -> np.ndar
     Boundary edges use the one-sided trace.
     """
     traces = rt_at_points(conn, slice(None), local_dofs, conn.pts)
-
-    def side_vals(s):
-        k = conn.edge_elems[:, s]
-        l = conn.edge_local[:, s]
-        va = (l + 1) % 3
-        vb = (l + 2) % 3
-        ga = conn.tris[k, va]
-        ta = traces[k, va, :]
-        tb = traces[k, vb, :]
-        flip = ga != conn.edges[:, 0]
-        lo = np.where(flip[:, np.newaxis], tb, ta)
-        hi = np.where(flip[:, np.newaxis], ta, tb)
-        return lo, hi
-
-    lo0, hi0 = side_vals(0)
-    lo1, hi1 = side_vals(1)
-    interior = ~conn.boundary_edge
-    jlo = lo0.copy()
-    jhi = hi0.copy()
-    jlo[interior] -= lo1[interior]
-    jhi[interior] -= hi1[interior]
-    j0 = np.einsum("ek,ek->e", jlo, conn.tangents)
-    j1 = np.einsum("ek,ek->e", jhi, conn.tangents)
+    # the ends of local edge i are local vertices i + 1 and i + 2; the
+    # end with the smaller vertex index comes first where the sign is +1
+    ahead = traces[:, [1, 2, 0]]
+    behind = traces[:, [2, 0, 1]]
+    first = conn.elem_signs[:, :, np.newaxis] > 0.0
+    jlo = conn.signed_edge_sum(np.where(first, ahead, behind))
+    jhi = conn.signed_edge_sum(np.where(first, behind, ahead))
+    tangents = np.column_stack((-conn.normals[:, 1], conn.normals[:, 0]))
+    j0 = np.einsum("ek,ek->e", jlo, tangents)
+    j1 = np.einsum("ek,ek->e", jhi, tangents)
     return conn.lengths * (j0 * j0 + j0 * j1 + j1 * j1) / 3.0
 
 
@@ -184,14 +177,10 @@ def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.n
     out[shared] = p[pos[shared]]
     new_rows = np.nonzero(~shared)[0]
     if len(new_rows):
-        rows_fine = fine.edge_elems[new_rows, 0]
-        anc = rows[rows_fine]
-        coords = fine.mesh.forest.coords()
-        mids = 0.5 * (
-            coords[fine.edges[new_rows, 0]] + coords[fine.edges[new_rows, 1]]
-        )
+        anc = rows[fine.edge_elem[new_rows]]
         dofs = coarse.local_flux_dofs(p)[anc]
-        vals = rt_at_points(coarse, anc, dofs, mids[:, np.newaxis, :])[:, 0, :]
+        mids = fine.midpoints[new_rows, np.newaxis, :]
+        vals = rt_at_points(coarse, anc, dofs, mids)[:, 0, :]
         out[new_rows] = np.einsum("mk,mk->m", vals, fine.normals[new_rows])
     return out
 

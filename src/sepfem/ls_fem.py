@@ -102,9 +102,8 @@ def assemble_ls(T: Triangulation, f, rule=None):
     S = _scatter(block, dofs, ndof)
 
     load = integrate_many(f, conn.pts, rule)  # int_K f
-    rhs = np.bincount(
-        conn.elem_edges.ravel(), weights=(-dvec * load[:, np.newaxis]).ravel(), minlength=ndof
-    )
+    rhs = np.zeros(ndof)
+    rhs[:ne] = conn.signed_edge_sum(-conn.rt_div() * load[:, np.newaxis])
     return S, rhs, conn, interior
 
 
@@ -192,9 +191,8 @@ def eta_ls(T: Triangulation, sol: LsSolution) -> IndicatorField:
 
     un = sol.u[conn.elem_nodes]
     gradu = np.einsum("ni,nik->nk", un, conn.p1_grads())
-    k0 = conn.edge_elems[:, 0]
-    k1 = conn.edge_elems[:, 1]
-    jump = np.einsum("ek,ek->e", gradu[k0] - gradu[k1], conn.normals)
+    jumps = conn.signed_edge_sum(np.repeat(gradu[:, np.newaxis, :], 3, axis=1))
+    jump = np.einsum("ek,ek->e", jumps, conn.normals)
     jn = np.where(conn.boundary_edge, 0.0, conn.lengths * jump * jump)
     t_norm = jn[conn.elem_edges].sum(axis=1)
 

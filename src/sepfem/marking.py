@@ -22,7 +22,7 @@ import weakref
 import numpy as np
 
 from .mesh import BisectionForest, Triangulation, _grow, complete_partition
-from .quadrature import QuadratureRule, integrate_many, mu2_elements, triangle_rule
+from .quadrature import QuadratureRule, _areas, integrate_many, mu2_elements, triangle_rule
 
 __all__ = [
     "IndicatorField",
@@ -152,10 +152,7 @@ class WeightedDataSize(_CachedElementValue):
     def _compute_batch(self, coords):
         f = self.field
         sq = integrate_many(lambda x, y: np.asarray(f(x, y)) ** 2, coords, self.rule)
-        d1 = coords[:, 1, :] - coords[:, 0, :]
-        d2 = coords[:, 2, :] - coords[:, 0, :]
-        area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        return area * np.sqrt(np.maximum(sq, 0.0))
+        return _areas(coords) * np.sqrt(np.maximum(sq, 0.0))
 
 
 class ApproxState:

@@ -76,7 +76,7 @@ def _solve_marini(conn: Connectivity, load, f_means):
         u_K = mean of u_CR on K + f_K (|E_1|^2 + |E_2|^2 + |E_3|^2) / 144.
 
     The flux coefficient of an edge is the normal trace of p at its
-    midpoint, taken from the first element holding the edge.  The CR
+    midpoint, taken from the lowest-numbered element holding it.  The CR
     unknowns are the midpoint values on interior edges; a mesh without
     interior edges needs no solve.  Returns p, u, the number of CR
     unknowns factored and the L+U entries of the factor.
@@ -103,7 +103,7 @@ def _solve_marini(conn: Connectivity, load, f_means):
 
     u_loc = u_cr[conn.elem_edges]
     grad = -2.0 * np.einsum("ni,nik->nk", u_loc, conn.p1_grads())
-    k0 = conn.edge_elems[:, 0]
+    k0 = conn.edge_elem
     centroid = conn.pts.mean(axis=1)
     flux = grad[k0] - 0.5 * f_means[k0, np.newaxis] * (conn.midpoints - centroid[k0])
     p = np.einsum("ek,ek->e", flux, conn.normals)
@@ -121,12 +121,7 @@ def _saddle_residual(conn: Connectivity, p, u, load) -> np.ndarray:
     d = conn.local_flux_dofs(p)
     lengths = conn.elem_edge_lengths
     local = np.einsum("nij,nj->ni", conn.rt_local_mass(), d) + lengths * u[:, np.newaxis]
-    flux_rows = np.bincount(
-        conn.elem_edges.ravel(),
-        weights=(conn.elem_signs * local).ravel(),
-        minlength=conn.n_edges,
-    )
-    return np.concatenate((flux_rows, (lengths * d).sum(axis=1) + load))
+    return np.concatenate((conn.signed_edge_sum(local), (lengths * d).sum(axis=1) + load))
 
 
 def solve_mixed(T: Triangulation, f, rule=None) -> MixedSolution:

@@ -122,7 +122,13 @@ def _values_at_points(f, tris, rule):
         + b[:, 1, np.newaxis] * tris[:, np.newaxis, 1, :]
         + b[:, 2, np.newaxis] * tris[:, np.newaxis, 2, :]
     )
-    return f(pts[:, :, 0], pts[:, :, 1])
+    with np.errstate(all="ignore"):
+        vals = f(pts[:, :, 0], pts[:, :, 1])
+    finite = np.isfinite(vals)
+    if not finite.all():
+        x, y = pts[np.nonzero(~finite)][0].tolist()
+        raise ValueError(f"field {f!r} is not finite at the quadrature point ({x!r}, {y!r})")
+    return vals
 
 
 def _weighted_sum(vals, weights):
@@ -208,7 +214,10 @@ def field_from_name(spec: str) -> ScalarField:
         return ScalarField(lambda x, y: x, "linear-x")
     if s.startswith("radial-alpha:"):
         a_part, at, c_part = s.split(":", 1)[1].partition("@")
-        alpha = float(a_part)
+        try:
+            alpha = float(a_part)
+        except ValueError:
+            raise ValueError(f"field {spec!r}: the exponent after ':' must be a number") from None
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"radial-alpha exponent must be in (0, 1), got {alpha}")
         try:
@@ -219,7 +228,10 @@ def field_from_name(spec: str) -> ScalarField:
             raise ValueError(f"field {spec!r}: the centre after '@' must be two finite numbers x,y")
         return ScalarField(_radial(alpha, *centre), s)
     if s.startswith("checkerboard:"):
-        k = int(s.split(":", 1)[1])
+        try:
+            k = int(s.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"field {spec!r}: the cell count after ':' must be an integer") from None
         if k < 1:
             raise ValueError(f"checkerboard cell count must be >= 1, got {k}")
         return ScalarField(_checkerboard(k), s)

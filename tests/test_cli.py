@@ -87,6 +87,8 @@ BAD_MESHES = {
         ["--seed", "-1", "--report", "r.txt"],
         ["--field", "radial-alpha:0.5@nan,0"],
         ["--field", "radial-alpha:0.5@1"],
+        ["--field", "radial-alpha:abc"],
+        ["--field", "checkerboard:x"],
     ],
 )
 def test_bad_usage_exits_2(argv, tmp_path, monkeypatch, capsys):
@@ -102,6 +104,15 @@ def test_bad_usage_exits_2(argv, tmp_path, monkeypatch, capsys):
         assert f"--mesh {argv[1]}:" in err
     if argv[0] == "--field":
         assert repr(argv[1]) in err
+
+
+def test_data_infinite_at_a_quadrature_point_exits_1_naming_the_field(capsys):
+    # bisection puts a centroid, a quadrature point, on the dyadic centre
+    field = "radial-alpha:0.9@-0.5,0.5"
+    argv = ["--problem", "mixed", "--domain", "l-shape", "--field", field]
+    assert main(argv + ["--kappa", "0.1", "--max-elements", "20000"]) == 1
+    err = capsys.readouterr().err
+    assert f"ScalarField({field!r}) is not finite" in err and "(-0.5, 0.5)" in err
 
 
 def test_good_mesh_file_runs(tmp_path, capsys):

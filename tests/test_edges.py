@@ -1,0 +1,171 @@
+"""Connectivity's signs and jumps against the holder-table formulas.
+
+The references below are the geometric sign test and the two-holder
+jump that ``Connectivity`` once computed from a stable argsort of its
+edge table; the package now reads the signs from the vertex order and
+sums each edge's holders with them.  Both must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from sepfem import Connectivity, initial_mesh, l_shape, read_mesh, write_mesh
+from sepfem.edges import rt_at_points, tangential_jump_norms
+
+
+def geometric_signs(conn):
+    """+1 where the global normal points from the opposite vertex past the edge midpoint."""
+    outward = conn.midpoints[conn.elem_edges] - conn.pts
+    dots = np.einsum("nik,nik->ni", outward, conn.normals[conn.elem_edges])
+    return np.where(dots > 0.0, 1.0, -1.0)
+
+
+def holder_tables(conn):
+    """(n_edges, 2) holders of each edge and their local edges, -1 for none."""
+    _, elem_edges, counts = conn.mesh.edge_table()
+    order = np.argsort(elem_edges.ravel(), kind="stable")
+    elems, locals_ = order // 3, order % 3
+    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+    holders = np.full((conn.n_edges, 2), -1, dtype=np.int64)
+    local = np.zeros((conn.n_edges, 2), dtype=np.int64)
+    holders[:, 0], local[:, 0] = elems[starts], locals_[starts]
+    two = counts == 2
+    holders[two, 1], local[two, 1] = elems[starts[two] + 1], locals_[starts[two] + 1]
+    return holders, local
+
+
+def two_holder_jump_norms(conn, local_dofs):
+    """Squared tangential jump per edge, from each holder's traces at the edge's ends."""
+    holders, local = holder_tables(conn)
+    traces = rt_at_points(conn, slice(None), local_dofs, conn.pts)
+
+    def side_vals(s):
+        k, l = holders[:, s], local[:, s]
+        va, vb = (l + 1) % 3, (l + 2) % 3
+        ta, tb = traces[k, va, :], traces[k, vb, :]
+        flip = (conn.tris[k, va] != conn.edges[:, 0])[:, np.newaxis]
+        return np.where(flip, tb, ta), np.where(flip, ta, tb)
+
+    lo0, hi0 = side_vals(0)
+    lo1, hi1 = side_vals(1)
+    interior = ~conn.boundary_edge
+    jlo, jhi = lo0.copy(), hi0.copy()
+    jlo[interior] -= lo1[interior]
+    jhi[interior] -= hi1[interior]
+    coords = conn.mesh.forest.coords()
+    tang = coords[conn.edges[:, 1]] - coords[conn.edges[:, 0]]
+    tangents = tang / conn.lengths[:, np.newaxis]
+    j0 = np.einsum("ek,ek->e", jlo, tangents)
+    j1 = np.einsum("ek,ek->e", jhi, tangents)
+    return conn.lengths * (j0 * j0 + j0 * j1 + j1 * j1) / 3.0
+
+
+def graded_l_shape():
+    T = l_shape()
+    for _ in range(6):
+        corner = np.all(T.tri_coords() == 0.0, axis=2).any(axis=1)
+        T = T.refine(T.leaf_ids[corner])
+    return T
+
+
+def scrambled_file_mesh(tmp_path):
+    """A refined L-shape written with shuffled vertex numbers and triangle rows."""
+    path = tmp_path / "plain.mesh"
+    write_mesh(l_shape().uniform_refine().uniform_refine(), path)
+    lines = path.read_text().splitlines()
+    nv = int(lines[0].split()[1])
+    nt = int(lines[nv + 1].split()[1])
+    rng = np.random.default_rng(3)
+    new = rng.permutation(nv)  # old vertex number -> new
+    verts = [None] * nv
+    for old, line in enumerate(lines[1 : nv + 1]):
+        verts[new[old]] = line
+    rows = []
+    for line in lines[nv + 2 : nv + 2 + nt]:
+        v0, v1, v2, flag = (int(t) for t in line.split())
+        rows.append(f"{new[v0]} {new[v1]} {new[v2]} {flag}")
+    rows = [rows[i] for i in rng.permutation(nt)]
+    bnd = [" ".join(str(new[int(v)]) for v in line.split()) for line in lines[nv + 3 + nt :]]
+    out = tmp_path / "scrambled.mesh"
+    out.write_text(
+        "\n".join(
+            [f"vertices {nv}", *verts, f"triangles {nt}", *rows, f"boundary {len(bnd)}", *bnd]
+        )
+        + "\n"
+    )
+    return read_mesh(out)
+
+
+def clockwise_mesh():
+    """The L-shape from clockwise triangles, refined at a few scattered leaves."""
+    pts = [(0, 0), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
+    tris = [(0, 2, 1), (0, 3, 2), (0, 4, 3), (0, 5, 4), (0, 6, 5), (0, 7, 6)]
+    T = initial_mesh(pts, tris).uniform_refine()
+    for _ in range(3):
+        T = T.refine(T.leaf_ids[::5])
+    return T
+
+
+MESHES = {
+    "graded-l-shape": lambda tmp_path: graded_l_shape(),
+    "scrambled-file": scrambled_file_mesh,
+    "clockwise-input": lambda tmp_path: clockwise_mesh(),
+}
+
+
+@pytest.fixture(params=sorted(MESHES))
+def conn(request, tmp_path):
+    return Connectivity(MESHES[request.param](tmp_path))
+
+
+def test_signs_from_vertex_order_match_the_geometric_test(conn):
+    assert np.array_equal(conn.elem_signs, geometric_signs(conn))
+    # the two holders of an interior edge hold it with opposite signs
+    sums = conn.signed_edge_sum(np.ones((len(conn.tris), 3)))
+    assert np.array_equal(sums == 0.0, ~conn.boundary_edge)
+
+
+def test_edge_elem_is_the_first_holder(conn):
+    assert np.array_equal(conn.edge_elem, holder_tables(conn)[0][:, 0])
+
+
+def test_tangential_jumps_match_the_two_holder_jumps_bit_for_bit(conn):
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        dofs = conn.local_flux_dofs(rng.standard_normal(conn.n_edges))
+        got = tangential_jump_norms(conn, dofs)
+        assert np.array_equal(got, two_holder_jump_norms(conn, dofs))
+        # an elementwise field that is not a global RT0 field
+        dofs = rng.standard_normal((len(conn.tris), 3))
+        got = tangential_jump_norms(conn, dofs)
+        assert np.array_equal(got, two_holder_jump_norms(conn, dofs))
+
+
+def test_normal_jump_of_a_gradient_matches_the_holder_difference(conn):
+    rng = np.random.default_rng(5)
+    grad = rng.standard_normal((len(conn.tris), 2))
+    k0, k1 = holder_tables(conn)[0].T
+    interior = ~conn.boundary_edge
+    want = np.einsum("ek,ek->e", grad[k0] - grad[k1], conn.normals)[interior]
+    got = np.einsum(
+        "ek,ek->e", conn.signed_edge_sum(np.repeat(grad[:, None, :], 3, axis=1)), conn.normals
+    )[interior]
+    # the sum is the jump from the side that holds the edge with sign +1
+    assert np.array_equal(np.abs(got), np.abs(want))
+
+
+def test_normal_traces_of_a_conforming_field_cancel_on_interior_edges(conn):
+    rng = np.random.default_rng(2)
+    p = rng.standard_normal(conn.n_edges)
+    mids = conn.midpoints[conn.elem_edges]
+    vals = rt_at_points(conn, slice(None), conn.local_flux_dofs(p), mids)
+    traces = np.einsum("nik,nik->ni", vals, conn.normals[conn.elem_edges])
+    sums = conn.signed_edge_sum(traces)
+    interior = ~conn.boundary_edge
+    assert np.max(np.abs(sums[interior])) <= 1e-12 * np.max(np.abs(p))
+    # a boundary edge gets its one side: its holder's sign times its flux
+    b = np.flatnonzero(conn.boundary_edge)
+    k = conn.edge_elem[b]
+    side = np.argmax(conn.elem_edges[k] == b[:, None], axis=1)
+    want = conn.elem_signs[k, side] * p[b]
+    assert np.max(np.abs(sums[b] - want)) <= 1e-12 * np.max(np.abs(p))

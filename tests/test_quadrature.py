@@ -6,6 +6,7 @@ reference triangle: int x^a y^b dx dy = a! b! / (a + b + 2)!.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -225,3 +226,15 @@ def test_unknown_fields_rejected():
 def test_radial_centre_must_be_two_finite_numbers(spec):
     with pytest.raises(ValueError, match=re.escape(repr(spec))):
         field_from_name(spec)
+
+
+def test_non_finite_field_values_name_the_field_and_the_point():
+    # the degree-5 rule has the centroid among its points; the field is
+    # infinite at its centre, here the centroid (1, 1)
+    f = field_from_name("radial-alpha:0.9@1,1")
+    tri = np.array([[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            integrate_many(f, tri, triangle_rule(5))
+    assert repr(f) in str(err.value) and "(1.0, 1.0)" in str(err.value)
