@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 A12_LAMBDA_GRID = np.concatenate(([0.0], np.logspace(-2.0, 4.0, 25)))
+# fixed thresholds of the checks; each check's docstring states its value
+_MONOTONE_RTOL = 1e-9  # B2, and QM for least squares
+_QM_RATIO_BOUND = 10.0
+_RLINEAR_Q_MAX = 0.999
+_TELESCOPE_RTOL = 1e-8
+_B1_SLOPE_SLACK = 0.05
+_RANDOM_FRACTION = 0.25  # share of the elements random_hierarchy marks per level
 
 
 @dataclass
@@ -87,30 +94,29 @@ def _worst_ratio(values):
     return worst, worst_pair, len(values) * (len(values) - 1) // 2
 
 
-def check_B2(problem, meshes, rtol: float = 1e-9) -> AxiomReport:
+def check_B2(problem, meshes) -> AxiomReport:
     """Monotonicity of the data term: mu never grows under refinement.
 
-    Verifies mu(T_j) <= mu(T_i) * (1 + rtol) for every i < j in the
+    Verifies mu(T_j) <= mu(T_i) * (1 + 1e-9) for every i < j in the
     hierarchy (the unsquared totals).
     """
     mus = _mu_totals(problem, meshes)
     worst, worst_pair, pairs = _worst_ratio(mus)
-    passed = worst <= 1.0 + rtol
+    passed = worst <= 1.0 + _MONOTONE_RTOL
     witness = {"worst_ratio": worst, "mu_first": mus[0], "mu_last": mus[-1]}
     if worst_pair is not None:
         witness["worst_pair"] = worst_pair
     return AxiomReport("B2", passed, witness, pairs)
 
 
-def check_QM(problem, meshes, solutions=None, ratio_bound: float = 10.0,
-             rtol: float = 1e-9) -> AxiomReport:
+def check_QM(problem, meshes, solutions=None) -> AxiomReport:
     """Quasimonotonicity of the total estimator along a hierarchy.
 
     For the least-squares problem the minimized functional itself must
-    be monotone to rtol on every nested pair, which is the exact form
-    of the property; the sigma ratio is reported alongside.  For other
-    problems the check records the worst sigma(fine)/sigma(coarse) and
-    passes while it stays below ratio_bound.
+    be monotone to a relative 1e-9 on every nested pair, which is the
+    exact form of the property; the sigma ratio is reported alongside.
+    For other problems the check records the worst
+    sigma(fine)/sigma(coarse) and passes while it stays below 10.
     """
     if solutions is None:
         solutions = [problem.solve(T) for T in meshes]
@@ -124,10 +130,10 @@ def check_QM(problem, meshes, solutions=None, ratio_bound: float = 10.0,
     if getattr(problem, "kind", None) == "ls":
         worst_ls, _, _ = _worst_ratio([sol.ls_total for sol in solutions])
         witness["worst_ls_ratio"] = worst_ls
-        passed = worst_ls <= 1.0 + rtol
+        passed = worst_ls <= 1.0 + _MONOTONE_RTOL
     else:
-        passed = worst <= ratio_bound
-        witness["ratio_bound"] = ratio_bound
+        passed = worst <= _QM_RATIO_BOUND
+        witness["ratio_bound"] = _QM_RATIO_BOUND
     return AxiomReport("QM", passed, witness, pairs)
 
 
@@ -142,16 +148,16 @@ def _consecutive(records):
     return out
 
 
-def check_A12(records, lambda_grid=None) -> AxiomReport:
+def check_A12(records) -> AxiomReport:
     """Estimator contraction up to the distance term.
 
-    For each Lambda on the grid the smallest admissible rho is the
-    worst ratio (sigma2_{l+1} - Lambda * delta2_l) / sigma2_l over the
-    levels (clamped at zero).  The reported certificate is the smallest
+    For each Lambda on ``A12_LAMBDA_GRID`` (0, then 10^-2 to 10^4 with
+    four values per decade) the smallest admissible rho is the worst
+    ratio (sigma2_{l+1} - Lambda * delta2_l) / sigma2_l over the levels
+    (clamped at zero).  The reported certificate is the smallest
     Lambda whose rho stays below one; the check fails if no grid value
     works, with the least-bad pair as witness.
     """
-    grid = A12_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
     triples = _consecutive(records)
     if not triples:
         raise ValueError("need at least two records")
@@ -167,7 +173,7 @@ def check_A12(records, lambda_grid=None) -> AxiomReport:
                 rho, level = r, k
         return rho, level
 
-    fits = [(lam, *worst(lam)) for lam in np.sort(grid)]
+    fits = [(lam, *worst(lam)) for lam in A12_LAMBDA_GRID]
     certs = [f for f in fits if f[1] < 1.0]
     if certs:
         lam, rho, level = certs[0]
@@ -179,11 +185,12 @@ def check_A12(records, lambda_grid=None) -> AxiomReport:
     return AxiomReport("A12", passed, witness, len(triples))
 
 
-def check_rlinear(records, q_max: float = 0.999) -> AxiomReport:
+def check_rlinear(records) -> AxiomReport:
     """R-linear decay of sigma2: sigma2_{l+m} <= C * q^m * sigma2_l.
 
     q is fitted by regression of log sigma2 on the level index and C is
-    the smallest constant making the bound hold on every pair.
+    the smallest constant making the bound hold on every pair; the
+    check passes for q <= 0.999 and a finite C.
     """
     sig2 = [r.sigma2 for r in records]
     if len(sig2) < 3:
@@ -203,19 +210,20 @@ def check_rlinear(records, q_max: float = 0.999) -> AxiomReport:
             if c > C:
                 C = c
                 worst_pair = (i, j)
-    passed = q <= q_max and math.isfinite(C)
+    passed = q <= _RLINEAR_Q_MAX and math.isfinite(C)
     witness = {"q": q, "C": C}
     if worst_pair is not None:
         witness["worst_pair"] = f"{worst_pair[0]}->{worst_pair[1]}"
     return AxiomReport("Rlinear", passed, witness, pairs)
 
 
-def check_A4_telescope(records, rtol: float = 1e-8) -> AxiomReport:
+def check_A4_telescope(records) -> AxiomReport:
     """Summability of the squared distances against the functional drop.
 
     For the least-squares problem the distances telescope exactly:
-    sum of delta2 equals LS(first) - LS(last) up to the clamping noise,
-    and every tail sum is bounded by the functional at its start.
+    sum of delta2 equals LS(first) - LS(last) up to the clamping noise
+    (a relative 1e-8), and every tail sum is bounded by the functional
+    at its start.
     """
     try:
         totals = [r.extra["ls_total"] for r in records]
@@ -232,11 +240,11 @@ def check_A4_telescope(records, rtol: float = 1e-8) -> AxiomReport:
     c_max = 0.0
     for l in range(len(records) - 1):
         tail = math.fsum(deltas[l:])
-        if tail > totals[l] * (1.0 + rtol) + 1e-300:
+        if tail > totals[l] * (1.0 + _TELESCOPE_RTOL) + 1e-300:
             tail_ok = False
         if records[l].sigma2 > 0.0:
             c_max = max(c_max, tail / records[l].sigma2)
-    passed = mismatch <= rtol * scale and tail_ok
+    passed = mismatch <= _TELESCOPE_RTOL * scale and tail_ok
     witness = {
         "telescope_mismatch": mismatch,
         "ls_first": totals[0],
@@ -247,9 +255,8 @@ def check_A4_telescope(records, rtol: float = 1e-8) -> AxiomReport:
     return AxiomReport("A4", passed, witness, len(deltas))
 
 
-def check_B1_rate(f, tols, T0: Triangulation | None = None, quad_degree: int = 5,
-                  values=None, slope_slack: float = 0.05,
-                  uniform_levels: int | None = None) -> AxiomReport:
+def check_B1_rate(f, tols, T0: Triangulation | None = None,
+                  quad_degree: int = 5) -> AxiomReport:
     """Rate certificate for the greedy data approximation.
 
     Runs one persistent approximation state through the decreasing
@@ -257,12 +264,10 @@ def check_B1_rate(f, tols, T0: Triangulation | None = None, quad_degree: int = 5
     and fits the growth slope beta in |T| - |T0| ~ tol^(-beta).  The
     oracle is uniform refinement measured by the same functional: its
     decay slope gamma gives the growth slope 1/gamma a uniform strategy
-    would need, and the check passes when beta <= 1/gamma + slack.
+    would need, and the check passes when beta <= 1/gamma + 0.05.
     """
     T0 = unit_square_criss() if T0 is None else T0
-    rule = triangle_rule(quad_degree)
-    if values is None:
-        values = ElementOscillation(f, rule)
+    values = ElementOscillation(f, triangle_rule(quad_degree))
     tols = sorted((float(t) for t in tols), reverse=True)
     if len(tols) < 4:
         raise ValueError("need at least four tolerances to fit a slope")
@@ -281,10 +286,10 @@ def check_B1_rate(f, tols, T0: Triangulation | None = None, quad_degree: int = 5
     x = -np.log(tols)
     beta = float(np.polyfit(x, np.log1p(growth), 1)[0])
 
-    # Uniform oracle: single bisection sweeps measured by the same values.
-    if uniform_levels is None:
-        target = max(growth) + T0.n_elements
-        uniform_levels = max(6, int(math.ceil(math.log2(max(target, 2) / T0.n_elements))) + 1)
+    # Uniform oracle: single bisection sweeps measured by the same values,
+    # one past the sweep that reaches the greedy's largest mesh.
+    target = max(growth) + T0.n_elements
+    uniform_levels = max(6, int(math.ceil(math.log2(max(target, 2) / T0.n_elements))) + 1)
     T = T0
     u_n, u_m2 = [], []
     for _ in range(uniform_levels + 1):
@@ -304,7 +309,7 @@ def check_B1_rate(f, tols, T0: Triangulation | None = None, quad_degree: int = 5
         passed = cert_ok
         beta = 0.0
     else:
-        passed = cert_ok and beta <= beta_uniform + slope_slack
+        passed = cert_ok and beta <= beta_uniform + _B1_SLOPE_SLACK
     witness = {
         "beta": beta,
         "beta_uniform": beta_uniform,
@@ -319,18 +324,18 @@ def check_B1_rate(f, tols, T0: Triangulation | None = None, quad_degree: int = 5
     return AxiomReport("B1", passed, witness, len(tols))
 
 
-def random_hierarchy(T0: Triangulation, levels: int, seed: int = 0,
-                     frac: float = 0.25) -> list:
-    """Nested meshes from repeated random marking, reproducible by seed."""
+def random_hierarchy(T0: Triangulation, levels: int, seed: int = 0) -> list:
+    """Nested meshes from repeated random marking, reproducible by seed.
+
+    Each level marks every element with probability 1/4, and at least one.
+    """
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    if not 0.0 < frac <= 1.0:
-        raise ValueError("frac must be in (0, 1]")
     rng = np.random.default_rng(seed)
     meshes = [T0]
     for _ in range(levels):
         T = meshes[-1]
-        pick = rng.random(T.n_elements) < frac
+        pick = rng.random(T.n_elements) < _RANDOM_FRACTION
         if not pick.any():
             pick[rng.integers(T.n_elements)] = True
         meshes.append(T.refine(T.leaf_ids[pick]))

@@ -4,12 +4,14 @@ One invocation configures a problem (mixed flux FEM, div least squares,
 or pure data approximation), a domain, a data field, and a refinement
 mode, then runs the loop, writes the per-level CSV and an optional
 axiom report, and prints a one-line summary.  A plain-text key=value
-config file can hold any flag; explicit flags win.  --sweep expands
-comma-separated values of a flag into independent runs executed on
-worker threads.
+config file can hold any flag that sets a value; explicit flags win.
+--sweep expands comma-separated values of a flag into independent runs
+executed on worker threads.  The parser is the one table of flags:
+config lines and swept values go through its type and choice checks.
 
 Exit codes: 0 success, 2 bad usage or invalid configuration, 3 solver
-failure (the message names the level), 1 any other internal error.
+failure, 1 any other internal error; the message of 3 and 1 names the
+level that failed.
 """
 
 from __future__ import annotations
@@ -47,30 +49,6 @@ from .quadrature import field_from_name, triangle_rule
 
 __all__ = ["main", "build_parser"]
 
-_PROBLEMS = ("mixed", "ls", "data-only")
-_DOMAINS = ("unit-square", "l-shape")
-_MODES = ("safem", "cafem", "uniform", "approx-only")
-
-# long flag name -> (namespace dest, converter); shared by the config
-# file parser and --sweep value parsing
-_FLAG_TYPES = {
-    "problem": ("problem", str),
-    "domain": ("domain", str),
-    "mesh": ("mesh", str),
-    "field": ("field", str),
-    "mode": ("mode", str),
-    "theta-a": ("theta_a", float),
-    "kappa": ("kappa", float),
-    "rho-b": ("rho_b", float),
-    "sigma-tol": ("sigma_tol", float),
-    "max-elements": ("max_elements", int),
-    "quad-degree": ("quad_degree", int),
-    "approx-tol": ("approx_tol", float),
-    "seed": ("seed", int),
-    "out": ("out", str),
-    "report": ("report", str),
-    "dump-solution": ("dump_solution", str),
-}
 # output paths, which --sweep derives per run instead of sweeping
 _OUTPUT_FLAGS = ("out", "report", "dump-solution")
 
@@ -80,12 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sepfem",
         description="Adaptive mesh refinement runs with separate or collective marking.",
     )
-    p.add_argument("--problem", default="mixed", help="mixed | ls | data-only")
-    p.add_argument("--domain", default="unit-square", help="unit-square | l-shape")
+    p.add_argument("--problem", default="mixed", choices=("mixed", "ls", "data-only"))
+    p.add_argument("--domain", default="unit-square", choices=("unit-square", "l-shape"))
     p.add_argument("--mesh", default=None, help="mesh file to use as the initial mesh")
     p.add_argument("--field", default="one",
                    help="data field: one | linear-x | radial-alpha:<a> | checkerboard:<k>")
-    p.add_argument("--mode", default="safem", help="safem | cafem | uniform | approx-only")
+    p.add_argument("--mode", default="safem",
+                   choices=("safem", "cafem", "uniform", "approx-only"))
     p.add_argument("--theta-a", dest="theta_a", type=float, default=0.3,
                    help="bulk fraction for the marking step")
     p.add_argument("--kappa", type=float, default=1.0,
@@ -112,8 +91,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _setting(parser, flag, value, where):
+    """``--flag=value`` through the parser's own type and choice checks.
+
+    Returns (dest, parsed value).  ``flag`` must be the full name of a
+    flag that sets a value; argparse alone would take an abbreviation.
+    """
+    dest = flag.replace("-", "_")
+    if dest in ("sweep", "config") or dest not in vars(parser.parse_args([])):
+        parser.error(f"{where}: {flag!r} is not the full name of a flag that sets a value")
+    return dest, getattr(parser.parse_args([f"--{flag}={value}"]), dest)
+
+
 def _read_config(path, parser):
-    """Flag defaults from a key=value file; unknown keys are usage errors."""
+    """Flag defaults from a key=value file, checked like the command line."""
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -124,25 +115,15 @@ def _read_config(path, parser):
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in _FLAG_TYPES:
+        if not sep:
             parser.error(f"config line {lineno}: expected <flag>=<value>, got {raw!r}")
-        dest, conv = _FLAG_TYPES[key]
-        try:
-            out[dest] = conv(value.strip())
-        except ValueError:
-            parser.error(f"config line {lineno}: bad value for {key}: {value.strip()!r}")
+        dest, val = _setting(parser, key.strip(), value.strip(), f"config line {lineno}")
+        out[dest] = val
     return out
 
 
 def _validate(args, parser):
     """Check the flags; returns the loop parameters and the initial mesh."""
-    if args.problem not in _PROBLEMS:
-        parser.error(f"--problem must be one of {', '.join(_PROBLEMS)}")
-    if args.domain not in _DOMAINS:
-        parser.error(f"--domain must be one of {', '.join(_DOMAINS)}")
-    if args.mode not in _MODES:
-        parser.error(f"--mode must be one of {', '.join(_MODES)}")
     try:
         params = SafemParams(
             theta_a=args.theta_a,
@@ -202,12 +183,9 @@ def _dump_solution(path, problem, T, sol):
     lines.append(f"edges {conn.n_edges}")
     for (a, b), flux in zip(edge_nodes, sol.p):
         lines.append(f"{a} {b} {float(flux)!r}")
-    if problem.kind == "mixed":
-        lines.append(f"elements {len(conn.tris)}")
-        lines.extend(f"{float(u)!r}" for u in sol.u)
-    else:
-        lines.append(f"nodes {conn.n_nodes}")
-        lines.extend(f"{float(u)!r}" for u in sol.u)
+    # the mixed potential is per element, the LS potential per node
+    lines.append(f"{'elements' if problem.kind == 'mixed' else 'nodes'} {len(sol.u)}")
+    lines.extend(f"{float(u)!r}" for u in sol.u)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -269,20 +247,17 @@ def _expand_sweep(args, parser):
     for spec in args.sweep:
         key, sep, values = spec.partition("=")
         key = key.strip().lstrip("-")
-        if not sep or key not in _FLAG_TYPES:
-            parser.error(f"--sweep expects <flag>=<v1>,<v2>,... with a known flag, got {spec!r}")
+        if not sep:
+            parser.error(f"--sweep expects <flag>=<v1>,<v2>,..., got {spec!r}")
         if key in _OUTPUT_FLAGS:
             parser.error(f"--sweep {spec!r}: each run suffixes --{key} with its label; set it once")
-        dest, conv = _FLAG_TYPES[key]
-        try:
-            vals = [conv(v.strip()) for v in values.split(",") if v.strip()]
-        except ValueError:
-            parser.error(f"--sweep {spec!r}: bad value")
+        vals = [_setting(parser, key, v.strip(), f"--sweep {spec!r}")
+                for v in values.split(",") if v.strip()]
         if not vals:
             parser.error(f"--sweep {spec!r}: no values")
         nxt = []
         for base, label in combos:
-            for v in vals:
+            for dest, v in vals:
                 ns = argparse.Namespace(**vars(base))
                 setattr(ns, dest, v)
                 tag = f"{key}{v}".replace(":", "_").replace(",", "_").replace("/", "_")
@@ -299,13 +274,11 @@ def _expand_sweep(args, parser):
 
 
 def main(argv=None) -> int:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
     parser = build_parser()
-    if known.config is not None:
-        parser.set_defaults(**_read_config(known.config, parser))
     args = parser.parse_args(argv)
+    if args.config is not None:
+        parser.set_defaults(**_read_config(args.config, parser))
+        args = parser.parse_args(argv)
     run = (args, *_validate(args, parser))
     try:
         if args.sweep:
@@ -322,7 +295,9 @@ def main(argv=None) -> int:
         print(f"solver failure at level {where}: {err}", file=sys.stderr)
         return 3
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises
-        print(f"error: {err}", file=sys.stderr)
+        level = getattr(err, "level", None)
+        where = "" if level is None else f" at level {level}"
+        print(f"error{where}: {err}", file=sys.stderr)
         return 1
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .marking import ApproxState, IndicatorField, WeightedDataSize, doerfler_select
 from .mesh import Triangulation
-from .mixed_fem import SolverError
 from .quadrature import integrate_many, triangle_rule
 
 __all__ = [
@@ -149,15 +148,6 @@ def write_csv(records, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _solve_level(problem, T, level):
-    try:
-        return problem.solve(T)
-    except SolverError as err:
-        if err.level is None:
-            err.level = level
-        raise
-
-
 def _stop_reason(sigma2, T, params) -> str | None:
     if sigma2 == 0.0:
         return "sigma-zero"
@@ -173,7 +163,8 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
 
     ``advance(T, eta2, mu2, record)`` performs the marking and
     refinement for one level, sets record.case and record.marked, and
-    returns the next mesh.
+    returns the next mesh.  An exception leaving a level gets that
+    level as its ``level`` attribute unless it names one already.
     """
     params = SafemParams() if params is None else params
     records: list[LevelRecord] = []
@@ -182,37 +173,42 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
     prev: tuple | None = None
     T = T0
     level = 0
-    while True:
-        tic = time.perf_counter()
-        sol = _solve_level(problem, T, level)
-        eta2 = problem.eta(T, sol)
-        mu2 = problem.mu(T)
-        if not np.array_equal(eta2.ids, mu2.ids):
-            raise ValueError("eta and mu indicators disagree on element ids")
-        rec = LevelRecord(
-            level=level,
-            N=T.n_elements - T0.n_elements,
-            case="-",
-            eta2=eta2.total,
-            mu2=mu2.total,
-            sigma2=eta2.total + mu2.total,
-            extra=problem.extras(T, sol),
-        )
-        if prev is not None:
-            prev_T, prev_sol = prev
-            records[-1].delta2 = problem.delta(prev_T, T, prev_sol, sol)
-        records.append(rec)
-        solutions.append(sol)
-        reason = _stop_reason(rec.sigma2, T, params)
-        if reason is not None:
+    try:
+        while True:
+            tic = time.perf_counter()
+            sol = problem.solve(T)
+            eta2 = problem.eta(T, sol)
+            mu2 = problem.mu(T)
+            if not np.array_equal(eta2.ids, mu2.ids):
+                raise ValueError("eta and mu indicators disagree on element ids")
+            rec = LevelRecord(
+                level=level,
+                N=T.n_elements - T0.n_elements,
+                case="-",
+                eta2=eta2.total,
+                mu2=mu2.total,
+                sigma2=eta2.total + mu2.total,
+                extra=problem.extras(T, sol),
+            )
+            if prev is not None:
+                prev_T, prev_sol = prev
+                records[-1].delta2 = problem.delta(prev_T, T, prev_sol, sol)
+            records.append(rec)
+            solutions.append(sol)
+            reason = _stop_reason(rec.sigma2, T, params)
+            if reason is not None:
+                rec.seconds = time.perf_counter() - tic
+                return RunResult(records, meshes, solutions, reason)
+            T_next = advance(T, eta2, mu2, rec)
             rec.seconds = time.perf_counter() - tic
-            return RunResult(records, meshes, solutions, reason)
-        T_next = advance(T, eta2, mu2, rec)
-        rec.seconds = time.perf_counter() - tic
-        prev = (T, sol)
-        T = T_next
-        meshes.append(T)
-        level += 1
+            prev = (T, sol)
+            T = T_next
+            meshes.append(T)
+            level += 1
+    except Exception as err:
+        if getattr(err, "level", None) is None:
+            err.level = level
+        raise
 
 
 def safem_run(problem, T0: Triangulation, params: SafemParams | None = None) -> RunResult:

@@ -19,9 +19,8 @@ import numpy as np
 from .edges import Connectivity, rt_at_points, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
-from .mixed_fem import SolverError
 from .quadrature import integrate_many, triangle_rule
-from .sparse_direct import _scatter, solve_spd
+from .sparse_direct import _RESIDUAL_TOL, SolverError, _scatter, solve_spd
 
 __all__ = [
     "LsSolution",
@@ -33,7 +32,6 @@ __all__ = [
     "LeastSquaresPoisson",
 ]
 
-_RESIDUAL_TOL = 1e-10
 _CLAMP_REL = 1e-9
 
 log = logging.getLogger(__name__)

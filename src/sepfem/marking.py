@@ -33,6 +33,9 @@ __all__ = [
     "WeightedDataSize",
 ]
 
+# ApproxState raises once its partition would pass this many elements
+_PARTITION_CAP = 2_000_000
+
 
 class IndicatorField:
     """Nonnegative squared indicator values keyed by element identifier."""
@@ -169,11 +172,10 @@ class ApproxState:
     of a greedy fetching one child at a time.
     """
 
-    def __init__(self, T0: Triangulation, values: _CachedElementValue, cap: int = 2_000_000):
+    def __init__(self, T0: Triangulation, values: _CachedElementValue):
         self.T0 = T0
         self.forest = T0.forest
         self.values = values
-        self.cap = int(cap)
         roots = T0.leaf_ids
         mu = values.node_values(self.forest, roots)
         self.tilde = np.zeros(self.forest.n_nodes)
@@ -238,9 +240,9 @@ class ApproxState:
             if self._updates % 4096 == 0:
                 self._resync()
             start = stop
-        if len(self.T0.leaf_ids) + self._updates > self.cap:
+        if len(self.T0.leaf_ids) + self._updates > _PARTITION_CAP:
             raise RuntimeError(
-                f"data approximation exceeded the partition cap ({self.cap} elements)"
+                f"data approximation exceeded the partition cap ({_PARTITION_CAP} elements)"
             )
 
     def run(self, tol: float) -> Triangulation:

@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from .quadrature import _areas
+
 __all__ = [
     "MeshError",
     "BisectionForest",
@@ -320,11 +322,7 @@ class Triangulation:
     def areas(self) -> np.ndarray:
         out = self._cache.get("areas")
         if out is None:
-            c = self.tri_coords()
-            d1 = c[:, 1, :] - c[:, 0, :]
-            d2 = c[:, 2, :] - c[:, 0, :]
-            out = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-            self._cache["areas"] = out
+            out = self._cache["areas"] = _areas(self.tri_coords())
         return out
 
     def area(self) -> float:
@@ -454,11 +452,11 @@ def _longest_edge_order(pts, tri):
     return best[1]
 
 
-def initial_mesh(points, triangles, boundary=None) -> Triangulation:
+def initial_mesh(points, triangles) -> Triangulation:
     """Build an initial triangulation with longest-edge refinement tags."""
     pts = np.asarray(points, dtype=float)
     tagged = [_longest_edge_order(pts, tuple(int(v) for v in t)) for t in triangles]
-    forest = BisectionForest(pts, tagged, boundary=boundary)
+    forest = BisectionForest(pts, tagged)
     return Triangulation.initial(forest)
 
 

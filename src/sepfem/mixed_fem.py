@@ -28,7 +28,7 @@ from .edges import Connectivity, prolong_rt0, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import integrate_many, triangle_rule
-from .sparse_direct import _scatter, solve_spd
+from .sparse_direct import _RESIDUAL_TOL, SolverError, _scatter, solve_spd
 
 __all__ = [
     "SolverError",
@@ -38,17 +38,6 @@ __all__ = [
     "delta_mixed",
     "MixedPoisson",
 ]
-
-_RESIDUAL_TOL = 1e-10
-
-
-class SolverError(Exception):
-    """Linear solver failed to reach the required residual."""
-
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
-
 
 @dataclass
 class MixedSolution:

@@ -12,6 +12,8 @@ couplings cross (Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998,
 choose among candidate cuts by separator size): on the meshes graded
 toward a corner the exact median runs through the densest region.  It
 returns the solution with the number of L+U entries of its factor.
+Both discretizations gate their solves on one relative residual,
+``_RESIDUAL_TOL``, and raise ``SolverError`` above it.
 """
 
 from __future__ import annotations
@@ -20,12 +22,22 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["solve_spd", "nested_dissection"]
+__all__ = ["SolverError", "solve_spd", "nested_dissection"]
+
+_RESIDUAL_TOL = 1e-10
 
 _LEAF_SIZE = 32
 # a part is cut at one of the positions within this share of its size
 # on either side of its median
 _WINDOW = 0.2
+
+
+class SolverError(Exception):
+    """Linear solver failed to reach the required residual."""
+
+    def __init__(self, message, level=None):
+        super().__init__(message)
+        self.level = level
 
 
 def nested_dissection(S, coords) -> np.ndarray:

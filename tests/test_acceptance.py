@@ -122,7 +122,7 @@ def test_criterion_2_data_and_total_monotonicity(ls_run, acceptance_log):
     for domain, field_name, seed, levels in cases:
         problem = MixedPoisson(field_from_name(field_name))
         meshes = random_hierarchy(domain(), levels, seed=seed)
-        rep = check_B2(problem, meshes, rtol=1e-9)
+        rep = check_B2(problem, meshes)
         pairs += rep.pairs
         worst = max(worst, rep.witness["worst_ratio"])
         ok = ok and rep.passed

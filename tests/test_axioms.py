@@ -52,10 +52,14 @@ def test_contraction_needs_the_distance_term_when_sigma_grows():
         LevelRecord(1, 2, "A", 2.0, 0.0, 2.0, delta2=2.0),
         LevelRecord(2, 4, "A", 0.5, 0.0, 0.5),
     ]
-    report = check_A12(recs, lambda_grid=[0.0, 2.0])
+    # rho(Lambda) = 2 - Lambda, below one from the first grid value past 1
+    report = check_A12(recs)
     assert report.passed
-    assert report.witness["Lambda"] == 2.0
-    failing = check_A12(recs, lambda_grid=[0.0])
+    assert abs(report.witness["Lambda"] - 10.0**0.25) < 1e-12
+    assert abs(report.witness["rho"] - (2.0 - 10.0**0.25)) < 1e-12
+    # sigma2 doubles with no distance to pay for it: no Lambda helps
+    recs[0].delta2 = 0.0
+    failing = check_A12(recs[:2])
     assert not failing.passed
     assert failing.witness["rho"] >= 2.0
 
@@ -230,8 +234,6 @@ def test_random_hierarchy_is_seeded_and_nested():
     assert not all(np.array_equal(x.leaf_ids, y.leaf_ids) for x, y in zip(a, c))
     with pytest.raises(ValueError):
         random_hierarchy(T0, 0)
-    with pytest.raises(ValueError):
-        random_hierarchy(T0, 2, frac=0.0)
 
 
 def test_report_formatting():

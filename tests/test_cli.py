@@ -112,6 +112,7 @@ def test_data_infinite_at_a_quadrature_point_exits_1_naming_the_field(capsys):
     argv = ["--problem", "mixed", "--domain", "l-shape", "--field", field]
     assert main(argv + ["--kappa", "0.1", "--max-elements", "20000"]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("error at level 8: ")
     assert f"ScalarField({field!r}) is not finite" in err and "(-0.5, 0.5)" in err
 
 
@@ -259,7 +260,9 @@ def test_config_file_defaults_and_explicit_override(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "body",
-    ["mystery-key=3\n", "theta-a\n", "theta-a=abc\n"],
+    ["mystery-key=3\n", "theta-a\n", "theta-a=abc\n",
+     # only full flag names; choices as on the command line; no nesting
+     "thet=0.3\n", "theta_a=0.3\n", "mode=fast\n", "sweep=kappa=1,2\n", "config=other.cfg\n"],
 )
 def test_config_file_errors_exit_2(tmp_path, body):
     cfg = tmp_path / "bad.cfg"
@@ -292,6 +295,11 @@ def test_sweep_runs_product_and_suffixes_outputs(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_labels_carry_the_parsed_value(capsys):
+    stdout = run_ok(SMALL + ["--sweep", "kappa=1,2"], capsys)
+    assert [ln.split()[0] for ln in stdout.splitlines()] == ["[kappa1.0]", "[kappa2.0]"]
+
+
 def test_sweep_field_values_and_label_sanitizing(tmp_path, capsys):
     stdout = run_ok(
         SMALL + ["--sweep", "field=one,radial-alpha:0.6"],
@@ -304,7 +312,7 @@ def test_sweep_field_values_and_label_sanitizing(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ["bogus=1,2", "theta-a=", "theta-a=a,b", "theta-a",
+    ["bogus=1,2", "theta-a=", "theta-a=a,b", "theta-a", "kap=1,2", "mode=fast,safem",
      "out=a.csv,b.csv", "report=r1.txt,r2.txt", "dump-solution=d1,d2"],
 )
 def test_sweep_bad_specs_exit_2(spec, tmp_path, monkeypatch):

@@ -150,6 +150,20 @@ def test_residual_gates_reject_a_perturbed_solve_and_name_the_level(cls, module,
     assert calls[0] == 3
 
 
+def test_any_error_leaving_a_level_names_it():
+    class FailingMu(DataApproximationProblem):
+        def mu(self, T):
+            if T.n_elements > 8:
+                raise ValueError("data term failed")
+            return super().mu(T)
+
+    # two uniform levels take the criss square from 2 to 8 to 32 elements
+    with pytest.raises(ValueError, match="data term failed") as err:
+        uniform_run(FailingMu(field_from_name("one")), unit_square_criss(), small_params())
+    assert type(err.value) is ValueError
+    assert err.value.level == 2
+
+
 def test_safem_equals_cafem_when_data_term_vanishes():
     f = field_from_name("one")
     pa = small_params()
