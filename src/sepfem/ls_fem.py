@@ -54,7 +54,9 @@ def assemble_ls(T: Triangulation, f, rule=None):
     Unknowns are all edge fluxes followed by the interior nodal values.
     Blocks: (div q, div r) + (q, r) couples fluxes, -(q, grad w) couples
     flux and potential, (grad v, grad w) is the nodal stiffness; the only
-    load is -(f, div r).
+    load is -(f, div r).  Returns the matrix, the right-hand side, the
+    connectivity, the mask of interior nodes and the (n, 6) unknowns of
+    each element (-1 on boundary nodes).
     """
     rule = rule if rule is not None else triangle_rule(5)
     conn = Connectivity(T)
@@ -102,23 +104,20 @@ def assemble_ls(T: Triangulation, f, rule=None):
     load = integrate_many(f, conn.pts, rule)  # int_K f
     rhs = np.zeros(ndof)
     rhs[:ne] = conn.signed_edge_sum(-conn.rt_div() * load[:, np.newaxis])
-    return S, rhs, conn, interior
+    return S, rhs, conn, interior, dofs
 
 
 def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
     """Minimize the least-squares functional; gradient residual <= 1e-10."""
     rule = rule if rule is not None else triangle_rule(5)
-    S, rhs, conn, interior = assemble_ls(T, f, rule)
+    S, rhs, conn, interior, dofs = assemble_ls(T, f, rule)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         x = np.zeros(S.shape[0])
         res = 0.0
         unknowns = lu_nnz = 0
     else:
-        coords = np.concatenate(
-            (conn.midpoints, T.forest.coords()[conn.node_vertices[interior]])
-        )
-        x, lu_nnz = solve_spd(S, rhs, coords)
+        x, lu_nnz = solve_spd(S, rhs, conn, dofs)
         unknowns = S.shape[0]
         res = float(np.linalg.norm(S @ x - rhs)) / bnorm
     if res > _RESIDUAL_TOL:

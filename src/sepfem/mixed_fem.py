@@ -88,7 +88,7 @@ def _solve_marini(conn: Connectivity, load, f_means):
         b = np.bincount(
             dof.ravel()[owned], weights=np.repeat(load / 3.0, 3)[owned], minlength=nint
         )
-        u_cr[interior], lu_nnz = solve_spd(S, b, conn.midpoints[interior])
+        u_cr[interior], lu_nnz = solve_spd(S, b, conn, dof)
 
     u_loc = u_cr[conn.elem_edges]
     grad = -2.0 * np.einsum("ni,nik->nk", u_loc, conn.p1_grads())

@@ -4,16 +4,18 @@ Both discretizations reduce their linear algebra to one SPD system: the
 least-squares optimality system, and the Crouzeix-Raviart system from
 which the mixed solution is recovered.  Both are summed from local
 element blocks by ``_scatter``.  ``solve_spd`` factors the system with
-SuperLU in symmetric mode, without pivoting, on a geometric
-nested-dissection ordering of the unknowns (George, SIAM J. Numer.
-Anal. 10, 1973).  Each part is cut across the longer axis of its
-bounding box, at the position near its median that the fewest
-couplings cross (Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998,
-choose among candidate cuts by separator size): on the meshes graded
-toward a corner the exact median runs through the densest region.  It
-returns the solution with the number of L+U entries of its factor.
-Both discretizations gate their solves on one relative residual,
-``_RESIDUAL_TOL``, and raise ``SolverError`` above it.
+SuperLU in symmetric mode, without pivoting, on a nested dissection of
+the elements (George, SIAM J. Numer. Anal. 10, 1973), so one element
+tree orders both systems.  Each part of the mesh is cut across the
+longer axis of the bounding box of its element centroids, at the
+position near its median that the fewest interior edges cross
+(Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998, choose among
+candidate cuts by separator size): on the meshes graded toward a corner
+the exact median runs through the densest region.  Each unknown is
+ordered with the lowest part that holds all of its elements.
+``solve_spd`` returns the solution with the number of L+U entries of its
+factor.  Both discretizations gate their solves on one relative
+residual, ``_RESIDUAL_TOL``, and raise ``SolverError`` above it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ __all__ = ["SolverError", "solve_spd", "nested_dissection"]
 
 _RESIDUAL_TOL = 1e-10
 
-_LEAF_SIZE = 32
+# parts of at most this many elements are not cut
+_LEAF_SIZE = 16
 # a part is cut at one of the positions within this share of its size
 # on either side of its median
 _WINDOW = 0.2
@@ -40,39 +43,40 @@ class SolverError(Exception):
         self.level = level
 
 
-def nested_dissection(S, coords) -> np.ndarray:
-    """Fill-reducing symmetric ordering of S from the unknowns' coordinates.
+def _leaf_slots(conn):
+    """First and last slot of each element's leaf in the element tree.
 
-    Every part with more than 32 unknowns is sorted along the longer axis
-    of its bounding box and cut in two.  The cut is the position within
-    20 % of the part's size around its median that the fewest couplings
-    (stored entries of S) cross; ties go to the position nearest the
-    median, then to the lower one.  The unknowns of either half that are
-    coupled to the other half separate the two; the smaller of these two
-    sets is the separator, and the rest of each half is split again.
-    The ordering lists each part's two halves before its separator, so
-    ``S[perm][:, perm]`` is the reordered matrix.  All parts of one level
-    are split together.
+    Every part with more than 16 elements is sorted along the longer axis
+    of the bounding box of its element centroids and cut in two.  The cut
+    is the position within 20 % of the part's size around its median
+    that the fewest interior edges (joining the two elements holding
+    them) cross; ties go to the position nearest the median, then to the
+    lower one.  All parts of one level are cut together.  Parts are
+    numbered as in a binary heap (the root is 1, the halves of part h are
+    2h and 2h + 1), and the slots are the heap numbers at the depth of
+    the deepest leaf: a leaf h at depth d covers the slots from
+    h << (D - d) to ((h + 1) << (D - d)) - 1.
     """
-    n = S.shape[0]
-    coords = np.asarray(coords, dtype=float)
-    xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
-    coo = sp.triu(S, k=1, format="coo")
-    # parts are numbered as in a binary heap: the root is 1, the halves
-    # of part k are 2k and 2k + 1
-    part = np.ones(n, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    # the unknowns of the parts still to split, grouped by part, with the
-    # parts' sizes and heap numbers
-    active = np.arange(n if n > _LEAF_SIZE else 0)
-    counts = np.array([n], dtype=np.int64)
+    ne = len(conn.tris)
+    centroids = conn.pts.mean(axis=1)
+    xs, ys = centroids[:, 0].copy(), centroids[:, 1].copy()
+    # the two holders of each interior edge: the lowest one, and the sum
+    # of both less the lowest
+    inner = np.flatnonzero(~conn.boundary_edge)
+    holder_sum = np.bincount(
+        conn.elem_edges.ravel(), weights=np.arange(ne).repeat(3), minlength=conn.n_edges
+    )
+    a = conn.edge_elem[inner]
+    b = holder_sum[inner].astype(np.int64) - a
+
+    part = np.ones(ne, dtype=np.int64)
+    depth = np.zeros(ne, dtype=np.int64)
+    # the elements of the parts still to cut, grouped by part, with the
+    # parts' sizes and heap numbers; the couplings (a, b) are pairs of
+    # positions in ``active`` inside one part
+    active = np.arange(ne if ne > _LEAF_SIZE else 0)
+    counts = np.array([ne], dtype=np.int64)
     heap = np.ones(1, dtype=np.int64)
-    # the couplings, as pairs of positions in the previous level's
-    # ``active``; ``kept`` maps such a position to the unknown's index in
-    # the current ``active``, or to -1 once the unknown left (as part of
-    # a separator or of a finished half)
-    a, b = coo.row.astype(np.int64), coo.col.astype(np.int64)
-    kept = np.arange(len(active))
     level = 0
     while len(active):
         m = len(active)
@@ -96,13 +100,7 @@ def nested_dissection(S, coords) -> np.ndarray:
         idx = np.arange(m)
         pos = np.empty(m, dtype=np.int64)
         pos[order] = idx
-        # one filter per level drops the couplings of the unknowns that
-        # left: separators, finished halves, and with them every coupling
-        # that crossed a cut
-        kept = np.where(kept >= 0, pos[kept], -1)
-        a, b = kept[a], kept[b]
-        inside = (a >= 0) & (b >= 0)
-        a, b = a[inside], b[inside]
+        a, b = pos[a], pos[b]
         low_end, high_end = np.minimum(a, b), np.maximum(a, b)
 
         # a cut before position c crosses the couplings with
@@ -125,39 +123,53 @@ def nested_dissection(S, coords) -> np.ndarray:
         cut = np.flatnonzero(key == np.minimum.reduceat(key, first)[grp])
         upper = idx >= cut[grp]
 
-        crossing = upper[high_end] & ~upper[low_end]
-        low = np.zeros(m, dtype=bool)
-        low[low_end[crossing]] = True
-        high = np.zeros(m, dtype=bool)
-        high[high_end[crossing]] = True
-        n_low = np.add.reduceat(low, first, dtype=np.int64)
-        n_high = np.add.reduceat(high, first, dtype=np.int64)
-        sep = np.where((n_high < n_low)[grp], high, low)
-
-        # halves of at most _LEAF_SIZE unknowns are finished
+        # halves of at most _LEAF_SIZE elements are leaves
         half = 2 * grp + upper
-        sizes = np.bincount(half[~sep], minlength=2 * len(counts))
+        sizes = np.bincount(half, minlength=2 * len(counts))
         split = sizes > _LEAF_SIZE
-        going = ~sep & split[half]
-        done = ~(sep | going)
-        ids = active[sep]
-        part[ids], depth[ids] = heap[grp[sep]], level
+        going = split[half]
+        done = ~going
         ids = active[done]
         part[ids], depth[ids] = 2 * heap[grp[done]] + upper[done], level + 1
 
-        a, b = low_end, high_end
-        kept = np.where(going, np.cumsum(going) - 1, -1)
+        # the couplings inside a half that is cut again, renumbered
+        stay = going[low_end] & (upper[low_end] == upper[high_end])
+        kept = np.cumsum(going) - 1
+        a, b = kept[low_end[stay]], kept[high_end[stay]]
         active = active[going]
         counts = sizes[split]
         heap = (2 * heap[:, np.newaxis] + np.arange(2)).ravel()[split]
         level += 1
 
-    # post-order of the part tree: a part's unknowns follow every part
-    # below it, which is the order of the last leaf slot under each part
-    # (at the deepest level), deeper parts first
-    slots = int(depth.max()) if n else 0
-    last = ((part + 1) << (slots - depth)) - 1
-    return np.lexsort((np.arange(n), -depth, last))
+    below = depth.max() - depth
+    return part << below, ((part + 1) << below) - 1
+
+
+def nested_dissection(conn, dofs, n) -> np.ndarray:
+    """Fill-reducing symmetric ordering of the n unknowns held by ``dofs``.
+
+    ``dofs[k]`` lists the unknowns of element k of ``conn``; -1 marks an
+    eliminated one.  The elements are dissected (see ``_leaf_slots``),
+    and each unknown joins the lowest part of the element tree that holds
+    all of its elements, so the unknowns a part holds separate its two
+    halves.  The ordering lists every part after the parts below it, and
+    the unknowns of one part by index, so ``S[perm][:, perm]`` is the
+    reordered matrix.
+    """
+    first, last = _leaf_slots(conn)
+    held = dofs >= 0
+    rows = dofs[held]
+    lo = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(lo, rows, np.broadcast_to(first[:, np.newaxis], dofs.shape)[held])
+    hi = np.zeros(n, dtype=np.int64)
+    np.maximum.at(hi, rows, np.broadcast_to(last[:, np.newaxis], dofs.shape)[held])
+    # every slot has the bit length of the deepest level, so the common
+    # ancestor of slots lo and hi is lo >> k, with k the bit length of
+    # lo ^ hi, and the last slot it covers is ((lo >> k) + 1 << k) - 1
+    k = np.frexp((lo ^ hi).astype(float))[1].astype(np.int64)
+    end = (((lo >> k) + 1) << k) - 1
+    # post-order: by the last slot, then deeper parts (smaller k) first
+    return np.argsort(end * 64 + k, kind="stable")
 
 
 def _scatter(blocks, dofs, n):
@@ -176,15 +188,15 @@ def _scatter(blocks, dofs, n):
     ).tocsr()
 
 
-def solve_spd(S, rhs, coords) -> tuple[np.ndarray, int]:
+def solve_spd(S, rhs, conn, dofs) -> tuple[np.ndarray, int]:
     """Solve the sparse SPD system S x = rhs; return x and the factor's size.
 
-    ``coords`` holds one point per unknown (an edge midpoint for an edge
-    unknown, the vertex for a nodal one) and drives the nested-dissection
-    ordering of the SuperLU factorization.  The second value is the
-    number of L+U entries of the factor.
+    S was summed by ``_scatter`` over the elements of ``conn`` on the
+    unknowns ``dofs``, which drive the nested-dissection ordering of the
+    SuperLU factorization.  The second value is the number of L+U entries
+    of the factor.
     """
-    perm = nested_dissection(S, coords)
+    perm = nested_dissection(conn, dofs, S.shape[0])
     Sp = S.tocsr()[perm][:, perm].tocsc()
     lu = spla.splu(
         Sp,

@@ -108,7 +108,7 @@ def test_solver_matches_brute_force_minimizer(field_name):
 
 def test_system_is_symmetric_positive_definite():
     T = l_shape().uniform_refine()
-    S, rhs, conn, interior = assemble_ls(T, field_from_name("one"))
+    S, rhs, conn, interior, _ = assemble_ls(T, field_from_name("one"))
     D = S.toarray()
     assert np.max(np.abs(D - D.T)) < 1e-14
     w = np.linalg.eigvalsh(D)
@@ -149,7 +149,7 @@ def test_minimum_drop_equals_energy_norm_of_update():
     sol_c = solve_ls(Tc, f)
     Tf = Tc.uniform_refine()
     sol_f = solve_ls(Tf, f)
-    S, rhs, conn_f, interior = assemble_ls(Tf, f)
+    S, rhs, conn_f, interior, _ = assemble_ls(Tf, f)
     p_up = prolong_rt0(sol_c.conn, sol_c.p, conn_f)
     u_up = prolong_p1(
         Tf.forest, dict(zip(sol_c.conn.node_vertices.tolist(), sol_c.u)), conn_f
