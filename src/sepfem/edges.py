@@ -13,6 +13,12 @@ vertex i + 1 to i + 2, points out of its element exactly when vertex
 i + 1 has the smaller index.  The two triangles sharing an edge walk it
 in opposite directions, hence hold it with opposite signs, and a
 signed sum over the holders of an edge is the jump across it.
+
+The outward RT0 basis function of local edge i is s_i (x - P_i), with
+s_i = |E_i| / (2 |K|), so every RT0 field is, on K, an affine pair
+a (x - x_K) + pbar about the centroid x_K (``rt_affine``).  As x - x_K
+has mean zero on K, its integrals are closed form in the pair and the
+second moment J_K, and no quadrature rule or local matrix is stored.
 """
 
 from __future__ import annotations
@@ -69,40 +75,34 @@ class Connectivity:
         self.boundary_node = bmask
 
         self.elem_edge_lengths = self.lengths[self.elem_edges]
-        self._rt_mass = None
-        self._p1_grads = None
-
-    # -- local matrices -----------------------------------------------------
-
-    def rt_local_mass(self) -> np.ndarray:
-        """(n, 3, 3) local mass of the outward unit-flux basis (exact)."""
-        if self._rt_mass is None:
-            mids = 0.5 * (self.pts[:, [1, 2, 0], :] + self.pts[:, [2, 0, 1], :])
-            scale = self.elem_edge_lengths / (2.0 * self.areas[:, np.newaxis])
-            # phi[n, i, q, :] = scale_i * (m_q - P_i), the three midpoint
-            # values of basis function i side by side in one row of six
-            diff = mids[:, np.newaxis, :, :] - self.pts[:, :, np.newaxis, :]
-            phi = (scale[:, :, np.newaxis, np.newaxis] * diff).reshape(-1, 3, 6)
-            m = (phi @ phi.transpose(0, 2, 1)) * (
-                self.areas[:, np.newaxis, np.newaxis] / 3.0
-            )
-            self._rt_mass = m
-        return self._rt_mass
 
     def rt_div(self) -> np.ndarray:
-        """(n, 3) divergence of the outward unit-flux basis per element."""
+        """(n, 3) divergence 2 s_i of the outward unit-flux basis per element."""
         return self.elem_edge_lengths / self.areas[:, np.newaxis]
+
+    def rt_means(self) -> np.ndarray:
+        """(n, 3, 2) element means s_i (x_K - P_i) of the basis, x_K the centroid."""
+        offsets = self.pts.mean(axis=1)[:, np.newaxis, :] - self.pts
+        return (0.5 * self.rt_div())[:, :, np.newaxis] * offsets
+
+    def second_moments(self) -> np.ndarray:
+        """(n,) J_K = int_K |x - x_K|^2 = |K| (|E_1|^2 + |E_2|^2 + |E_3|^2) / 36."""
+        return self.areas * (self.elem_edge_lengths**2).sum(axis=1) / 36.0
+
+    def rt_local_mass(self) -> np.ndarray:
+        """(n, 3, 3) local mass s_i s_j J_K + |K| mean(phi_i) . mean(phi_j) (exact)."""
+        s, means = 0.5 * self.rt_div(), self.rt_means()
+        ss = np.einsum("ni,nj,n->nij", s, s, self.second_moments())
+        return ss + np.einsum("n,nik,njk->nij", self.areas, means, means)
 
     def p1_grads(self) -> np.ndarray:
         """(n, 3, 2) constant gradients of the nodal hat functions."""
-        if self._p1_grads is None:
-            e = self.pts[:, [2, 0, 1], :] - self.pts[:, [1, 2, 0], :]  # P_{i+2}-P_{i+1}
-            rot = np.stack((-e[:, :, 1], e[:, :, 0]), axis=2)
-            d1 = self.pts[:, 1, :] - self.pts[:, 0, :]
-            d2 = self.pts[:, 2, :] - self.pts[:, 0, :]
-            signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-            self._p1_grads = rot / (2.0 * signed[:, np.newaxis, np.newaxis])
-        return self._p1_grads
+        e = self.pts[:, [2, 0, 1], :] - self.pts[:, [1, 2, 0], :]  # P_{i+2}-P_{i+1}
+        rot = np.stack((-e[:, :, 1], e[:, :, 0]), axis=2)
+        d1 = self.pts[:, 1, :] - self.pts[:, 0, :]
+        d2 = self.pts[:, 2, :] - self.pts[:, 0, :]
+        signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return rot / (2.0 * signed[:, np.newaxis, np.newaxis])
 
     def local_flux_dofs(self, p: np.ndarray) -> np.ndarray:
         """(n, 3) outward-oriented local coefficients of a global flux vector."""
@@ -122,17 +122,33 @@ class Connectivity:
         return np.column_stack(sums).reshape((self.n_edges,) + values.shape[2:])
 
 
+def rt_affine(conn: Connectivity, local_dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (a, pbar) of elementwise RT0 fields, p(x) = a (x - x_K) + pbar on K.
+
+    ``local_dofs`` are the (n, 3) outward coefficients d of every
+    element; a = sum_i d_i s_i is half the divergence, and
+    pbar = sum_i d_i s_i (x_K - P_i) is the element mean.
+    """
+    a = np.einsum("ni,ni->n", 0.5 * conn.rt_div(), local_dofs)
+    return a, np.einsum("ni,nik->nk", local_dofs, conn.rt_means())
+
+
+def rt_norm2(conn: Connectivity, a: np.ndarray, pbar: np.ndarray) -> np.ndarray:
+    """Per element, ||a (x - x_K) + pbar||^2_{L2(K)} = |K| |pbar|^2 + a^2 J_K."""
+    return conn.areas * np.einsum("nk,nk->n", pbar, pbar) + a * a * conn.second_moments()
+
+
 def rt_at_points(conn: Connectivity, rows, local_dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(m, q, 2) values of elementwise RT0 fields at q points per element.
 
-    Row r of the (m, q, 2) ``points`` lies in element ``rows[r]``, whose
-    outward local coefficients are ``local_dofs[r]``; ``rows`` is any
-    index of the elements, ``slice(None)`` for all of them.  The field
-    is sum_i d_i |E_i| / (2 |K|) (x - P_i).
+    ``local_dofs`` are the (n, 3) outward coefficients of every element.
+    Row r of the (m, q, 2) ``points`` lies in element ``rows[r]``;
+    ``rows`` is any index of the elements, ``slice(None)`` for all of
+    them.  The values are those of the pair of ``rt_affine``.
     """
-    scale = conn.elem_edge_lengths[rows] / (2.0 * conn.areas[rows, np.newaxis])
-    diff = points[:, :, np.newaxis, :] - conn.pts[rows][:, np.newaxis, :, :]
-    return np.einsum("mi,mqik->mqk", local_dofs * scale, diff)
+    a, pbar = rt_affine(conn, local_dofs)
+    offsets = points - conn.pts[rows].mean(axis=1)[:, np.newaxis, :]
+    return a[rows, np.newaxis, np.newaxis] * offsets + pbar[rows, np.newaxis, :]
 
 
 def tangential_jump_norms(conn: Connectivity, local_dofs: np.ndarray) -> np.ndarray:
@@ -178,9 +194,8 @@ def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.n
     new_rows = np.nonzero(~shared)[0]
     if len(new_rows):
         anc = rows[fine.edge_elem[new_rows]]
-        dofs = coarse.local_flux_dofs(p)[anc]
         mids = fine.midpoints[new_rows, np.newaxis, :]
-        vals = rt_at_points(coarse, anc, dofs, mids)[:, 0, :]
+        vals = rt_at_points(coarse, anc, coarse.local_flux_dofs(p), mids)[:, 0, :]
         out[new_rows] = np.einsum("mk,mk->m", vals, fine.normals[new_rows])
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import Connectivity, rt_at_points, tangential_jump_norms
+from .edges import Connectivity, rt_affine, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import integrate_many, triangle_rule
@@ -73,15 +73,8 @@ def assemble_ls(T: Triangulation, f, rule=None):
     kloc = conn.areas[:, np.newaxis, np.newaxis] * np.einsum(
         "nik,njk->nij", grads, grads
     )
-    # int_K phi_i = |E_i| (centroid - P_i) / 2, signed
-    centroid = conn.pts.mean(axis=1)
-    intphi = (
-        sgn[:, :, np.newaxis]
-        * conn.elem_edge_lengths[:, :, np.newaxis]
-        * (centroid[:, np.newaxis, :] - conn.pts)
-        / 2.0
-    )
-    cloc = np.einsum("nik,njk->nij", intphi, grads)  # flux i, node j
+    # flux i, node j: int_K phi_i . grad lambda_j = |K| mean(phi_i) . grad lambda_j
+    cloc = np.einsum("n,ni,nik,njk->nij", conn.areas, sgn, conn.rt_means(), grads)
 
     interior = ~conn.boundary_node
     nint = int(interior.sum())
@@ -120,7 +113,7 @@ def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
         x, lu_nnz = solve_spd(S, rhs, conn, dofs)
         unknowns = S.shape[0]
         res = float(np.linalg.norm(S @ x - rhs)) / bnorm
-    if res > _RESIDUAL_TOL:
+    if not res <= _RESIDUAL_TOL:
         raise SolverError(f"least-squares residual {res:.3e} above {_RESIDUAL_TOL:g}")
     p = x[: conn.n_edges]
     u = np.zeros(conn.n_nodes)
@@ -129,28 +122,17 @@ def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
     return LsSolution(conn, p, u, res, total, unknowns, lu_nnz)
 
 
-def _midpoint_norm2(conn: Connectivity, values):
-    """Per-element squared L2 norms of fields given by (n, 3, 2) midpoint values.
-
-    The midpoint rule is exact for quadratics.  The sum runs over the
-    midpoints in order, so its bits do not depend on the memory layout
-    of ``values``.
-    """
-    sq = values * values
-    at = sq[:, :, 0] + sq[:, :, 1]
-    return (conn.areas / 3.0) * (at[:, 0] + at[:, 1] + at[:, 2])
-
-
 def ls_functional(conn: Connectivity, f, p, u, rule=None) -> float:
     """Least-squares functional value LS(f; p, u) on the mesh of ``conn``.
 
-    The divergence part integrates (f + div q)^2 with the fixed rule;
-    the flux part |q - grad v|^2 is a quadratic polynomial and uses the
-    exact midpoint rule.  The per-element values are summed with fsum.
+    The divergence part integrates (f + div q)^2 with the fixed rule,
+    div q = 2 a; the flux part is the closed-form norm of the pair
+    (a, qbar - grad v), with (a, qbar) that of q (see ``rt_affine``).
+    The per-element values are summed with fsum.
     """
     rule = rule if rule is not None else triangle_rule(5)
-    dl = conn.local_flux_dofs(np.asarray(p))
-    divp = np.einsum("ni,ni->n", conn.rt_div(), dl)
+    a, pbar = rt_affine(conn, conn.local_flux_dofs(np.asarray(p)))
+    divp = 2.0 * a
 
     def shifted_sq(x, y):
         v = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape).copy()
@@ -163,9 +145,7 @@ def ls_functional(conn: Connectivity, f, p, u, rule=None) -> float:
     if len(u) != conn.n_nodes:
         raise ValueError("u must carry one value per mesh node")
     gradu = np.einsum("ni,nik->nk", u[conn.elem_nodes], conn.p1_grads())
-    pm = rt_at_points(conn, slice(None), dl, conn.midpoints[conn.elem_edges])
-    diff = pm - gradu[:, np.newaxis, :]
-    part_flux = _midpoint_norm2(conn, diff)
+    part_flux = rt_norm2(conn, a, pbar - gradu)
 
     return math.fsum((part_div + part_flux).tolist())
 
@@ -176,13 +156,13 @@ def eta_ls(T: Triangulation, sol: LsSolution) -> IndicatorField:
     eta^2(K) = ||p - mean(p)||_{L2(K)}^2
              + |K|^{1/2} sum_{E in E(K)} ||[p] . t_E||_{L2(E)}^2
              + |K|^{1/2} sum_{E in E(K), E interior} |E| [grad u . n_E]^2
+
+    where the first term is a^2 J_K, p being the pair (a, pbar) on K.
     """
     conn = sol.conn
     dl = conn.local_flux_dofs(sol.p)
-    pm = rt_at_points(conn, slice(None), dl, conn.midpoints[conn.elem_edges])
-    pbar = pm.mean(axis=1)  # = value at centroid = elementwise mean
-    dev = pm - pbar[:, np.newaxis, :]
-    t_mean = _midpoint_norm2(conn, dev)
+    a, _ = rt_affine(conn, dl)
+    t_mean = a * a * conn.second_moments()
 
     t_tang = tangential_jump_norms(conn, dl)[conn.elem_edges].sum(axis=1)
 

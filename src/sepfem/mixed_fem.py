@@ -10,8 +10,8 @@ so div p equals minus the elementwise mean of f exactly.  The data
 enter only through those means, so the solver factors the SPD
 Crouzeix-Raviart system with the same load and recovers p and u from it
 exactly by Marini's local formulas; the residual is still measured on
-the saddle-point system, summed element by element from the local RT0
-mass and the edge lengths, so its matrices are never assembled.  The
+the saddle-point system, summed element by element in closed form from
+each element's affine flux, so its matrices are never assembled.  The
 error estimator combines an area-weighted flux volume term with
 tangential inter-element jumps; the distance between nested solutions
 is the H(div) norm of the flux difference, computable exactly because
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import Connectivity, prolong_rt0, tangential_jump_norms
+from .edges import Connectivity, prolong_rt0, rt_affine, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import integrate_many, triangle_rule
@@ -74,11 +74,11 @@ def _solve_marini(conn: Connectivity, load, f_means):
     nint = int(interior.sum())
     u_cr = np.zeros(conn.n_edges)
     lu_nnz = 0
+    grads = conn.p1_grads()
     if nint:
         index = np.full(conn.n_edges, -1, dtype=np.int64)
         index[interior] = np.arange(nint)
         dof = index[conn.elem_edges]  # (n, 3), -1 on boundary edges
-        grads = conn.p1_grads()
         # the CR basis of the edge opposite vertex i is 1 - 2 lambda_i
         kloc = 4.0 * conn.areas[:, np.newaxis, np.newaxis] * np.einsum(
             "nik,njk->nij", grads, grads
@@ -91,7 +91,7 @@ def _solve_marini(conn: Connectivity, load, f_means):
         u_cr[interior], lu_nnz = solve_spd(S, b, conn, dof)
 
     u_loc = u_cr[conn.elem_edges]
-    grad = -2.0 * np.einsum("ni,nik->nk", u_loc, conn.p1_grads())
+    grad = -2.0 * np.einsum("ni,nik->nk", u_loc, grads)
     k0 = conn.edge_elem
     centroid = conn.pts.mean(axis=1)
     flux = grad[k0] - 0.5 * f_means[k0, np.newaxis] * (conn.midpoints - centroid[k0])
@@ -105,11 +105,17 @@ def _saddle_residual(conn: Connectivity, p, u, load) -> np.ndarray:
 
     The flux rows are A p + B^T u, with A the RT0 mass matrix and
     B[k, e] = +-|E_e| the divergence coupling; the element rows are
-    B p + load.  Each is summed from the elements' local dofs.
+    B p + load.  Each is summed from the elements' local dofs; with p
+    the pair (a, pbar) on K (see ``rt_affine``) and 2 s_i |K| = |E_i|,
+    int_K phi_i . p = s_i a J_K + |K| mean(phi_i) . pbar.
     """
     d = conn.local_flux_dofs(p)
+    a, pbar = rt_affine(conn, d)
     lengths = conn.elem_edge_lengths
-    local = np.einsum("nij,nj->ni", conn.rt_local_mass(), d) + lengths * u[:, np.newaxis]
+    per_length = 0.5 * a * conn.second_moments() / conn.areas + u
+    local = lengths * per_length[:, np.newaxis] + np.einsum(
+        "n,nik,nk->ni", conn.areas, conn.rt_means(), pbar
+    )
     return np.concatenate((conn.signed_edge_sum(local), (lengths * d).sum(axis=1) + load))
 
 
@@ -132,7 +138,7 @@ def solve_mixed(T: Triangulation, f, rule=None) -> MixedSolution:
     else:
         p, u, unknowns, lu_nnz = _solve_marini(conn, load, f_means)
         res = float(np.linalg.norm(_saddle_residual(conn, p, u, load))) / bnorm
-        if res > _RESIDUAL_TOL:
+        if not res <= _RESIDUAL_TOL:
             raise SolverError(
                 f"mixed solve residual {res:.3e} above {_RESIDUAL_TOL:g}"
             )
@@ -146,11 +152,11 @@ def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:
              + |K|^{1/2} sum_{E in E(K)} ||[p] . t_E||_{L2(E)}^2
 
     with one-sided traces on boundary edges.  Every term is a polynomial
-    integral and is evaluated exactly.
+    integral and is evaluated exactly, the volume term by ``rt_norm2``.
     """
     conn = sol.conn
     d = conn.local_flux_dofs(sol.p)
-    vol = conn.areas * np.einsum("ni,nij,nj->n", d, conn.rt_local_mass(), d)
+    vol = conn.areas * rt_norm2(conn, *rt_affine(conn, d))
     jumps = tangential_jump_norms(conn, d)
     per_elem = jumps[conn.elem_edges].sum(axis=1)
     values = vol + np.sqrt(conn.areas) * per_elem
@@ -161,16 +167,14 @@ def delta_mixed(Tc: Triangulation, Tf: Triangulation, sol_c: MixedSolution, sol_
     """Squared H(div) distance ||p_f - p_c||^2 between nested solutions.
 
     The coarse flux is prolonged exactly into the fine RT0 space, so the
-    norm is evaluated in one space; the prolongation rejects non-nested
-    meshes.
+    norm of the difference's pair (a, pbar) is closed form, with
+    divergence 2 a; the prolongation rejects non-nested meshes.
     """
     cf = prolong_rt0(sol_c.conn, sol_c.p, sol_f.conn)
-    d = sol_f.p - cf
     conn = sol_f.conn
-    dl = conn.local_flux_dofs(d)
-    l2 = float(np.einsum("ni,nij,nj->", dl, conn.rt_local_mass(), dl))
-    divd = np.einsum("ni,ni->n", conn.rt_div(), dl)
-    hdiv = float(np.sum(conn.areas * divd * divd))
+    a, pbar = rt_affine(conn, conn.local_flux_dofs(sol_f.p - cf))
+    l2 = float(np.sum(rt_norm2(conn, a, pbar)))
+    hdiv = float(np.sum(conn.areas * (2.0 * a) ** 2))
     return l2 + hdiv
 
 

@@ -25,6 +25,7 @@ from sepfem import (
 import sepfem.ls_fem
 import sepfem.mixed_fem
 from sepfem import sparse_direct
+from sepfem.cli import main
 from sepfem.ls_fem import LeastSquaresPoisson
 from sepfem.mixed_fem import SolverError
 
@@ -148,6 +149,26 @@ def test_residual_gates_reject_a_perturbed_solve_and_name_the_level(cls, module,
         safem_run(problem, l_shape(), small_params())
     assert err.value.level == 2
     assert calls[0] == 3
+
+
+@pytest.mark.parametrize(
+    "cls, module, kind",
+    [(MixedPoisson, sepfem.mixed_fem, "mixed"), (LeastSquaresPoisson, sepfem.ls_fem, "ls")],
+)
+def test_residual_gates_reject_a_nan_solve_and_name_the_level(cls, module, kind, monkeypatch, capsys):
+    # a NaN residual compares false with the bound, so it must not pass the gate
+    solve_spd = module.solve_spd
+
+    def nan_solve(*args):
+        x, lu_nnz = solve_spd(*args)
+        return np.full_like(x, np.nan), lu_nnz
+
+    monkeypatch.setattr(module, "solve_spd", nan_solve)
+    with pytest.raises(SolverError, match="residual nan") as err:
+        safem_run(cls(field_from_name("one")), l_shape(), small_params())
+    assert err.value.level == 0
+    assert main(["--problem", kind, "--max-elements", "60"]) == 3
+    assert "solver failure at level 0: " in capsys.readouterr().err
 
 
 def test_any_error_leaving_a_level_names_it():

@@ -1,16 +1,30 @@
-"""Connectivity's signs and jumps against the holder-table formulas.
+"""Connectivity's signs, jumps and RT0 integrals against reference formulas.
 
 The references below are the geometric sign test and the two-holder
 jump that ``Connectivity`` once computed from a stable argsort of its
 edge table; the package now reads the signs from the vertex order and
-sums each edge's holders with them.  Both must agree bit for bit.
+sums each edge's holders with them.  Both must agree bit for bit.  The
+RT0 integrals, now closed form in each element's affine pair, are held
+against the midpoint rule the package once evaluated them with.
 """
 
 import numpy as np
 import pytest
 
-from sepfem import Connectivity, initial_mesh, l_shape, read_mesh, write_mesh
-from sepfem.edges import rt_at_points, tangential_jump_norms
+from sepfem import (
+    Connectivity,
+    LeastSquaresPoisson,
+    MixedPoisson,
+    SafemParams,
+    field_from_name,
+    initial_mesh,
+    l_shape,
+    read_mesh,
+    safem_run,
+    write_mesh,
+)
+from sepfem.edges import rt_affine, rt_at_points, rt_norm2, tangential_jump_norms
+from sepfem.mixed_fem import _saddle_residual
 
 
 def geometric_signs(conn):
@@ -58,6 +72,21 @@ def two_holder_jump_norms(conn, local_dofs):
     j0 = np.einsum("ek,ek->e", jlo, tangents)
     j1 = np.einsum("ek,ek->e", jhi, tangents)
     return conn.lengths * (j0 * j0 + j0 * j1 + j1 * j1) / 3.0
+
+
+def midpoint_basis(conn):
+    """(n, 3, 3, 2) values s_i (m_q - P_i) of basis function i at edge midpoint q."""
+    mids = 0.5 * (conn.pts[:, [1, 2, 0], :] + conn.pts[:, [2, 0, 1], :])
+    scale = conn.elem_edge_lengths / (2.0 * conn.areas[:, np.newaxis])
+    diff = mids[:, np.newaxis, :, :] - conn.pts[:, :, np.newaxis, :]
+    return scale[:, :, np.newaxis, np.newaxis] * diff
+
+
+def midpoint_mass(conn):
+    """(n, 3, 3) RT0 local mass by the midpoint rule, exact for quadratics."""
+    # the three midpoint values of basis function i side by side in one row of six
+    phi = midpoint_basis(conn).reshape(-1, 3, 6)
+    return (phi @ phi.transpose(0, 2, 1)) * (conn.areas[:, np.newaxis, np.newaxis] / 3.0)
 
 
 def graded_l_shape():
@@ -169,3 +198,75 @@ def test_normal_traces_of_a_conforming_field_cancel_on_interior_edges(conn):
     side = np.argmax(conn.elem_edges[k] == b[:, None], axis=1)
     want = conn.elem_signs[k, side] * p[b]
     assert np.max(np.abs(sums[b] - want)) <= 1e-12 * np.max(np.abs(p))
+
+
+# each closed_form_* returns the package's closed form, its midpoint-rule
+# reference and, per element (or edge), the magnitude the error is held to
+
+
+def closed_form_norm(conn, p):
+    d = conn.local_flux_dofs(p)
+    want = np.einsum("ni,nij,nj->n", d, midpoint_mass(conn), d)
+    return rt_norm2(conn, *rt_affine(conn, d)), want, want
+
+
+def closed_form_deviation(conn, p):
+    d = conn.local_flux_dofs(p)
+    a, _ = rt_affine(conn, d)
+    vals = np.einsum("ni,niqk->nqk", d, midpoint_basis(conn))
+    dev = vals - vals.mean(axis=1)[:, np.newaxis, :]
+    want = conn.areas / 3.0 * np.einsum("nqk,nqk->n", dev, dev)
+    return a * a * conn.second_moments(), want, want
+
+
+def closed_form_moments(conn, p):
+    # the flux rows of the saddle residual at u = 0 sum M d over each edge's holders
+    d = conn.local_flux_dofs(p)
+    n = len(conn.tris)
+    got = _saddle_residual(conn, p, np.zeros(n), np.zeros(n))[: conn.n_edges]
+    local = np.einsum("nij,nj->ni", midpoint_mass(conn), d)
+    scale = np.bincount(conn.elem_edges.ravel(), np.abs(local).ravel(), conn.n_edges)
+    return got, conn.signed_edge_sum(local), scale
+
+
+def closed_form_mass(conn, p):
+    want = midpoint_mass(conn)
+    return conn.rt_local_mass(), want, want
+
+
+def closed_form_means(conn, p):
+    want = conn.areas[:, np.newaxis, np.newaxis] / 3.0 * midpoint_basis(conn).sum(axis=2)
+    return conn.areas[:, np.newaxis, np.newaxis] * conn.rt_means(), want, want
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [closed_form_norm, closed_form_deviation, closed_form_moments, closed_form_mass, closed_form_means],
+    ids=lambda fn: fn.__name__,
+)
+def test_closed_form_integrals_match_the_midpoint_rule(closed_form):
+    conn = Connectivity(graded_l_shape())
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        got, want, scale = closed_form(conn, rng.standard_normal(conn.n_edges))
+        # relative to each element's (or edge's) own magnitude, so that the
+        # smallest elements of the grading are held to the same bound
+        err = np.abs(got - want).reshape(len(got), -1).max(axis=1)
+        assert np.all(err <= 1e-13 * np.abs(scale).reshape(len(got), -1).max(axis=1))
+
+
+@pytest.mark.parametrize("cls", [MixedPoisson, LeastSquaresPoisson])
+def test_solutions_keep_only_the_tables_connectivity_builds(cls):
+    # nothing the loop reads afterwards caches state on a level's Connectivity
+    params = SafemParams(max_elements=400, sigma_tol=1e-9)
+    res = safem_run(cls(field_from_name("radial-alpha:0.6")), l_shape(), params)
+    for T, sol in zip(res.meshes, res.solutions):
+        built = vars(Connectivity(T))
+        kept = vars(sol.conn)
+        assert kept.keys() == built.keys()
+        for name, value in built.items():
+            assert type(kept[name]) is type(value), name
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(kept[name], value), name
+            else:
+                assert kept[name] is value or kept[name] == value, name
