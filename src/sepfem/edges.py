@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import MeshError, Triangulation
+from .quadrature import _centroids
 
 __all__ = ["Connectivity", "prolong_rt0", "prolong_p1"]
 
@@ -82,7 +83,7 @@ class Connectivity:
 
     def rt_means(self) -> np.ndarray:
         """(n, 3, 2) element means s_i (x_K - P_i) of the basis, x_K the centroid."""
-        offsets = self.pts.mean(axis=1)[:, np.newaxis, :] - self.pts
+        offsets = _centroids(self.pts)[:, np.newaxis, :] - self.pts
         return (0.5 * self.rt_div())[:, :, np.newaxis] * offsets
 
     def second_moments(self) -> np.ndarray:
@@ -147,7 +148,7 @@ def rt_at_points(conn: Connectivity, rows, local_dofs: np.ndarray, points: np.nd
     them.  The values are those of the pair of ``rt_affine``.
     """
     a, pbar = rt_affine(conn, local_dofs)
-    offsets = points - conn.pts[rows].mean(axis=1)[:, np.newaxis, :]
+    offsets = points - _centroids(conn.pts[rows])[:, np.newaxis, :]
     return a[rows, np.newaxis, np.newaxis] * offsets + pbar[rows, np.newaxis, :]
 
 

@@ -7,10 +7,11 @@ nonconforming partition by bisecting, each pass, all elements whose
 surrogate weight attains the maximum, until the data total meets a
 tolerance; the surrogate is propagated to children by a fixed recursion
 instead of being recomputed, which is what makes the greedy choice
-cheap and the element counts tolerance-optimal.  The element values of
-all children of one pass come from one quadrature call, and the greedy
-keeps its state (values, surrogate weights, partition) in arrays
-indexed by forest node.
+cheap and the element counts tolerance-optimal.  The greedy keeps its
+state (values, surrogate weights, partition) in arrays indexed by forest
+node, and its passes go in runs: one quadrature call fetches the
+would-be children of many elements ahead, the passes are replayed in
+Python, and one ``split`` makes all children of the run.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ __all__ = [
 
 # ApproxState raises once its partition would pass this many elements
 _PARTITION_CAP = 2_000_000
+# elements ApproxState fetches ahead when a run of passes begins; more
+# would make longer runs, but its transient arrays would raise the peak
+# memory of a whole adaptive run
+_AHEAD = 256
 
 
 class IndicatorField:
@@ -121,20 +126,40 @@ class _CachedElementValue:
     def _compute_batch(self, coords):
         raise NotImplementedError
 
+    def _cache(self, forest: BisectionForest):
+        """The value and computed-mask arrays of ``forest``, grown to its node count."""
+        vals, known = self._caches.get(forest, (np.zeros(0), np.zeros(0, dtype=bool)))
+        vals, known = _grow(vals, forest.n_nodes), _grow(known, forest.n_nodes)
+        self._caches[forest] = vals, known
+        return vals, known
+
     def node_values(self, forest: BisectionForest, nodes) -> np.ndarray:
         """Values of the forest nodes in the id array ``nodes`` (any shape).
 
         The uncached ones are computed in one batch and cached.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        vals, known = self._caches.get(forest, (np.zeros(0), np.zeros(0, dtype=bool)))
-        vals, known = _grow(vals, forest.n_nodes), _grow(known, forest.n_nodes)
-        self._caches[forest] = vals, known
+        vals, known = self._cache(forest)
         missing = nodes[~known[nodes]]
         if len(missing):
             vals[missing] = self._compute_batch(forest.node_coords(missing))
             known[missing] = True
         return vals[nodes]
+
+    def child_values(self, forest: BisectionForest, nodes) -> np.ndarray:
+        """(m, 2) values of the two children ``split`` gives each node, in one batch.
+
+        The children need not exist, and nothing is cached: ``store``
+        caches the values once the children are made.
+        """
+        coords = forest.child_coords(np.asarray(nodes, dtype=np.int64))
+        return self._compute_batch(coords.reshape(-1, 3, 2)).reshape(-1, 2)
+
+    def store(self, forest: BisectionForest, nodes, values):
+        """Cache ``values`` as the values of the existing forest nodes ``nodes``."""
+        vals, known = self._cache(forest)
+        vals[nodes] = values
+        known[nodes] = True
 
     def mesh_values2(self, T: Triangulation) -> IndicatorField:
         """Squared values for all leaves, filling the per-node cache."""
@@ -165,11 +190,22 @@ class ApproxState:
     surrogate weights in arrays indexed by forest node (the element
     values mu(K) are read from ``values``' cache), so that successive
     calls with decreasing tolerances continue where the previous call
-    stopped instead of restarting from the initial mesh.  Each greedy
-    pass makes one quadrature call for the children of all elements it
-    bisects, and so does each completion check; the quadrature gives
-    every element the same bits in any batch, so the result equals that
-    of a greedy fetching one child at a time.
+    stopped instead of restarting from the initial mesh.
+
+    The greedy passes go in runs.  A run begins with one quadrature
+    call for the would-be children of the pass at hand and of the next
+    heap entries (``_fetch_ahead``).  Its passes are then replayed in
+    Python: each child gets the id ``split`` will give it and goes into
+    the heap, the partition and the surrogate weights at once.  A run
+    ends (``_flush``) with one ``split`` of its elements in pass order,
+    and their children's values go into the cache.  This happens when a
+    pass needs an element that was not fetched ahead (one created in the
+    run, or one past the prefetch), at each resync of the running total
+    and before ``run`` returns, so nothing else splits the forest while
+    a run is open.  The quadrature gives every element the same bits in
+    any batch, and ``split`` numbers nodes and midpoints in order of
+    first need, so the result equals that of a greedy that splits and
+    fetches one element at a time.
     """
 
     def __init__(self, T0: Triangulation, values: _CachedElementValue):
@@ -182,8 +218,17 @@ class ApproxState:
         self.tilde[roots] = mu
         self._in = np.zeros(self.forest.n_nodes, dtype=bool)
         self._in[roots] = True
+        # (-tilde, node) of every partition element: a node is pushed when
+        # it enters the partition and popped when it leaves it
         self._heap = list(zip((-mu).tolist(), roots.tolist()))
         heapq.heapify(self._heap)
+        # partition elements fetched ahead, node -> (-tilde of its
+        # children, increment of the running total, the children's two
+        # values), each kept until the element is split
+        self._ahead = {}
+        # the elements bisected in the open run, in pass order, and the
+        # id the next new node gets
+        self._pending, self._next = [], 0
         self._resync()
         self._updates = 0
 
@@ -193,54 +238,82 @@ class ApproxState:
         return np.flatnonzero(self._in)
 
     def _resync(self):
+        self._flush()
         mu = self.values.node_values(self.forest, self.partition)
         self.mu2_total = math.fsum((mu * mu).tolist())
+
+    def _flush(self):
+        """End the open run: split its elements and cache their children's values."""
+        if self._pending:
+            kids = self.forest.split(np.array(self._pending, dtype=np.int64))
+            self.values.store(self.forest, kids, [self._ahead.pop(n)[2:] for n in self._pending])
+            self._pending = []
+
+    def _fetch_ahead(self, batch):
+        """Begin a run: fetch the children of ``batch`` and of the next heap entries.
+
+        Of the batch and the heap entries that follow it, up to ``_AHEAD``
+        elements in all, the children's values of those not fetched yet
+        come from one call, and their surrogate weights and the running
+        total's increments from one array step each.
+        """
+        heap, ahead = self._heap, self._ahead
+        seen = [heapq.heappop(heap) for _ in range(min(_AHEAD - len(batch), len(heap)))]
+        for entry in seen:
+            heapq.heappush(heap, entry)
+        nodes = [n for n in batch + [n for _, n in seen] if n not in ahead]
+        nodes = np.array(nodes, dtype=np.int64)
+        mu = self.values.node_values(self.forest, nodes)
+        m0, m1 = self.values.child_values(self.forest, nodes).T
+        neg = -tilde_mu_children(mu, self.tilde[nodes], m0, m1)
+        delta = m0 * m0 + m1 * m1 - mu * mu
+        entries = zip(neg.tolist(), delta.tolist(), m0.tolist(), m1.tolist())
+        ahead.update(zip(nodes.tolist(), entries))
 
     def _pass(self):
         """Bisect every element attaining the maximal surrogate weight.
 
-        All elements of the pass are split in one ``BisectionForest.split``
-        call, and their values and their children's come from one call;
-        the running total is updated element by element, in the order a
-        one-at-a-time greedy would update it, and is resynced at every
-        4096th update on the partition of that moment.
+        The pass is replayed from the values fetched ahead.  If one of
+        its elements was not fetched ahead, the open run ends and a new
+        one begins with this pass.  The running total is updated
+        element by element, in the order a one-at-a-time greedy would
+        update it, and is resynced at every 4096th update on the
+        partition of that moment.
         """
-        heap = self._heap
-        part = self._in
-        while heap and not part[heap[0][1]]:
-            heapq.heappop(heap)
+        heap, ahead = self._heap, self._ahead
         if not heap:
             raise RuntimeError("greedy heap exhausted with a nonempty partition")
         top = heap[0][0]
         batch = []
         while heap and heap[0][0] == top:
-            _, n = heapq.heappop(heap)
-            if part[n]:
-                batch.append(n)
-        batch = np.array(batch, dtype=np.int64)
-        children = self.forest.split(batch)
-        family = np.concatenate((batch[:, None], children), axis=1)
-        mu, m0, m1 = self.values.node_values(self.forest, family).T
-        t = tilde_mu_children(mu, self.tilde[batch], m0, m1)
-        self.tilde = _grow(self.tilde, self.forest.n_nodes)
-        self.tilde[children] = t[:, None]
-        for c, neg in zip(children.tolist(), (-t).tolist()):
-            heapq.heappush(heap, (neg, c[0]))
-            heapq.heappush(heap, (neg, c[1]))
-        delta = (m0 * m0 + m1 * m1 - mu * mu).tolist()
-        self._in = part = _grow(part, self.forest.n_nodes)
-        start = 0
-        while start < len(batch):
-            stop = min(len(batch), start + 4096 - self._updates % 4096)
-            part[batch[start:stop]] = False
-            part[children[start:stop]] = True
-            for d in delta[start:stop]:
-                self.mu2_total += d
-            self._updates += stop - start
+            batch.append(heapq.heappop(heap)[1])
+        if not all(n in ahead for n in batch):
+            self._flush()
+            self._fetch_ahead(batch)
+        # read now: a resync inside the pass ends the run and drops them
+        todo = [ahead[n][:2] for n in batch]
+        # elements split before the run keep their children, the others'
+        # children get the ids split will give them
+        first = self.forest.first_children(batch).tolist()
+        new = self._next if self._pending else self.forest.n_nodes
+        self._pending += batch
+        self.tilde = tilde = _grow(self.tilde, new + 2 * len(batch))
+        self._in = part = _grow(self._in, new + 2 * len(batch))
+        for n, c, (neg, d) in zip(batch, first, todo):
+            if c < 0:
+                c, new = new, new + 2
+            tilde[c] = tilde[c + 1] = -neg
+            heapq.heappush(heap, (neg, c))
+            heapq.heappush(heap, (neg, c + 1))
+            part[n] = False
+            part[c] = part[c + 1] = True
+            self.mu2_total += d
+            self._updates += 1
             if self._updates % 4096 == 0:
                 self._resync()
-            start = stop
+        self._next = new
         if len(self.T0.leaf_ids) + self._updates > _PARTITION_CAP:
+            self._flush()
             raise RuntimeError(
                 f"data approximation exceeded the partition cap ({_PARTITION_CAP} elements)"
             )
@@ -267,4 +340,3 @@ class ApproxState:
             # completion pushed the quadratured total marginally over the
             # target; force one more greedy pass and try again
             self._pass()
-

@@ -20,6 +20,8 @@ A triangle is stored as an index triple (v0, v1, v2): the refinement
 edge is (v0, v1) and v2 is the newest vertex.  Bisection inserts the
 midpoint m of (v0, v1) and produces the children (v2, v0, m) and
 (v1, v2, m), so each child's refinement edge is the edge opposite m.
+``split`` and ``child_coords`` (the children's coordinates, without
+creating them) share this rule.
 """
 
 from __future__ import annotations
@@ -59,6 +61,20 @@ def _grow(arr, n):
     out = np.zeros((max(n, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
     out[: len(arr)] = arr
     return out
+
+
+def _midpoint(a, b):
+    """Midpoint of the edge (a, b); exact in either order, since a + b == b + a."""
+    return 0.5 * (a + b)
+
+
+def _bisect(v0, v1, v2, m):
+    """(k, 2, 3, ...) children (v2, v0, m) and (v1, v2, m) of the triangles (v0, v1, v2).
+
+    ``m`` is the midpoint of the refinement edge (v0, v1).  The vertices
+    are arrays of indices or of coordinates, with one row per triangle.
+    """
+    return np.stack((v2, v0, m, v1, v2, m), axis=1).reshape((len(v0), 2, 3) + np.shape(v0)[1:])
 
 
 def _in_sorted(table, keys):
@@ -161,6 +177,19 @@ class BisectionForest:
         """(m, 3, 2) vertex coordinates of the nodes in ``nodes``."""
         return self._xy[self.tris(np.asarray(nodes, dtype=np.int64))]
 
+    def child_coords(self, nodes) -> np.ndarray:
+        """(m, 2, 3, 2) vertex coordinates of the two children ``split`` gives each node.
+
+        The children need not exist: nothing is created, and the
+        coordinates are bit for bit those of the nodes ``split`` makes.
+        """
+        c = self.node_coords(nodes)
+        return _bisect(c[:, 0], c[:, 1], c[:, 2], _midpoint(c[:, 0], c[:, 1]))
+
+    def first_children(self, nodes) -> np.ndarray:
+        """First child of each node in ``nodes`` (the second is the next id), -1 if never split."""
+        return self._child[: self._nn][nodes]
+
     def parent(self, n: int) -> int:
         return int(self._parent[: self._nn][n])
 
@@ -179,7 +208,7 @@ class BisectionForest:
         nodes in ``nodes`` that first need them.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        first = self._child[: self._nn][nodes]
+        first = self.first_children(nodes)
         new = np.array(list(dict.fromkeys(nodes[first < 0].tolist())), dtype=np.int64)
         if len(new):
             v0, v1, v2 = self._tri[new].T
@@ -196,7 +225,7 @@ class BisectionForest:
                 vkeys[m[fresh] - nv0] = keys[fresh]
                 lo, hi = vkeys >> 32, vkeys & 0xFFFFFFFF
                 self._xy = _grow(self._xy, nv)
-                self._xy[nv0:nv] = 0.5 * (self._xy[lo] + self._xy[hi])
+                self._xy[nv0:nv] = _midpoint(self._xy[lo], self._xy[hi])
                 on = _in_sorted(self._boundary, vkeys)
                 if on.any():
                     ids = np.arange(nv0, nv)[on]
@@ -207,12 +236,12 @@ class BisectionForest:
             self._tri, self._parent, self._child = (
                 _grow(a, nn) for a in (self._tri, self._parent, self._child)
             )
-            self._tri[nn0:nn].reshape(-1, 6)[:] = np.array((v2, v0, m, v1, v2, m)).T
+            self._tri[nn0:nn] = _bisect(v0, v1, v2, m).reshape(-1, 3)
             self._parent[nn0:nn] = np.repeat(new, 2)
             self._child[nn0:nn] = -1
             self._child[new] = np.arange(nn0, nn, 2)
             self._nn = nn
-            first = self._child[nodes]
+            first = self.first_children(nodes)
         return first[:, None] + np.arange(2)
 
 

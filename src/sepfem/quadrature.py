@@ -113,6 +113,14 @@ def _areas(tris):
     return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def _centroids(tris):
+    """(n, 2) centroids (P0 + P1 + P2) / 3 of the (n, 3, 2) triangles ``tris``."""
+    out = tris[:, 0, :] + tris[:, 1, :]
+    out += tris[:, 2, :]
+    out /= 3.0
+    return out
+
+
 def _values_at_points(f, tris, rule):
     # (n, q, 2) cartesian quadrature points; each sums its three vertex
     # terms in a fixed order, so a triangle gets the same bits in any batch

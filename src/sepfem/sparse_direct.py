@@ -24,6 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .quadrature import _centroids
+
 __all__ = ["SolverError", "solve_spd", "nested_dissection"]
 
 _RESIDUAL_TOL = 1e-10
@@ -58,7 +60,7 @@ def _leaf_slots(conn):
     h << (D - d) to ((h + 1) << (D - d)) - 1.
     """
     ne = len(conn.tris)
-    centroids = conn.pts.mean(axis=1)
+    centroids = _centroids(conn.pts)
     xs, ys = centroids[:, 0].copy(), centroids[:, 1].copy()
     # the two holders of each interior edge: the lowest one, and the sum
     # of both less the lowest

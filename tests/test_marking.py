@@ -16,6 +16,7 @@ import pytest
 import sepfem.marking
 from sepfem import (
     ApproxState,
+    BisectionForest,
     ElementOscillation,
     IndicatorField,
     WeightedDataSize,
@@ -213,8 +214,9 @@ class OneAtATimeApprox(ApproxState):
 
     Splits one element at a time, fetches each child's value on its own
     and updates the arrays and the running total (squares as ``x * x``)
-    before splitting the next: the reference for the per-pass batching
-    of ``ApproxState._pass``.
+    before splitting the next, and raises past the partition cap at the
+    end of a pass: the reference for the runs of passes of
+    ``ApproxState``.
     """
 
     def __init__(self, T0, values):
@@ -252,32 +254,180 @@ class OneAtATimeApprox(ApproxState):
                 batch.append(n)
         for n in batch:
             self._bisect(n)
+        if len(self.T0.leaf_ids) + self._updates > sepfem.marking._PARTITION_CAP:
+            raise RuntimeError("data approximation exceeded the partition cap")
 
 
-def test_batched_greedy_equals_the_one_at_a_time_greedy_bit_for_bit():
-    f = field_from_name("radial-alpha:0.6")
-    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
-    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
-    # the running total after every pass, which run() resyncs before it stops
-    totals = {batched: [], reference: []}
-    for state, seen in totals.items():
-        def traced(inner=state._pass, state=state, seen=seen):
-            inner()
-            seen.append(state.mu2_total.hex())
+def trace_passes(state):
+    """Record the running total's bits after every pass of ``state``."""
+    seen = []
 
-        state._pass = traced
-    for tol in (1e-1, 1e-2, 3e-3, 1e-3, 5e-4):
+    def traced(inner=state._pass):
+        inner()
+        seen.append(state.mu2_total.hex())
+
+    state._pass = traced
+    return seen
+
+
+def assert_same_greedy(batched, reference):
+    """Partition, surrogate weights, values, total and forest agree bit for bit."""
+    part = batched.partition
+    assert np.array_equal(part, reference.partition)
+    assert batched.mu2_total.hex() == reference.mu2_total.hex()
+    assert np.array_equal(batched.tilde[part], reference.tilde[part])
+    mu = batched.values.node_values(batched.forest, part)
+    assert np.array_equal(mu, reference.values.node_values(reference.forest, part))
+    nodes = np.arange(batched.forest.n_nodes)
+    assert reference.forest.n_nodes == len(nodes)
+    assert np.array_equal(batched.forest.tris(nodes), reference.forest.tris(nodes))
+    assert np.array_equal(batched.forest.coords(), reference.forest.coords())
+
+
+def compare_greedies(field, mesh, tols):
+    """Run the greedy and its one-at-a-time reference to each tolerance.
+
+    Compares the running total after every pass, and all state after
+    every ``run``; returns the greedy under test and its pass count.
+    """
+    f = field_from_name(field)
+    batched = ApproxState(mesh(), ElementOscillation(f, triangle_rule(5)))
+    reference = OneAtATimeApprox(mesh(), ElementOscillation(f, triangle_rule(5)))
+    totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
+    for tol in tols:
         T = batched.run(tol)
         T_ref = reference.run(tol)
         assert totals[batched] == totals[reference]
         assert np.array_equal(T.leaf_ids, T_ref.leaf_ids)
-        part = batched.partition
-        assert np.array_equal(part, reference.partition)
-        assert batched.mu2_total.hex() == reference.mu2_total.hex()
-        assert np.array_equal(batched.tilde[part], reference.tilde[part])
-        mu = batched.values.node_values(batched.forest, part)
-        assert np.array_equal(mu, reference.values.node_values(reference.forest, part))
+        assert_same_greedy(batched, reference)
+    return batched, len(totals[batched])
+
+
+def test_batched_greedy_equals_the_one_at_a_time_greedy_bit_for_bit():
+    batched, _ = compare_greedies("radial-alpha:0.6", l_shape, (1e-1, 1e-2, 3e-3, 1e-3, 5e-4))
     # past one periodic resync of the running total
+    assert batched._updates > 4096
+
+
+def test_child_surrogate_is_the_same_in_any_batch():
+    # the runs take each child's surrogate weight from one array call over
+    # the whole prefetch; every element must get the bits it gets alone
+    rng = np.random.default_rng(5)
+    mu, tilde, m1, m2 = rng.uniform(0.0, 10.0, size=(4, 300))
+    zero = rng.random(300) < 0.4  # zero denominators among nonzero ones
+    mu[zero] = tilde[zero] = 0.0
+    tilde[rng.random(300) < 0.2] = 0.0
+    m1[rng.random(300) < 0.2] = 0.0
+    for args in ((mu, tilde, m1, m2), (mu[zero], tilde[zero], m1[zero], m2[zero])):
+        whole = tilde_mu_children(*args)
+        alone = [tilde_mu_children(*(v[k] for v in args)) for k in range(len(args[0]))]
+        assert whole.tobytes() == np.array(alone).tobytes()
+        assert not np.any(whole[args[0] + args[1] == 0.0])
+
+
+def test_fetched_ahead_weights_and_increments_are_those_of_one_element():
+    f = field_from_name("radial-alpha:0.6")
+    state = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    state.run(1e-2)
+    fresh = ElementOscillation(f, triangle_rule(5))
+    assert len(state._ahead) > 0
+    for n, (neg, delta, m0, m1) in state._ahead.items():
+        c0, c1 = state.forest.child_coords([n])[0]
+        assert [m0, m1] == fresh._compute_batch(np.array([c0, c1])).tolist()
+        (mu,) = fresh.node_values(state.forest, [n]).tolist()
+        assert -neg == float(tilde_mu_children(mu, state.tilde[n], m0, m1))
+        assert delta == m0 * m0 + m1 * m1 - mu * mu
+
+
+def watch_runs(state):
+    """Count the runs cut by a pass that needs a node the run created,
+    and the resyncs that end a run in progress."""
+    seen = collections.Counter()
+    created = [state.forest.n_nodes]
+
+    def flush(inner=state._flush):
+        created[0] = state.forest.n_nodes
+        inner()
+
+    def fetch_ahead(batch, inner=state._fetch_ahead):
+        seen["new-node cuts"] += any(n >= created[0] for n in batch)
+        inner(batch)
+
+    def resync(inner=state._resync):
+        seen["resyncs in a run"] += bool(state._pending)
+        inner()
+
+    state._flush, state._fetch_ahead, state._resync = flush, fetch_ahead, resync
+    return seen
+
+
+def test_runs_cut_where_a_pass_needs_a_node_of_the_run():
+    f = field_from_name("radial-alpha:0.6")
+    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    seen = watch_runs(batched)
+    totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
+    for state in totals:
+        state.run(1e-2)
+    assert totals[batched] == totals[reference]
+    assert_same_greedy(batched, reference)
+    assert seen["new-node cuts"] >= 5
+
+
+def test_a_resync_inside_a_run_matches_the_reference():
+    f = field_from_name("linear-x")
+    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    seen = watch_runs(batched)
+    totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
+    for tol in (1e-3, 2e-4):
+        for state in totals:
+            state.run(tol)
+        assert totals[batched] == totals[reference]
+        assert_same_greedy(batched, reference)
+    assert batched._updates > 4096
+    assert seen["resyncs in a run"] >= 1
+
+
+def test_a_resumed_run_reuses_children_made_by_the_last_completion():
+    f = field_from_name("radial-alpha:0.6")
+    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
+    for state in totals:
+        state.run(1e-1)
+    # the first batch of the next run: the partition's largest weights
+    part = batched.partition
+    first = part[batched.tilde[part] == batched.tilde[part].max()]
+    assert np.any(batched.forest.first_children(first) >= 0)
+    assert np.any(batched.forest.first_children(first) < 0)
+    n_passes = len(totals[batched])
+    for state in totals:
+        state.run(1e-2)
+    assert len(totals[batched]) > n_passes
+    assert totals[batched] == totals[reference]
+    assert_same_greedy(batched, reference)
+
+
+def test_the_partition_cap_stops_both_greedies_at_the_same_pass(monkeypatch):
+    monkeypatch.setattr(sepfem.marking, "_PARTITION_CAP", 1000)
+    f = field_from_name("radial-alpha:0.6")
+    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
+    for state in totals:
+        with pytest.raises(RuntimeError, match="partition cap"):
+            state.run(1e-6)
+    # the failing pass records no total, so compare the passes before it
+    assert totals[batched] == totals[reference]
+    assert len(totals[batched]) > 50
+    assert_same_greedy(batched, reference)
+    assert len(batched.T0.leaf_ids) + batched._updates > 1000
+
+
+def test_large_tied_batches_of_a_checkerboard_match_the_reference():
+    batched, passes = compare_greedies("checkerboard:3", l_shape, (1e-1,))
+    assert batched._updates > 8 * passes
     assert batched._updates > 4096
 
 
@@ -316,6 +466,7 @@ def test_cached_values_do_not_depend_on_which_call_computed_them():
 
 
 def test_approx_computes_values_once_per_pass(monkeypatch):
+    # one value call and one split per run of passes, not per pass
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -327,6 +478,7 @@ def test_approx_computes_values_once_per_pass(monkeypatch):
 
     for owner, attr, name in (
         (ElementOscillation, "_compute_batch", "values"),
+        (BisectionForest, "split", "splits"),
         (ApproxState, "_pass", "passes"),
         (sepfem.marking, "complete_partition", "completions"),
     ):
@@ -334,4 +486,5 @@ def test_approx_computes_values_once_per_pass(monkeypatch):
     state = ApproxState(l_shape(), ElementOscillation(field_from_name("radial-alpha:0.6")))
     state.run(1e-3)
     assert calls["passes"] > 100 and calls["completions"] >= 1
-    assert calls["values"] <= calls["passes"] + calls["completions"] + 1
+    assert 10 * calls["values"] <= calls["passes"]
+    assert 10 * calls["splits"] <= calls["passes"]

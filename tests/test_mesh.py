@@ -314,6 +314,31 @@ def test_batched_split_shares_midpoints_and_reuses_children():
     assert forest.n_nodes == 6 and forest.parents().tolist() == [-1, -1, 1, 1, 0, 0]
 
 
+def test_child_coords_are_the_coordinates_split_gives():
+    # vertices off any grid, so that a midpoint's rounding shows
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, size=(4, 2)) + np.array([[0, 0], [3, 0], [3, 3], [0, 3]])
+    forest = initial_mesh(pts, [(0, 1, 2), (0, 2, 3)]).forest
+    T = Triangulation.initial(forest)
+    for _ in range(5):
+        T = T.refine(T.leaf_ids[rng.random(T.n_elements) < 0.5])
+    # leaves whose refinement edge is split already (by a neighbour) and
+    # leaves whose edge is not, with nodes that have children among them
+    parents = forest.parents()[T.leaf_ids]
+    nodes = np.concatenate((T.leaf_ids, parents[parents >= 0][:5]))
+    rng.shuffle(nodes)
+    had = forest.first_children(nodes)
+    assert np.any(had >= 0) and np.any(had < 0)
+    want = forest.child_coords(nodes)
+    n_nodes, n_vertices = forest.n_nodes, forest.n_vertices
+    assert forest.n_nodes == n_nodes and forest.n_vertices == n_vertices
+    kids = forest.split(nodes)
+    assert want.tobytes() == forest.node_coords(kids.ravel()).reshape(-1, 2, 3, 2).tobytes()
+    assert np.array_equal(forest.first_children(nodes), kids[:, 0])
+    assert np.array_equal(kids[had >= 0, 0], had[had >= 0])
+    assert forest.child_coords([]).shape == (0, 2, 3, 2)
+
+
 def worklist_closure(forest, leaf_ids, marked):
     """Reference: the conforming closure computed one bisection at a time.
 
