@@ -17,7 +17,6 @@ import numpy as np
 
 from .marking import ApproxState, ElementOscillation
 from .mesh import Triangulation, unit_square_criss
-from .quadrature import triangle_rule
 
 __all__ = [
     "AxiomReport",
@@ -255,8 +254,7 @@ def check_A4_telescope(records) -> AxiomReport:
     return AxiomReport("A4", passed, witness, len(deltas))
 
 
-def check_B1_rate(f, tols, T0: Triangulation | None = None,
-                  quad_degree: int = 5) -> AxiomReport:
+def check_B1_rate(f, tols, T0: Triangulation | None = None) -> AxiomReport:
     """Rate certificate for the greedy data approximation.
 
     Runs one persistent approximation state through the decreasing
@@ -267,7 +265,7 @@ def check_B1_rate(f, tols, T0: Triangulation | None = None,
     would need, and the check passes when beta <= 1/gamma + 0.05.
     """
     T0 = unit_square_criss() if T0 is None else T0
-    values = ElementOscillation(f, triangle_rule(quad_degree))
+    values = ElementOscillation(f)
     tols = sorted((float(t) for t in tols), reverse=True)
     if len(tols) < 4:
         raise ValueError("need at least four tolerances to fit a slope")

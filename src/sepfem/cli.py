@@ -11,7 +11,7 @@ config lines and swept values go through its type and choice checks.
 
 Exit codes: 0 success, 2 bad usage or invalid configuration, 3 solver
 failure, 1 any other internal error; the message of 3 and 1 names the
-level that failed.
+level that failed and, in a sweep, starts with the failed run's label.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .ls_fem import LeastSquaresPoisson
 from .marking import ApproxState, ElementOscillation
 from .mesh import MeshError, l_shape, read_mesh, unit_square_criss, write_mesh
 from .mixed_fem import MixedPoisson, SolverError
-from .quadrature import field_from_name, triangle_rule
+from .quadrature import field_from_name
 
 __all__ = ["main", "build_parser"]
 
@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop when sigma falls below this")
     p.add_argument("--max-elements", dest="max_elements", type=int, default=200_000,
                    help="stop once the mesh reaches this many elements")
-    p.add_argument("--quad-degree", dest="quad_degree", type=int, default=5,
-                   help="quadrature exactness degree (1..5)")
     p.add_argument("--approx-tol", dest="approx_tol", type=float, default=1e-4,
                    help="target for --mode approx-only")
     p.add_argument("--seed", type=int, default=0,
@@ -132,7 +130,6 @@ def _validate(args, parser):
             sigma_tol=args.sigma_tol,
             max_elements=args.max_elements,
         )
-        triangle_rule(args.quad_degree)
         field_from_name(args.field)
     except ValueError as err:
         parser.error(str(err))
@@ -158,10 +155,10 @@ def _initial_mesh(args, parser):
 
 def _make_problem(args, data_field):
     if args.problem == "mixed":
-        return MixedPoisson(data_field, quad_degree=args.quad_degree)
+        return MixedPoisson(data_field)
     if args.problem == "ls":
-        return LeastSquaresPoisson(data_field, quad_degree=args.quad_degree)
-    return DataApproximationProblem(data_field, quad_degree=args.quad_degree)
+        return LeastSquaresPoisson(data_field)
+    return DataApproximationProblem(data_field)
 
 
 def _write_report(path, reports):
@@ -191,8 +188,7 @@ def _dump_solution(path, problem, T, sol):
 
 def _approx_only(args, T0) -> str:
     f = field_from_name(args.field)
-    rule = triangle_rule(args.quad_degree)
-    values = ElementOscillation(f, rule)
+    values = ElementOscillation(f)
     state = ApproxState(T0, values)
     T = state.run(args.approx_tol)
     mu2 = values.mesh_values2(T).total
@@ -200,7 +196,7 @@ def _approx_only(args, T0) -> str:
         write_mesh(T, args.out)
     if args.report:
         tols = [args.approx_tol * 4.0 ** k for k in range(6, -1, -1)]
-        _write_report(args.report, [check_B1_rate(f, tols, T0, args.quad_degree)])
+        _write_report(args.report, [check_B1_rate(f, tols, T0)])
     return f"n_elements={T.n_elements} mu2={mu2!r} tol={args.approx_tol!r}"
 
 
@@ -242,8 +238,14 @@ def _suffix_path(path, label):
 
 
 def _expand_sweep(args, parser):
-    """One validated run per sweep combination: (label, (args, params, T0))."""
+    """One validated run per sweep combination: (label, (args, params, T0)).
+
+    A flag may be swept once, and its values must parse to distinct
+    settings: a repeat would start runs that repeat each other and
+    write the same output files.
+    """
     combos = [(args, "")]
+    swept = set()
     for spec in args.sweep:
         key, sep, values = spec.partition("=")
         key = key.strip().lstrip("-")
@@ -255,9 +257,17 @@ def _expand_sweep(args, parser):
                 for v in values.split(",") if v.strip()]
         if not vals:
             parser.error(f"--sweep {spec!r}: no values")
+        dest = vals[0][0]
+        if dest in swept:
+            parser.error(f"--sweep {spec!r}: --{key} is swept more than once")
+        swept.add(dest)
+        parsed = [v for _, v in vals]
+        for i, v in enumerate(parsed):
+            if v in parsed[:i]:
+                parser.error(f"--sweep {spec!r}: two values give --{key}={v}")
         nxt = []
         for base, label in combos:
-            for dest, v in vals:
+            for v in parsed:
                 ns = argparse.Namespace(**vars(base))
                 setattr(ns, dest, v)
                 tag = f"{key}{v}".replace(":", "_").replace(",", "_").replace("/", "_")
@@ -273,6 +283,16 @@ def _expand_sweep(args, parser):
     return out
 
 
+def _labelled_run(run):
+    """``_single_run`` of one sweep combination; an error leaving it gets the label."""
+    label, fields = run
+    try:
+        return _single_run(*fields)
+    except Exception as err:
+        err.label = label
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -284,20 +304,22 @@ def main(argv=None) -> int:
         if args.sweep:
             runs = _expand_sweep(args, parser)
             with ThreadPoolExecutor(max_workers=min(4, len(runs))) as pool:
-                summaries = list(pool.map(lambda r: _single_run(*r[1]), runs))
+                summaries = list(pool.map(_labelled_run, runs))
             for (label, _), summary in zip(runs, summaries):
                 print(f"[{label}] {summary}")
             return 0
         print(_single_run(*run))
         return 0
-    except SolverError as err:
-        where = "unknown" if err.level is None else err.level
-        print(f"solver failure at level {where}: {err}", file=sys.stderr)
-        return 3
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises
+        label = getattr(err, "label", None)
+        tag = "" if label is None else f"[{label}] "
         level = getattr(err, "level", None)
+        if isinstance(err, SolverError):
+            where = "unknown" if level is None else level
+            print(f"{tag}solver failure at level {where}: {err}", file=sys.stderr)
+            return 3
         where = "" if level is None else f" at level {level}"
-        print(f"error{where}: {err}", file=sys.stderr)
+        print(f"{tag}error{where}: {err}", file=sys.stderr)
         return 1
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .marking import ApproxState, IndicatorField, WeightedDataSize, doerfler_select
 from .mesh import Triangulation
-from .quadrature import integrate_many, triangle_rule
+from .quadrature import integrate_many
 
 __all__ = [
     "SafemParams",
@@ -280,10 +280,9 @@ class DataApproximationProblem:
 
     kind = "data"
 
-    def __init__(self, data_field, quad_degree: int = 5):
+    def __init__(self, data_field):
         self.field = data_field
-        self.rule = triangle_rule(quad_degree)
-        self.size = WeightedDataSize(data_field, self.rule)
+        self.size = WeightedDataSize(data_field)
 
     def solve(self, T: Triangulation):
         return None
@@ -306,7 +305,7 @@ class DataApproximationProblem:
             v = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
             return v * v
 
-        l2sq = integrate_many(squared, Tf.tri_coords(), self.rule)
+        l2sq = integrate_many(squared, Tf.tri_coords())
         return float(np.sum((w_coarse - w_fine) ** 2 * l2sq))
 
     def extras(self, T: Triangulation, sol) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 from .edges import Connectivity, rt_affine, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
-from .quadrature import integrate_many, triangle_rule
+from .quadrature import integrate_many
 from .sparse_direct import _RESIDUAL_TOL, SolverError, _scatter, solve_spd
 
 __all__ = [
@@ -48,7 +48,7 @@ class LsSolution:
     lu_nnz: int = 0           # and the L+U entries of its factor
 
 
-def assemble_ls(T: Triangulation, f, rule=None):
+def assemble_ls(T: Triangulation, f):
     """Assemble the SPD least-squares system and right-hand side.
 
     Unknowns are all edge fluxes followed by the interior nodal values.
@@ -58,7 +58,6 @@ def assemble_ls(T: Triangulation, f, rule=None):
     connectivity, the mask of interior nodes and the (n, 6) unknowns of
     each element (-1 on boundary nodes).
     """
-    rule = rule if rule is not None else triangle_rule(5)
     conn = Connectivity(T)
     n = len(conn.tris)
     ne = conn.n_edges
@@ -94,16 +93,15 @@ def assemble_ls(T: Triangulation, f, rule=None):
     ndof = ne + nint
     S = _scatter(block, dofs, ndof)
 
-    load = integrate_many(f, conn.pts, rule)  # int_K f
+    load = integrate_many(f, conn.pts)  # int_K f
     rhs = np.zeros(ndof)
     rhs[:ne] = conn.signed_edge_sum(-conn.rt_div() * load[:, np.newaxis])
     return S, rhs, conn, interior, dofs
 
 
-def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
+def solve_ls(T: Triangulation, f) -> LsSolution:
     """Minimize the least-squares functional; gradient residual <= 1e-10."""
-    rule = rule if rule is not None else triangle_rule(5)
-    S, rhs, conn, interior, dofs = assemble_ls(T, f, rule)
+    S, rhs, conn, interior, dofs = assemble_ls(T, f)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         x = np.zeros(S.shape[0])
@@ -118,11 +116,11 @@ def solve_ls(T: Triangulation, f, rule=None) -> LsSolution:
     p = x[: conn.n_edges]
     u = np.zeros(conn.n_nodes)
     u[interior] = x[conn.n_edges :]
-    total = ls_functional(conn, f, p, u, rule)
+    total = ls_functional(conn, f, p, u)
     return LsSolution(conn, p, u, res, total, unknowns, lu_nnz)
 
 
-def ls_functional(conn: Connectivity, f, p, u, rule=None) -> float:
+def ls_functional(conn: Connectivity, f, p, u) -> float:
     """Least-squares functional value LS(f; p, u) on the mesh of ``conn``.
 
     The divergence part integrates (f + div q)^2 with the fixed rule,
@@ -130,7 +128,6 @@ def ls_functional(conn: Connectivity, f, p, u, rule=None) -> float:
     (a, qbar - grad v), with (a, qbar) that of q (see ``rt_affine``).
     The per-element values are summed with fsum.
     """
-    rule = rule if rule is not None else triangle_rule(5)
     a, pbar = rt_affine(conn, conn.local_flux_dofs(np.asarray(p)))
     divp = 2.0 * a
 
@@ -139,7 +136,7 @@ def ls_functional(conn: Connectivity, f, p, u, rule=None) -> float:
         v += divp[:, np.newaxis]
         return v * v
 
-    part_div = integrate_many(shifted_sq, conn.pts, rule)
+    part_div = integrate_many(shifted_sq, conn.pts)
 
     u = np.asarray(u, dtype=float)
     if len(u) != conn.n_nodes:
@@ -198,13 +195,12 @@ class LeastSquaresPoisson:
 
     kind = "ls"
 
-    def __init__(self, data_field, quad_degree: int = 5):
+    def __init__(self, data_field):
         self.field = data_field
-        self.rule = triangle_rule(quad_degree)
-        self.oscillation = ElementOscillation(data_field, self.rule)
+        self.oscillation = ElementOscillation(data_field)
 
     def solve(self, T: Triangulation) -> LsSolution:
-        return solve_ls(T, self.field, self.rule)
+        return solve_ls(T, self.field)
 
     def eta(self, T: Triangulation, sol: LsSolution) -> IndicatorField:
         return eta_ls(T, sol)

@@ -23,7 +23,7 @@ import weakref
 import numpy as np
 
 from .mesh import BisectionForest, Triangulation, _grow, complete_partition
-from .quadrature import QuadratureRule, _areas, integrate_many, mu2_elements, triangle_rule
+from .quadrature import _areas, integrate_many, mu2_elements
 
 __all__ = [
     "IndicatorField",
@@ -118,9 +118,8 @@ class _CachedElementValue:
     id and grown with the forest.
     """
 
-    def __init__(self, field, rule: QuadratureRule | None = None):
+    def __init__(self, field):
         self.field = field
-        self.rule = rule if rule is not None else triangle_rule(5)
         self._caches = weakref.WeakKeyDictionary()
 
     def _compute_batch(self, coords):
@@ -171,7 +170,7 @@ class ElementOscillation(_CachedElementValue):
     """mu(K) = ||f - f_K||_{L2(K)}, the piecewise-constant data oscillation."""
 
     def _compute_batch(self, coords):
-        return np.sqrt(np.maximum(mu2_elements(self.field, coords, self.rule), 0.0))
+        return np.sqrt(np.maximum(mu2_elements(self.field, coords), 0.0))
 
 
 class WeightedDataSize(_CachedElementValue):
@@ -179,7 +178,7 @@ class WeightedDataSize(_CachedElementValue):
 
     def _compute_batch(self, coords):
         f = self.field
-        sq = integrate_many(lambda x, y: np.asarray(f(x, y)) ** 2, coords, self.rule)
+        sq = integrate_many(lambda x, y: np.asarray(f(x, y)) ** 2, coords)
         return _areas(coords) * np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .edges import Connectivity, prolong_rt0, rt_affine, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
-from .quadrature import _centroids, integrate_many, triangle_rule
+from .quadrature import _centroids, integrate_many
 from .sparse_direct import _RESIDUAL_TOL, SolverError, _scatter, solve_spd
 
 __all__ = [
@@ -119,7 +119,7 @@ def _saddle_residual(conn: Connectivity, p, u, load) -> np.ndarray:
     return np.concatenate((conn.signed_edge_sum(local), (lengths * d).sum(axis=1) + load))
 
 
-def solve_mixed(T: Triangulation, f, rule=None) -> MixedSolution:
+def solve_mixed(T: Triangulation, f) -> MixedSolution:
     """Solve the mixed system; the relative residual must meet 1e-10.
 
     The solution is recovered from one SPD Crouzeix-Raviart solve (see
@@ -127,9 +127,8 @@ def solve_mixed(T: Triangulation, f, rule=None) -> MixedSolution:
     saddle-point system in (p, u) (see ``_saddle_residual``).  The load
     is the quadrature of f per element.
     """
-    rule = rule if rule is not None else triangle_rule(5)
     conn = Connectivity(T)
-    load = integrate_many(f, conn.pts, rule)
+    load = integrate_many(f, conn.pts)
     f_means = load / conn.areas
     bnorm = float(np.linalg.norm(load))
     if bnorm == 0.0:
@@ -183,13 +182,12 @@ class MixedPoisson:
 
     kind = "mixed"
 
-    def __init__(self, data_field, quad_degree: int = 5):
+    def __init__(self, data_field):
         self.field = data_field
-        self.rule = triangle_rule(quad_degree)
-        self.oscillation = ElementOscillation(data_field, self.rule)
+        self.oscillation = ElementOscillation(data_field)
 
     def solve(self, T: Triangulation) -> MixedSolution:
-        return solve_mixed(T, self.field, self.rule)
+        return solve_mixed(T, self.field)
 
     def eta(self, T: Triangulation, sol: MixedSolution) -> IndicatorField:
         return eta_mixed(T, sol)

@@ -1,12 +1,13 @@
 """Symmetric triangle quadrature and scalar data fields.
 
-All element integrals in the package go through one fixed rule so that
-every derived quantity (data oscillation, load vectors, estimator volume
-terms) is computed from the same discrete definition.  Every element
-also gets the same arithmetic whatever batch it is evaluated in: the
-sum over the quadrature points is taken row by row in a fixed order, so
-a value computed for one triangle equals, bit for bit, the value the
-same triangle gets among thousands.  Cached values and exact ties of
+All element integrals in the package go through one fixed rule, the
+symmetric 7-point rule exact to degree 5, so that every derived
+quantity (data oscillation, load vectors, estimator volume terms) is
+computed from the same discrete definition.  Every element also gets
+the same arithmetic whatever batch it is evaluated in: the sum over the
+quadrature points is taken row by row in a fixed order, so a value
+computed for one triangle equals, bit for bit, the value the same
+triangle gets among thousands.  Cached values and exact ties of
 the greedy data approximation depend on that.
 """
 
@@ -17,11 +18,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
-    "triangle_rule",
     "integrate_many",
     "mu2_elements",
-    "element_means",
     "ScalarField",
     "field_from_name",
 ]
@@ -34,70 +32,19 @@ def _orbit3(a):
     return [(b, a, a), (a, b, a), (a, a, b)]
 
 
-# Stocked symmetric rules with positive weights (barycentric points,
-# weights summing to one).  Degree 3 requests are served by the 6-point
-# degree-4 rule: the classical 4-point degree-3 rule has a negative
-# weight, which would break the nonnegativity of quadratured squares.
-_RULES = {
-    1: ([(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)], [1.0]),
-    2: (_orbit3(0.5), [1.0 / 3.0] * 3),
-    4: (
-        _orbit3(0.445948490915965) + _orbit3(0.091576213509771),
-        [0.223381589678011] * 3 + [0.109951743655322] * 3,
-    ),
-    5: (
-        [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
-        + _orbit3((6.0 - _SQRT15) / 21.0)
-        + _orbit3((6.0 + _SQRT15) / 21.0),
-        [9.0 / 40.0]
-        + [(155.0 - _SQRT15) / 1200.0] * 3
-        + [(155.0 + _SQRT15) / 1200.0] * 3,
-    ),
-}
-
-
-class QuadratureRule:
-    """A fixed point set on the reference triangle, barycentric coordinates.
-
-    Attributes
-    ----------
-    points : (n, 3) ndarray
-        Barycentric coordinates of the evaluation points.
-    weights : (n,) ndarray
-        Positive weights summing to one (integrals are scaled by area).
-    degree : int
-        Largest polynomial degree integrated exactly.
-    """
-
-    __slots__ = ("points", "weights", "degree")
-
-    def __init__(self, points, weights, degree):
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        self.degree = int(degree)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError("points must be (n, 3) barycentric coordinates")
-        if self.weights.shape != (self.points.shape[0],):
-            raise ValueError("weights must match points")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
-        if abs(math.fsum(self.weights.tolist()) - 1.0) > 1e-14:
-            raise ValueError("weights must sum to one")
-        bad = np.abs(self.points.sum(axis=1) - 1.0) > 1e-14
-        if np.any(bad):
-            raise ValueError("barycentric coordinates must sum to one")
-
-    def __repr__(self):
-        return f"QuadratureRule(degree={self.degree}, npoints={len(self.weights)})"
-
-
-def triangle_rule(degree: int = 5) -> QuadratureRule:
-    """Return the smallest stocked rule exact at least to ``degree``."""
-    if not 1 <= degree <= 5:
-        raise ValueError(f"quadrature degree must be in 1..5, got {degree}")
-    served = min(d for d in _RULES if d >= degree)
-    pts, wts = _RULES[served]
-    return QuadratureRule(pts, wts, served)
+# The symmetric 7-point rule exact to degree 5: barycentric points and
+# weights summing to one (integrals are scaled by area).  The weights
+# are positive, so quadratured squares are nonnegative.
+_POINTS = np.array(
+    [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
+    + _orbit3((6.0 - _SQRT15) / 21.0)
+    + _orbit3((6.0 + _SQRT15) / 21.0)
+)
+_WEIGHTS = np.array(
+    [9.0 / 40.0]
+    + [(155.0 - _SQRT15) / 1200.0] * 3
+    + [(155.0 + _SQRT15) / 1200.0] * 3
+)
 
 
 def _tri_array(tris):
@@ -121,14 +68,13 @@ def _centroids(tris):
     return out
 
 
-def _values_at_points(f, tris, rule):
-    # (n, q, 2) cartesian quadrature points; each sums its three vertex
+def _values_at_points(f, tris):
+    # (n, 7, 2) cartesian quadrature points; each sums its three vertex
     # terms in a fixed order, so a triangle gets the same bits in any batch
-    b = rule.points
     pts = (
-        b[:, 0, np.newaxis] * tris[:, np.newaxis, 0, :]
-        + b[:, 1, np.newaxis] * tris[:, np.newaxis, 1, :]
-        + b[:, 2, np.newaxis] * tris[:, np.newaxis, 2, :]
+        _POINTS[:, 0, np.newaxis] * tris[:, np.newaxis, 0, :]
+        + _POINTS[:, 1, np.newaxis] * tris[:, np.newaxis, 1, :]
+        + _POINTS[:, 2, np.newaxis] * tris[:, np.newaxis, 2, :]
     )
     with np.errstate(all="ignore"):
         vals = f(pts[:, :, 0], pts[:, :, 1])
@@ -139,29 +85,22 @@ def _values_at_points(f, tris, rule):
     return vals
 
 
-def _weighted_sum(vals, weights):
+def _weighted_sum(vals):
     # the reduction over the quadrature points; a matrix-vector product
     # (BLAS gemv) would sum each row in an order that depends on the
     # other rows of the batch, and einsum's order follows the memory
     # layout, hence the contiguous copy
-    return np.einsum("nq,q->n", np.ascontiguousarray(vals), weights)
+    return np.einsum("nq,q->n", np.ascontiguousarray(vals), _WEIGHTS)
 
 
-def integrate_many(f, tris, rule: QuadratureRule) -> np.ndarray:
+def integrate_many(f, tris) -> np.ndarray:
     """Quadrature of ``f`` over a batch of triangles, shape (n, 3, 2) -> (n,)."""
     t = _tri_array(tris)
-    vals = _values_at_points(f, t, rule)
-    return _areas(t) * _weighted_sum(vals, rule.weights)
+    vals = _values_at_points(f, t)
+    return _areas(t) * _weighted_sum(vals)
 
 
-def element_means(f, tris, rule: QuadratureRule) -> np.ndarray:
-    """Elementwise means of ``f`` (the piecewise-constant best approximation)."""
-    t = _tri_array(tris)
-    vals = _values_at_points(f, t, rule)
-    return _weighted_sum(vals, rule.weights)
-
-
-def mu2_elements(f, tris, rule: QuadratureRule) -> np.ndarray:
+def mu2_elements(f, tris) -> np.ndarray:
     """Squared data oscillation per element.
 
     mu^2(K) = ||f - f_K||_{L2(K)}^2 with f_K the quadratured mean of f
@@ -170,10 +109,10 @@ def mu2_elements(f, tris, rule: QuadratureRule) -> np.ndarray:
     identical to Q(f^2) - area * f_K^2.
     """
     t = _tri_array(tris)
-    vals = _values_at_points(f, t, rule)
-    means = _weighted_sum(vals, rule.weights)
+    vals = _values_at_points(f, t)
+    means = _weighted_sum(vals)
     dev = vals - means[:, np.newaxis]
-    return _areas(t) * _weighted_sum(dev * dev, rule.weights)
+    return _areas(t) * _weighted_sum(dev * dev)
 
 
 class ScalarField:

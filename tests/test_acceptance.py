@@ -34,7 +34,6 @@ from sepfem import (
 )
 from sepfem.ls_fem import LeastSquaresPoisson
 from sepfem.marking import ApproxState, IndicatorField, WeightedDataSize
-from sepfem.quadrature import triangle_rule
 
 pytestmark = pytest.mark.acceptance
 
@@ -301,7 +300,7 @@ def test_criterion_8_mesh_engine_fuzz(acceptance_log):
 def test_criterion_9_collective_marking_matches_greedy(acceptance_log):
     f = field_from_name("radial-alpha:0.6")
     T0 = unit_square_criss()
-    values = WeightedDataSize(f, triangle_rule(5))
+    values = WeightedDataSize(f)
     state = ApproxState(T0, values)
     pts = []
     for tol in [1e-3 / 4.0**k for k in range(7)]:

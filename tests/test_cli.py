@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sepfem import read_mesh, unit_square_criss, write_mesh
+from sepfem import read_mesh, safem_run, unit_square_criss, write_mesh
 from sepfem.cli import build_parser, main
 from sepfem.driver import CSV_HEADER
 from sepfem.mixed_fem import SolverError
@@ -30,7 +30,6 @@ def test_parser_defaults():
     assert args.kappa == 1.0
     assert args.rho_b == 0.5
     assert args.max_elements == 200_000
-    assert args.quad_degree == 5
     assert args.out is None and args.report is None and args.sweep is None
 
 
@@ -75,7 +74,7 @@ BAD_MESHES = {
         ["--theta-a", "1.5"],
         ["--kappa", "-1"],
         ["--rho-b", "1"],
-        ["--quad-degree", "6"],
+        ["--quad-degree", "5"],  # one fixed quadrature rule: no such flag
         ["--max-elements", "0"],
         ["--mode", "approx-only", "--approx-tol", "-2"],
         ["--dump-solution", "x", "--mode", "approx-only"],
@@ -262,7 +261,9 @@ def test_config_file_defaults_and_explicit_override(tmp_path, capsys):
     "body",
     ["mystery-key=3\n", "theta-a\n", "theta-a=abc\n",
      # only full flag names; choices as on the command line; no nesting
-     "thet=0.3\n", "theta_a=0.3\n", "mode=fast\n", "sweep=kappa=1,2\n", "config=other.cfg\n"],
+     "thet=0.3\n", "theta_a=0.3\n", "mode=fast\n", "sweep=kappa=1,2\n", "config=other.cfg\n",
+     # one fixed quadrature rule: no such flag
+     "quad-degree=5\n"],
 )
 def test_config_file_errors_exit_2(tmp_path, body):
     cfg = tmp_path / "bad.cfg"
@@ -313,7 +314,9 @@ def test_sweep_field_values_and_label_sanitizing(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec",
     ["bogus=1,2", "theta-a=", "theta-a=a,b", "theta-a", "kap=1,2", "mode=fast,safem",
-     "out=a.csv,b.csv", "report=r1.txt,r2.txt", "dump-solution=d1,d2"],
+     "out=a.csv,b.csv", "report=r1.txt,r2.txt", "dump-solution=d1,d2", "quad-degree=4,5",
+     # values that parse to one setting would repeat a run and its files
+     "kappa=0.5,.5", "kappa=0.5,.5,5e-1", "field=one,one"],
 )
 def test_sweep_bad_specs_exit_2(spec, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -321,6 +324,32 @@ def test_sweep_bad_specs_exit_2(spec, tmp_path, monkeypatch):
         main(SMALL + ["--sweep", spec])
     assert err.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+def test_sweep_of_a_flag_swept_twice_exits_2(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as err:
+        main(SMALL + ["--sweep", "theta-a=0.2,0.3", "--sweep", "theta-a=0.5", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--theta-a is swept more than once" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_failure_names_the_failed_run(monkeypatch, capsys):
+    real = safem_run
+
+    def fail_two_kappas(problem, T0, params):
+        if params.kappa == 0.1:
+            raise SolverError("factorization failed", level=4)
+        if params.kappa == 0.5:
+            raise ValueError("field is not finite")
+        return real(problem, T0, params)
+
+    monkeypatch.setattr("sepfem.cli.safem_run", fail_two_kappas)
+    assert main(SMALL + ["--sweep", "kappa=10,0.5"]) == 1
+    assert capsys.readouterr().err == "[kappa0.5] error: field is not finite\n"
+    assert main(SMALL + ["--sweep", "kappa=10,0.1"]) == 3
+    assert capsys.readouterr().err.startswith("[kappa0.1] solver failure at level 4: ")
 
 
 def test_sweep_validates_each_combination():

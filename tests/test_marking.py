@@ -24,7 +24,6 @@ from sepfem import (
     field_from_name,
     l_shape,
     tilde_mu_children,
-    triangle_rule,
     unit_square_criss,
 )
 
@@ -136,10 +135,9 @@ def test_tilde_recursion_degenerate_denominator():
 def test_approx_meets_tolerance_and_conformity():
     f = field_from_name("linear-x")
     T0 = unit_square_criss()
-    rule = triangle_rule(5)
-    osc = ElementOscillation(f, rule)
+    osc = ElementOscillation(f)
     for tol in (1e-2, 1e-3, 1e-4):
-        T = ApproxState(T0, ElementOscillation(f, rule)).run(tol)
+        T = ApproxState(T0, ElementOscillation(f)).run(tol)
         assert T.is_conforming()
         assert osc.mesh_values2(T).total <= tol
         assert T.refines(T0)
@@ -148,11 +146,11 @@ def test_approx_meets_tolerance_and_conformity():
 def test_persistent_state_resumes_and_grows_monotonically():
     f = field_from_name("radial-alpha:0.6")
     T0 = unit_square_criss()
-    state = ApproxState(T0, ElementOscillation(f, triangle_rule(5)))
+    state = ApproxState(T0, ElementOscillation(f))
     sizes = []
     for tol in (1e-1, 1e-2, 1e-3, 1e-4):
         T = state.run(tol)
-        m2 = ElementOscillation(f, triangle_rule(5)).mesh_values2(T).total
+        m2 = ElementOscillation(f).mesh_values2(T).total
         assert m2 <= tol
         sizes.append(T.n_elements)
     assert sizes == sorted(sizes)
@@ -162,7 +160,7 @@ def test_resumed_state_matches_fresh_run_tolerance():
     # resuming with a looser tolerance than already achieved needs no work
     f = field_from_name("linear-x")
     T0 = unit_square_criss()
-    state = ApproxState(T0, ElementOscillation(f, triangle_rule(5)))
+    state = ApproxState(T0, ElementOscillation(f))
     T_tight = state.run(1e-4)
     T_loose = state.run(1e-2)
     assert T_loose.n_elements == T_tight.n_elements
@@ -170,7 +168,7 @@ def test_resumed_state_matches_fresh_run_tolerance():
 
 def test_approx_rejects_nonpositive_tolerance():
     state = ApproxState(
-        unit_square_criss(), ElementOscillation(field_from_name("one"), triangle_rule(5))
+        unit_square_criss(), ElementOscillation(field_from_name("one"))
     )
     with pytest.raises(ValueError):
         state.run(0.0)
@@ -179,21 +177,20 @@ def test_approx_rejects_nonpositive_tolerance():
 def test_constant_field_needs_no_refinement():
     f = field_from_name("one")
     T0 = unit_square_criss()
-    T = ApproxState(T0, ElementOscillation(f, triangle_rule(5))).run(1e-12)
+    T = ApproxState(T0, ElementOscillation(f)).run(1e-12)
     assert T.n_elements == T0.n_elements
 
 
 def test_weighted_data_size_matches_direct_formula():
     f = field_from_name("linear-x")
     T = unit_square_criss().uniform_refine()
-    rule = triangle_rule(5)
-    size = WeightedDataSize(f, rule)
+    size = WeightedDataSize(f)
     field = size.mesh_values2(T)
     coords = T.tri_coords()
     areas = T.areas()
     from sepfem import integrate_many
 
-    l2sq = integrate_many(lambda x, y: x * x, coords, rule)
+    l2sq = integrate_many(lambda x, y: x * x, coords)
     assert np.allclose(field.values, areas**2 * l2sq, rtol=1e-13)
 
 
@@ -291,8 +288,8 @@ def compare_greedies(field, mesh, tols):
     every ``run``; returns the greedy under test and its pass count.
     """
     f = field_from_name(field)
-    batched = ApproxState(mesh(), ElementOscillation(f, triangle_rule(5)))
-    reference = OneAtATimeApprox(mesh(), ElementOscillation(f, triangle_rule(5)))
+    batched = ApproxState(mesh(), ElementOscillation(f))
+    reference = OneAtATimeApprox(mesh(), ElementOscillation(f))
     totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
     for tol in tols:
         T = batched.run(tol)
@@ -327,9 +324,9 @@ def test_child_surrogate_is_the_same_in_any_batch():
 
 def test_fetched_ahead_weights_and_increments_are_those_of_one_element():
     f = field_from_name("radial-alpha:0.6")
-    state = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    state = ApproxState(l_shape(), ElementOscillation(f))
     state.run(1e-2)
-    fresh = ElementOscillation(f, triangle_rule(5))
+    fresh = ElementOscillation(f)
     assert len(state._ahead) > 0
     for n, (neg, delta, m0, m1) in state._ahead.items():
         c0, c1 = state.forest.child_coords([n])[0]
@@ -363,8 +360,8 @@ def watch_runs(state):
 
 def test_runs_cut_where_a_pass_needs_a_node_of_the_run():
     f = field_from_name("radial-alpha:0.6")
-    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
-    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    batched = ApproxState(l_shape(), ElementOscillation(f))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f))
     seen = watch_runs(batched)
     totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
     for state in totals:
@@ -376,8 +373,8 @@ def test_runs_cut_where_a_pass_needs_a_node_of_the_run():
 
 def test_a_resync_inside_a_run_matches_the_reference():
     f = field_from_name("linear-x")
-    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
-    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    batched = ApproxState(l_shape(), ElementOscillation(f))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f))
     seen = watch_runs(batched)
     totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
     for tol in (1e-3, 2e-4):
@@ -391,8 +388,8 @@ def test_a_resync_inside_a_run_matches_the_reference():
 
 def test_a_resumed_run_reuses_children_made_by_the_last_completion():
     f = field_from_name("radial-alpha:0.6")
-    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
-    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    batched = ApproxState(l_shape(), ElementOscillation(f))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f))
     totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
     for state in totals:
         state.run(1e-1)
@@ -412,8 +409,8 @@ def test_a_resumed_run_reuses_children_made_by_the_last_completion():
 def test_the_partition_cap_stops_both_greedies_at_the_same_pass(monkeypatch):
     monkeypatch.setattr(sepfem.marking, "_PARTITION_CAP", 1000)
     f = field_from_name("radial-alpha:0.6")
-    batched = ApproxState(l_shape(), ElementOscillation(f, triangle_rule(5)))
-    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f, triangle_rule(5)))
+    batched = ApproxState(l_shape(), ElementOscillation(f))
+    reference = OneAtATimeApprox(l_shape(), ElementOscillation(f))
     totals = {batched: trace_passes(batched), reference: trace_passes(reference)}
     for state in totals:
         with pytest.raises(RuntimeError, match="partition cap"):
@@ -452,12 +449,12 @@ def test_value_cache_is_kept_per_forest():
 
 def test_cached_values_do_not_depend_on_which_call_computed_them():
     f = field_from_name("radial-alpha:0.6")
-    osc = ElementOscillation(f, triangle_rule(5))
+    osc = ElementOscillation(f)
     T = ApproxState(l_shape(), osc).run(1e-3)
     after = osc.mesh_values2(T)  # APPROX's cache, filled pass by pass
-    fresh = ElementOscillation(f, triangle_rule(5)).mesh_values2(T)
+    fresh = ElementOscillation(f).mesh_values2(T)
     assert np.array_equal(after.values, fresh.values)
-    first = ElementOscillation(f, triangle_rule(5))
+    first = ElementOscillation(f)
     before = first.mesh_values2(T)  # filled in one batch, before APPROX runs
     assert np.array_equal(before.values, fresh.values)
     state = ApproxState(l_shape(), first)

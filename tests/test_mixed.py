@@ -20,7 +20,6 @@ from sepfem import (
     initial_mesh,
     l_shape,
     solve_mixed,
-    triangle_rule,
     unit_square_criss,
 )
 from sepfem.edges import rt_affine, rt_norm2

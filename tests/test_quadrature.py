@@ -1,4 +1,4 @@
-"""Oracle tests for the triangle quadrature rules and the data fields.
+"""Oracle tests for the triangle quadrature rule and the data fields.
 
 The reference oracle is the closed form for monomials on the unit
 reference triangle: int x^a y^b dx dy = a! b! / (a + b + 2)!.
@@ -11,15 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sepfem import (
-    QuadratureRule,
-    element_means,
-    field_from_name,
-    integrate_many,
-    l_shape,
-    mu2_elements,
-    triangle_rule,
-)
+from sepfem import field_from_name, integrate_many, l_shape, mu2_elements
 
 REF = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
 
@@ -32,71 +24,35 @@ def monomial(a, b):
     return lambda x, y: x**a * y**b
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
 def test_monomials_exact_to_served_degree(degree):
-    rule = triangle_rule(degree)
-    assert rule.degree >= degree
-    for a in range(rule.degree + 1):
-        for b in range(rule.degree + 1 - a):
-            (got,) = integrate_many(monomial(a, b), REF, rule)
-            assert abs(got - ref_monomial(a, b)) < 1e-15
-
-
-def test_degree_three_request_served_by_degree_four_rule():
-    # the classical 4-point degree-3 rule has a negative weight, so the
-    # stocked rules jump from degree 2 to degree 4
-    assert triangle_rule(3).degree == 4
-    assert len(triangle_rule(3).weights) == 6
+    # the one rule serves degree 5: every monomial up to it is exact
+    for a in range(degree + 1):
+        (got,) = integrate_many(monomial(a, degree - a), REF)
+        assert abs(got - ref_monomial(a, degree - a)) < 1e-15
 
 
 def test_x_squared_y_squared_on_reference_triangle():
-    (got,) = integrate_many(monomial(2, 2), REF, triangle_rule(4))
+    (got,) = integrate_many(monomial(2, 2), REF)
     assert abs(got - 1.0 / 180.0) < 1e-16
 
 
 def test_oscillation_of_linear_on_reference_triangle():
     # int (x - 1/3)^2 over the reference triangle = 1/12 - (1/2)(1/3)^2
-    got = mu2_elements(lambda x, y: x, REF, triangle_rule(2))
+    got = mu2_elements(lambda x, y: x, REF)
     assert abs(got[0] - 1.0 / 36.0) < 1e-16
     assert abs(math.sqrt(got[0]) - 1.0 / 6.0) < 1e-15
 
 
-def test_invalid_degree_rejected():
-    with pytest.raises(ValueError):
-        triangle_rule(0)
-    with pytest.raises(ValueError):
-        triangle_rule(6)
-
-
-def test_rule_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule([(0.5, 0.5)], [1.0], 1)
-    with pytest.raises(ValueError):
-        QuadratureRule([(1 / 3, 1 / 3, 1 / 3)], [-1.0], 1)
-    with pytest.raises(ValueError):
-        QuadratureRule([(1 / 3, 1 / 3, 1 / 3)], [0.5], 1)
-    with pytest.raises(ValueError):
-        QuadratureRule([(0.6, 0.6, 0.6)], [1.0], 1)
-
-
-def test_all_stocked_rules_have_positive_normalized_weights():
-    for degree in (1, 2, 4, 5):
-        rule = triangle_rule(degree)
-        assert np.all(rule.weights > 0.0)
-        assert abs(rule.weights.sum() - 1.0) < 1e-14
-        assert np.allclose(rule.points.sum(axis=1), 1.0, atol=1e-14)
-
-
 def test_constant_integrates_to_area_on_random_triangles():
     rng = np.random.default_rng(7)
-    rule = triangle_rule(5)
     for _ in range(50):
         tri = rng.normal(size=(3, 2)) * rng.uniform(0.1, 10.0)
         area = 0.5 * abs(
             (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
             - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
         )
-        (got,) = integrate_many(lambda x, y: np.ones_like(x), tri[np.newaxis], rule)
+        (got,) = integrate_many(lambda x, y: np.ones_like(x), tri[np.newaxis])
         assert abs(got - area) < 1e-13 * max(area, 1.0)
 
 
@@ -104,7 +60,6 @@ def test_integration_is_additive_under_midpoint_subdivision():
     # exactness up to the stated degree makes the quadrature consistent:
     # splitting a triangle at its edge midpoints must reproduce the value
     rng = np.random.default_rng(21)
-    rule = triangle_rule(5)
     for _ in range(30):
         tri = rng.normal(size=(3, 2)) * 3.0
         coef = rng.normal(size=6)
@@ -130,22 +85,21 @@ def test_integration_is_additive_under_midpoint_subdivision():
                 [m01, m12, m20],
             ]
         )
-        (whole,) = integrate_many(poly, tri[np.newaxis], rule)
-        split = integrate_many(poly, parts, rule).sum()
+        (whole,) = integrate_many(poly, tri[np.newaxis])
+        split = integrate_many(poly, parts).sum()
         assert abs(whole - split) < 1e-12 * max(1.0, abs(whole))
 
 
 def test_batch_integration_matches_elementwise_loop():
     rng = np.random.default_rng(3)
-    rule = triangle_rule(4)
     tris = rng.normal(size=(20, 3, 2))
     f = field_from_name("radial-alpha:0.4@7,9")
-    batch = integrate_many(f, tris, rule)
-    single = [integrate_many(f, tris[i : i + 1], rule)[0] for i in range(len(tris))]
+    batch = integrate_many(f, tris)
+    single = [integrate_many(f, tris[i : i + 1])[0] for i in range(len(tris))]
     assert np.array_equal(batch, single)
 
 
-@pytest.mark.parametrize("fn", [integrate_many, element_means, mu2_elements])
+@pytest.mark.parametrize("fn", [integrate_many, mu2_elements])
 def test_batched_values_equal_row_by_row_values_bit_for_bit(fn):
     # cached element values and the greedy's exact ties rely on a
     # triangle getting the same bits in any batch
@@ -155,22 +109,22 @@ def test_batched_values_equal_row_by_row_values_bit_for_bit(fn):
     tris = T.tri_coords()
     assert len(tris) == 384
     f = field_from_name("radial-alpha:0.6")
-    rule = triangle_rule(5)
-    batch = fn(f, tris, rule)
-    single = np.concatenate([fn(f, tris[i : i + 1], rule) for i in range(len(tris))])
+    batch = fn(f, tris)
+    single = np.concatenate([fn(f, tris[i : i + 1]) for i in range(len(tris))])
     assert np.array_equal(batch, single)
     halves = np.empty_like(batch)
-    halves[::2], halves[1::2] = fn(f, tris[::2], rule), fn(f, tris[1::2], rule)
+    halves[::2], halves[1::2] = fn(f, tris[::2]), fn(f, tris[1::2])
     assert np.array_equal(batch, halves)
     # a layout other than C order gets the same bits too
-    assert np.array_equal(fn(f, np.asfortranarray(tris), rule), batch)
+    assert np.array_equal(fn(f, np.asfortranarray(tris)), batch)
 
 
 def test_element_means_of_affine_field_is_centroid_value():
     rng = np.random.default_rng(11)
-    rule = triangle_rule(5)
     tris = rng.normal(size=(15, 3, 2))
-    means = element_means(lambda x, y: 2.0 * x - 3.0 * y + 0.5, tris, rule)
+    d1, d2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    means = integrate_many(lambda x, y: 2.0 * x - 3.0 * y + 0.5, tris) / area
     cx = tris[:, :, 0].mean(axis=1)
     cy = tris[:, :, 1].mean(axis=1)
     assert np.allclose(means, 2.0 * cx - 3.0 * cy + 0.5, atol=1e-14)
@@ -178,18 +132,17 @@ def test_element_means_of_affine_field_is_centroid_value():
 
 def test_oscillation_is_nonnegative_for_rough_fields():
     rng = np.random.default_rng(13)
-    rule = triangle_rule(5)
     f = field_from_name("checkerboard:7")
     for _ in range(40):
         tris = rng.uniform(0.0, 1.0, size=(8, 3, 2))
-        m2 = mu2_elements(f, tris, rule)
+        m2 = mu2_elements(f, tris)
         assert np.all(m2 >= 0.0)
 
 
 def test_oscillation_of_constant_vanishes():
     rng = np.random.default_rng(17)
     tris = rng.normal(size=(10, 3, 2))
-    m2 = mu2_elements(lambda x, y: np.full_like(x, 4.25), tris, triangle_rule(5))
+    m2 = mu2_elements(lambda x, y: np.full_like(x, 4.25), tris)
     assert np.all(m2 == 0.0)
 
 
@@ -236,5 +189,5 @@ def test_non_finite_field_values_name_the_field_and_the_point():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as err:
-            integrate_many(f, tri, triangle_rule(5))
+            integrate_many(f, tri)
     assert repr(f) in str(err.value) and "(1.0, 1.0)" in str(err.value)
