@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -49,11 +50,13 @@ from .quadrature import field_from_name
 
 __all__ = ["main", "build_parser"]
 
-# output paths, which --sweep derives per run instead of sweeping
+# output paths, which --sweep derives per run instead of sweeping; each
+# must name a file in an existing directory before any level runs
 _OUTPUT_FLAGS = ("out", "report", "dump-solution")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    loop = SafemParams()
     p = argparse.ArgumentParser(
         prog="sepfem",
         description="Adaptive mesh refinement runs with separate or collective marking.",
@@ -65,15 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="data field: one | linear-x | radial-alpha:<a> | checkerboard:<k>")
     p.add_argument("--mode", default="safem",
                    choices=("safem", "cafem", "uniform", "approx-only"))
-    p.add_argument("--theta-a", dest="theta_a", type=float, default=0.3,
+    p.add_argument("--theta-a", dest="theta_a", type=float, default=loop.theta_a,
                    help="bulk fraction for the marking step")
-    p.add_argument("--kappa", type=float, default=1.0,
+    p.add_argument("--kappa", type=float, default=loop.kappa,
                    help="case split: case A while mu2 <= kappa * eta2")
-    p.add_argument("--rho-b", dest="rho_b", type=float, default=0.5,
+    p.add_argument("--rho-b", dest="rho_b", type=float, default=loop.rho_b,
                    help="case B drives the data term below rho_b * mu2")
-    p.add_argument("--sigma-tol", dest="sigma_tol", type=float, default=1e-6,
+    p.add_argument("--sigma-tol", dest="sigma_tol", type=float, default=loop.sigma_tol,
                    help="stop when sigma falls below this")
-    p.add_argument("--max-elements", dest="max_elements", type=int, default=200_000,
+    p.add_argument("--max-elements", dest="max_elements", type=int, default=loop.max_elements,
                    help="stop once the mesh reaches this many elements")
     p.add_argument("--approx-tol", dest="approx_tol", type=float, default=1e-4,
                    help="target for --mode approx-only")
@@ -139,6 +142,11 @@ def _validate(args, parser):
         parser.error(f"--seed must be nonnegative, got {args.seed}")
     if args.dump_solution and (args.mode == "approx-only" or args.problem == "data-only"):
         parser.error("--dump-solution needs a problem with a discrete solution")
+    for flag in _OUTPUT_FLAGS:
+        path = getattr(args, flag.replace("-", "_"))
+        # the dirname of "d/" is "d", so a trailing slash names a directory
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            parser.error(f"--{flag} {path}: not a file path in an existing directory")
     return params, _initial_mesh(args, parser)
 
 

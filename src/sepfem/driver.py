@@ -106,8 +106,8 @@ class RunResult:
     def final_sigma(self) -> float:
         return math.sqrt(self.records[-1].sigma2)
 
-    def fitted_rate(self, skip: int = 0) -> float:
-        return fit_rate(self.records[skip:])
+    def fitted_rate(self) -> float:
+        return fit_rate(self.records)
 
 
 def fit_rate(records) -> float:

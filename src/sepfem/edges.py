@@ -28,7 +28,7 @@ import numpy as np
 from .mesh import MeshError, Triangulation
 from .quadrature import _centroids
 
-__all__ = ["Connectivity", "prolong_rt0", "prolong_p1"]
+__all__ = ["Connectivity", "prolong_rt0"]
 
 
 class Connectivity:
@@ -200,25 +200,3 @@ def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.n
         out[new_rows] = np.einsum("mk,mk->m", vals, fine.normals[new_rows])
     return out
 
-
-def prolong_p1(forest, vertex_values: dict, fine: Connectivity) -> np.ndarray:
-    """Nodal values, on a fine mesh, of a continuous piecewise-affine field.
-
-    ``vertex_values`` maps forest vertex indices (the coarse nodes) to
-    values; every other active vertex is a recorded edge midpoint whose
-    value is the parents' average, exact by nestedness.
-    """
-    vals = dict(vertex_values)
-    parents = forest.vertex_parents()
-
-    def value(v):
-        out = vals.get(v)
-        if out is None:
-            a, b = parents[v].tolist()
-            if a < 0:
-                raise ValueError(f"vertex {v} is not reachable from the coarse nodes")
-            out = 0.5 * (value(a) + value(b))
-            vals[v] = out
-        return out
-
-    return np.asarray([value(int(v)) for v in fine.node_vertices])

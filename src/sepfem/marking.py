@@ -8,10 +8,11 @@ surrogate weight attains the maximum, until the data total meets a
 tolerance; the surrogate is propagated to children by a fixed recursion
 instead of being recomputed, which is what makes the greedy choice
 cheap and the element counts tolerance-optimal.  The greedy keeps its
-state (values, surrogate weights, partition) in arrays indexed by forest
-node, and its passes go in runs: one quadrature call fetches the
-would-be children of many elements ahead, the passes are replayed in
-Python, and one ``split`` makes all children of the run.
+partition in a mask indexed by forest node and each partition element's
+surrogate weight in its heap entry only, and its passes go in runs: one
+quadrature call fetches the would-be children of many elements ahead,
+the passes are replayed in Python, and one ``split`` makes all children
+of the run.
 """
 
 from __future__ import annotations
@@ -185,17 +186,18 @@ class WeightedDataSize(_CachedElementValue):
 class ApproxState:
     """Resumable greedy data approximation over one bisection forest.
 
-    Keeps the (possibly nonconforming) working partition and the
-    surrogate weights in arrays indexed by forest node (the element
-    values mu(K) are read from ``values``' cache), so that successive
-    calls with decreasing tolerances continue where the previous call
-    stopped instead of restarting from the initial mesh.
+    Keeps the (possibly nonconforming) working partition in a mask
+    indexed by forest node and a heap of (-surrogate weight, node), one
+    entry per partition element and the only store of the weights (the
+    element values mu(K) are read from ``values``' cache), so that
+    successive calls with decreasing tolerances continue where the
+    previous call stopped instead of restarting from the initial mesh.
 
     The greedy passes go in runs.  A run begins with one quadrature
     call for the would-be children of the pass at hand and of the next
     heap entries (``_fetch_ahead``).  Its passes are then replayed in
     Python: each child gets the id ``split`` will give it and goes into
-    the heap, the partition and the surrogate weights at once.  A run
+    the heap and the partition at once.  A run
     ends (``_flush``) with one ``split`` of its elements in pass order,
     and their children's values go into the cache.  This happens when a
     pass needs an element that was not fetched ahead (one created in the
@@ -213,12 +215,11 @@ class ApproxState:
         self.values = values
         roots = T0.leaf_ids
         mu = values.node_values(self.forest, roots)
-        self.tilde = np.zeros(self.forest.n_nodes)
-        self.tilde[roots] = mu
         self._in = np.zeros(self.forest.n_nodes, dtype=bool)
         self._in[roots] = True
-        # (-tilde, node) of every partition element: a node is pushed when
-        # it enters the partition and popped when it leaves it
+        # (-tilde, node) of every partition element, the one store of its
+        # surrogate weight: a node is pushed when it enters the partition
+        # and popped when it leaves it
         self._heap = list(zip((-mu).tolist(), roots.tolist()))
         heapq.heapify(self._heap)
         # partition elements fetched ahead, node -> (-tilde of its
@@ -248,23 +249,26 @@ class ApproxState:
             self.values.store(self.forest, kids, [self._ahead.pop(n)[2:] for n in self._pending])
             self._pending = []
 
-    def _fetch_ahead(self, batch):
+    def _fetch_ahead(self, batch, top):
         """Begin a run: fetch the children of ``batch`` and of the next heap entries.
 
+        ``batch`` holds the elements popped with the heap key ``top``.
         Of the batch and the heap entries that follow it, up to ``_AHEAD``
         elements in all, the children's values of those not fetched yet
         come from one call, and their surrogate weights and the running
-        total's increments from one array step each.
+        total's increments from one array step each.  The elements' own
+        weights are their heap keys, negated.
         """
         heap, ahead = self._heap, self._ahead
         seen = [heapq.heappop(heap) for _ in range(min(_AHEAD - len(batch), len(heap)))]
         for entry in seen:
             heapq.heappush(heap, entry)
-        nodes = [n for n in batch + [n for _, n in seen] if n not in ahead]
-        nodes = np.array(nodes, dtype=np.int64)
+        fresh = [(w, n) for w, n in [(top, n) for n in batch] + seen if n not in ahead]
+        nodes = np.array([n for _, n in fresh], dtype=np.int64)
+        tilde = -np.array([w for w, _ in fresh])
         mu = self.values.node_values(self.forest, nodes)
         m0, m1 = self.values.child_values(self.forest, nodes).T
-        neg = -tilde_mu_children(mu, self.tilde[nodes], m0, m1)
+        neg = -tilde_mu_children(mu, tilde, m0, m1)
         delta = m0 * m0 + m1 * m1 - mu * mu
         entries = zip(neg.tolist(), delta.tolist(), m0.tolist(), m1.tolist())
         ahead.update(zip(nodes.tolist(), entries))
@@ -288,7 +292,7 @@ class ApproxState:
             batch.append(heapq.heappop(heap)[1])
         if not all(n in ahead for n in batch):
             self._flush()
-            self._fetch_ahead(batch)
+            self._fetch_ahead(batch, top)
         # read now: a resync inside the pass ends the run and drops them
         todo = [ahead[n][:2] for n in batch]
         # elements split before the run keep their children, the others'
@@ -296,12 +300,10 @@ class ApproxState:
         first = self.forest.first_children(batch).tolist()
         new = self._next if self._pending else self.forest.n_nodes
         self._pending += batch
-        self.tilde = tilde = _grow(self.tilde, new + 2 * len(batch))
         self._in = part = _grow(self._in, new + 2 * len(batch))
         for n, c, (neg, d) in zip(batch, first, todo):
             if c < 0:
                 c, new = new, new + 2
-            tilde[c] = tilde[c + 1] = -neg
             heapq.heappush(heap, (neg, c))
             heapq.heappush(heap, (neg, c + 1))
             part[n] = False

@@ -3,9 +3,10 @@
 All triangulations of one experiment are leaf sets of a single grow-only
 bisection forest, kept in numpy arrays: vertex coordinates, and per node
 its vertex triple, parent and first child.  One edge -> midpoint map
-numbers the midpoints in the order they are created and deduplicates
-them forest-wide.  Nodes are never mutated or deleted, and every derived
-mesh keeps ancestry information.
+numbers the midpoints in the order they are created, deduplicates them
+forest-wide and is the one record of vertex ancestry, read through
+``BisectionForest.midpoints``.  Nodes are never mutated or deleted,
+and every derived mesh keeps ancestry information.
 ``Triangulation.refine`` and ``complete_partition`` share one
 conforming closure, which marks edges and bisects in vectorized rounds
 (Funken, Praetorius and Wissgott, CMAM 11, 2011).
@@ -98,11 +99,12 @@ class BisectionForest:
     nodes ``c, c + 1`` recorded when n is first split.  Midpoints are
     deduplicated by edge key ``(a << 32) + b``, a < b, so two refinement
     paths that split the same edge agree on the new vertex index.
-    Boundary edges are tracked combinatorially: when a boundary edge is
-    split its halves are boundary edges as well.
+    Boundary edges are tracked combinatorially: initially the edges of
+    exactly one triangle, and when a boundary edge is split its halves
+    are boundary edges as well.
     """
 
-    def __init__(self, points, triangles, boundary=None):
+    def __init__(self, points, triangles):
         pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise MeshError("points must be (n, 2)")
@@ -129,30 +131,14 @@ class BisectionForest:
         self._child = np.full(len(tri), -1, dtype=np.int64)
         self._nn = len(tri)
         self.roots = np.arange(len(tri))
-
-        if boundary is None:
-            keys, _, counts = _edge_table(tri)
-            self._boundary = keys[counts == 1]
-        else:
-            b = np.array(boundary, dtype=np.int64).reshape(-1, 2)
-            self._boundary = np.unique((b.min(axis=1) << 32) + b.max(axis=1))
+        keys, _, counts = _edge_table(tri)
+        self._boundary = keys[counts == 1]
 
     # -- vertices -----------------------------------------------------------
 
     def coords(self) -> np.ndarray:
         """(n_vertices, 2) vertex coordinates."""
         return self._xy[: self._nv]
-
-    def vertex_parents(self) -> np.ndarray:
-        """(n_vertices, 2) ends a < b of the edge each vertex bisects, -1 for an initial vertex.
-
-        Midpoints are numbered in the order of their keys in the
-        midpoint map, after the initial vertices.
-        """
-        keys = np.fromiter(self._mid, dtype=np.int64, count=len(self._mid))
-        out = np.full((self._nv, 2), -1, dtype=np.int64)
-        out[self._nv - len(keys) :] = np.column_stack((keys >> 32, keys & 0xFFFFFFFF))
-        return out
 
     @property
     def n_vertices(self) -> int:
@@ -599,12 +585,13 @@ def read_mesh(path) -> Triangulation:
             raise MeshError(f"refedge flag must be 0, 1 or 2, got {flag}")
         tris.append(order[flag])
     nb = section("boundary")
-    boundary = [tuple(take(int, 2)) for _ in range(nb)]
+    b = np.array([take(int, 2) for _ in range(nb)], dtype=np.int64).reshape(-1, 2)
+    block = np.unique((b.min(axis=1) << 32) + b.max(axis=1))
     if pos != len(tokens):
         raise MeshError("trailing data in mesh file")
-    forest = BisectionForest(pts, tris, boundary=boundary)
+    forest = BisectionForest(pts, tris)
     T = Triangulation.initial(forest)
-    if not T.is_conforming():
+    if not T.is_conforming() or not np.all(_in_sorted(block, forest.boundary_keys())):
         raise MeshError("the triangles and the boundary block do not form a conforming mesh")
     # the forest orients every triangle counterclockwise, so two triangles
     # on opposite sides of an edge run along it in opposite directions
@@ -612,7 +599,6 @@ def read_mesh(path) -> Triangulation:
     directed = (t << 32) + np.roll(t, -1, axis=1)
     if len(np.unique(directed)) != directed.size:
         raise MeshError("two triangles lie on the same side of an edge (repeated or folded)")
-    keys, _, counts = T.edge_table()
-    if not np.array_equal(keys[counts == 1], forest.boundary_keys()):
+    if not np.array_equal(block, forest.boundary_keys()):
         raise MeshError("a boundary edge is not an edge of exactly one triangle")
     return T

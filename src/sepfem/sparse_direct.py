@@ -40,10 +40,6 @@ _WINDOW = 0.2
 class SolverError(Exception):
     """Linear solver failed to reach the required residual."""
 
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
-
 
 def _leaf_slots(conn):
     """First and last slot of each element's leaf in the element tree.

@@ -6,7 +6,7 @@ import pytest
 
 from sepfem import read_mesh, safem_run, unit_square_criss, write_mesh
 from sepfem.cli import build_parser, main
-from sepfem.driver import CSV_HEADER
+from sepfem.driver import CSV_HEADER, SafemParams
 from sepfem.mixed_fem import SolverError
 
 
@@ -26,6 +26,9 @@ def test_parser_defaults():
     assert args.domain == "unit-square"
     assert args.field == "one"
     assert args.mode == "safem"
+    # the loop's defaults are declared once, in SafemParams
+    for name, value in vars(SafemParams()).items():
+        assert getattr(args, name) == value, name
     assert args.theta_a == 0.3
     assert args.kappa == 1.0
     assert args.rho_b == 0.5
@@ -61,6 +64,18 @@ BAD_MESHES = {
     ),
     "interior-edge-in-boundary.mesh": ("boundary 4\n", "boundary 5\n0 2\n"),
 }
+# the message each bad boundary block gets
+BOUNDARY_MESSAGES = {
+    "boundary-edge-missing.mesh": "the triangles and the boundary block do not form a conforming mesh",
+    "interior-edge-in-boundary.mesh": "a boundary edge is not an edge of exactly one triangle",
+}
+# an output path must name a file in an existing directory; the small
+# cap keeps a run that misses the check short
+BAD_OUTPUTS = [
+    [f"--{flag}", path, "--max-elements", "60"]
+    for flag in ("out", "report", "dump-solution")
+    for path in ("missing/run.txt", ".", "missing/")
+] + [["--out", "sweep.csv", "--max-elements", "60", "--sweep", "kappa=0.5,1"]]
 
 
 @pytest.mark.parametrize(
@@ -88,6 +103,7 @@ BAD_MESHES = {
         ["--field", "radial-alpha:0.5@1"],
         ["--field", "radial-alpha:abc"],
         ["--field", "checkerboard:x"],
+        *BAD_OUTPUTS,
     ],
 )
 def test_bad_usage_exits_2(argv, tmp_path, monkeypatch, capsys):
@@ -95,12 +111,20 @@ def test_bad_usage_exits_2(argv, tmp_path, monkeypatch, capsys):
     for name, (old, new) in BAD_MESHES.items():
         assert old in GOOD_MESH
         (tmp_path / name).write_bytes(GOOD_MESH.replace(old, new, 1).encode("latin-1"))
+    # the path the sweep derives for its first run is a directory
+    (tmp_path / "sweep-kappa0.5.csv").mkdir()
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     err = capsys.readouterr().err
     if argv[0] == "--mesh":
         assert f"--mesh {argv[1]}:" in err
+        assert BOUNDARY_MESSAGES.get(argv[1], "") in err
+    if argv in BAD_OUTPUTS:
+        label = "-kappa0.5" if "--sweep" in argv else ""
+        path = argv[1].replace(".csv", f"{label}.csv")
+        assert f"{argv[0]} {path}: not a file path in an existing directory" in err
+        assert not (tmp_path / "sweep-kappa1.csv").exists()
     if argv[0] == "--field":
         assert repr(argv[1]) in err
 
@@ -340,7 +364,9 @@ def test_sweep_failure_names_the_failed_run(monkeypatch, capsys):
 
     def fail_two_kappas(problem, T0, params):
         if params.kappa == 0.1:
-            raise SolverError("factorization failed", level=4)
+            err = SolverError("factorization failed")
+            err.level = 4
+            raise err
         if params.kappa == 0.5:
             raise ValueError("field is not finite")
         return real(problem, T0, params)
@@ -360,7 +386,9 @@ def test_sweep_validates_each_combination():
 
 def test_solver_failure_exits_3(monkeypatch, capsys):
     def boom(problem, T0, params):
-        raise SolverError("factorization failed", level=4)
+        err = SolverError("factorization failed")
+        err.level = 4
+        raise err
 
     monkeypatch.setattr("sepfem.cli.safem_run", boom)
     code = main(SMALL)

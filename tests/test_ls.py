@@ -23,7 +23,6 @@ from sepfem import (
     field_from_name,
     l_shape,
     ls_functional,
-    prolong_p1,
     prolong_rt0,
     solve_ls,
     unit_square_criss,
@@ -151,9 +150,15 @@ def test_minimum_drop_equals_energy_norm_of_update():
     sol_f = solve_ls(Tf, f)
     S, rhs, conn_f, interior, _ = assemble_ls(Tf, f)
     p_up = prolong_rt0(sol_c.conn, sol_c.p, conn_f)
-    u_up = prolong_p1(
-        Tf.forest, dict(zip(sol_c.conn.node_vertices.tolist(), sol_c.u)), conn_f
-    )
+    # the coarse potential at each fine element's vertices, from the
+    # barycentric coordinates of those vertices in the coarse ancestor
+    rows = Tf.coarse_rows(Tc)
+    anc = sol_c.conn.pts[rows]
+    edges = np.stack((anc[:, 1] - anc[:, 0], anc[:, 2] - anc[:, 0]), axis=2)
+    lam = np.linalg.solve(edges[:, np.newaxis], (conn_f.pts - anc[:, :1])[..., np.newaxis])
+    lam = np.concatenate((1.0 - lam.sum(axis=2), lam[..., 0]), axis=2)
+    u_up = np.empty(conn_f.n_nodes)
+    u_up[conn_f.elem_nodes] = np.einsum("kij,kj->ki", lam, sol_c.u[sol_c.conn.elem_nodes[rows]])
     carried = ls_functional(conn_f, f, p_up, u_up)
     assert abs(carried - sol_c.ls_total) < 1e-12 * sol_c.ls_total
     d = np.concatenate((p_up - sol_f.p, (u_up - sol_f.u)[interior]))

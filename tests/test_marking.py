@@ -218,6 +218,9 @@ class OneAtATimeApprox(ApproxState):
 
     def __init__(self, T0, values):
         super().__init__(T0, OneNodePerCall(values))
+        # the reference keeps its own node-indexed surrogate weights
+        self.tilde = np.zeros(self.forest.n_nodes)
+        self.tilde[T0.leaf_ids] = self.values.node_values(self.forest, T0.leaf_ids)
 
     def _bisect(self, n):
         c0, c1 = self.forest.split([n])[0].tolist()
@@ -268,11 +271,12 @@ def trace_passes(state):
 
 
 def assert_same_greedy(batched, reference):
-    """Partition, surrogate weights, values, total and forest agree bit for bit."""
+    """Partition, heap of surrogate weights, values, total and forest agree bit for bit."""
     part = batched.partition
     assert np.array_equal(part, reference.partition)
     assert batched.mu2_total.hex() == reference.mu2_total.hex()
-    assert np.array_equal(batched.tilde[part], reference.tilde[part])
+    assert sorted(batched._heap) == sorted(reference._heap)
+    assert np.array_equal(sorted(n for _, n in batched._heap), part)
     mu = batched.values.node_values(batched.forest, part)
     assert np.array_equal(mu, reference.values.node_values(reference.forest, part))
     nodes = np.arange(batched.forest.n_nodes)
@@ -327,13 +331,26 @@ def test_fetched_ahead_weights_and_increments_are_those_of_one_element():
     state = ApproxState(l_shape(), ElementOscillation(f))
     state.run(1e-2)
     fresh = ElementOscillation(f)
+    weight = {n: -w for w, n in state._heap}
     assert len(state._ahead) > 0
     for n, (neg, delta, m0, m1) in state._ahead.items():
         c0, c1 = state.forest.child_coords([n])[0]
         assert [m0, m1] == fresh._compute_batch(np.array([c0, c1])).tolist()
         (mu,) = fresh.node_values(state.forest, [n]).tolist()
-        assert -neg == float(tilde_mu_children(mu, state.tilde[n], m0, m1))
+        assert -neg == float(tilde_mu_children(mu, weight[n], m0, m1))
         assert delta == m0 * m0 + m1 * m1 - mu * mu
+
+
+def test_the_heap_is_the_only_store_of_surrogate_weights():
+    # the weights live in the heap entries, one per partition element;
+    # nothing the greedy keeps is a float array indexed by forest node
+    f = field_from_name("radial-alpha:0.6")
+    state = ApproxState(l_shape(), ElementOscillation(f))
+    state.run(1e-3)
+    assert np.array_equal(sorted(n for _, n in state._heap), state.partition)
+    for name, value in vars(state).items():
+        if isinstance(value, np.ndarray) and len(value) >= state.forest.n_nodes:
+            assert not np.issubdtype(value.dtype, np.floating), name
 
 
 def watch_runs(state):
@@ -346,9 +363,9 @@ def watch_runs(state):
         created[0] = state.forest.n_nodes
         inner()
 
-    def fetch_ahead(batch, inner=state._fetch_ahead):
+    def fetch_ahead(batch, top, inner=state._fetch_ahead):
         seen["new-node cuts"] += any(n >= created[0] for n in batch)
-        inner(batch)
+        inner(batch, top)
 
     def resync(inner=state._resync):
         seen["resyncs in a run"] += bool(state._pending)
@@ -394,8 +411,8 @@ def test_a_resumed_run_reuses_children_made_by_the_last_completion():
     for state in totals:
         state.run(1e-1)
     # the first batch of the next run: the partition's largest weights
-    part = batched.partition
-    first = part[batched.tilde[part] == batched.tilde[part].max()]
+    top = batched._heap[0][0]
+    first = np.array([n for w, n in batched._heap if w == top])
     assert np.any(batched.forest.first_children(first) >= 0)
     assert np.any(batched.forest.first_children(first) < 0)
     n_passes = len(totals[batched])

@@ -309,7 +309,7 @@ def test_batched_split_shares_midpoints_and_reuses_children():
     assert kids.shape == (3, 2) and np.array_equal(kids[0], kids[2])
     assert forest.n_nodes == 6 and forest.n_vertices == 5
     assert forest.tris(kids[:2].ravel())[:, 2].tolist() == [4] * 4
-    assert forest.vertex_parents()[4].tolist() == [0, 2]
+    assert forest.midpoints(np.array([(0 << 32) + 2, (1 << 32) + 3])).tolist() == [4, -1]
     assert np.array_equal(forest.split([0, 1]), kids[[1, 0]])
     assert forest.n_nodes == 6 and forest.parents().tolist() == [-1, -1, 1, 1, 0, 0]
 
@@ -349,7 +349,6 @@ def worklist_closure(forest, leaf_ids, marked):
     the two children, so a queue seeded with the marked and the hanging
     leaves reaches the closure.  Returns the set of leaf ids.
     """
-    midpoint = {tuple(p): v for v, p in enumerate(forest.vertex_parents().tolist()) if p[0] >= 0}
     leaves, active, holders = set(), {}, {}
 
     def edges(n):
@@ -364,7 +363,8 @@ def worklist_closure(forest, leaf_ids, marked):
             (holders.setdefault(e, set()).add if add else holders[e].discard)(n)
 
     def hangs(n):
-        return any(active.get(midpoint.get(e), 0) > 0 for e in edges(n))
+        mids = forest.midpoints(np.array([(a << 32) + b for a, b in edges(n)]))
+        return any(active.get(m, 0) > 0 for m in mids.tolist())
 
     for n in leaf_ids:
         toggle(int(n), True)
@@ -381,7 +381,6 @@ def worklist_closure(forest, leaf_ids, marked):
         toggle(n, False)
         c0, c1 = forest.split([n])[0].tolist()
         split_edge = edges(n)[0]
-        midpoint[split_edge] = int(forest.tris([c0])[0][2])
         for c in (c0, c1):
             toggle(c, True)
         # a leaf still holding the split edge now hangs, and so may a child
