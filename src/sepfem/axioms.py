@@ -97,7 +97,10 @@ def check_B2(problem, meshes) -> AxiomReport:
     """Monotonicity of the data term: mu never grows under refinement.
 
     Verifies mu(T_j) <= mu(T_i) * (1 + 1e-9) for every i < j in the
-    hierarchy (the unsquared totals).
+    hierarchy (the unsquared totals).  mu is the oscillation under the
+    7-point rule, which is monotone only when the rule integrates
+    (f - f_K)^2 exactly (f of degree <= 2); rough data can fail this
+    check with a correct program.
     """
     mus = _mu_totals(problem, meshes)
     worst, worst_pair, pairs = _worst_ratio(mus)

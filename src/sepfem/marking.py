@@ -8,11 +8,10 @@ surrogate weight attains the maximum, until the data total meets a
 tolerance; the surrogate is propagated to children by a fixed recursion
 instead of being recomputed, which is what makes the greedy choice
 cheap and the element counts tolerance-optimal.  The greedy keeps its
-partition in a mask indexed by forest node and each partition element's
-surrogate weight in its heap entry only, and its passes go in runs: one
-quadrature call fetches the would-be children of many elements ahead,
-the passes are replayed in Python, and one ``split`` makes all children
-of the run.
+partition and each partition element's surrogate weight only in its
+heap, and its passes go in runs: one quadrature call fetches the
+would-be children of many elements ahead, the passes are replayed in
+Python, and one ``split`` makes all children of the run.
 """
 
 from __future__ import annotations
@@ -186,40 +185,37 @@ class WeightedDataSize(_CachedElementValue):
 class ApproxState:
     """Resumable greedy data approximation over one bisection forest.
 
-    Keeps the (possibly nonconforming) working partition in a mask
-    indexed by forest node and a heap of (-surrogate weight, node), one
-    entry per partition element and the only store of the weights (the
-    element values mu(K) are read from ``values``' cache), so that
-    successive calls with decreasing tolerances continue where the
-    previous call stopped instead of restarting from the initial mesh.
+    Keeps the (possibly nonconforming) working partition as a heap of
+    (-surrogate weight, node), one entry per partition element and the
+    only store of the partition and of the weights (the element values
+    mu(K) are read from ``values``' cache), so that successive calls
+    with decreasing tolerances continue where the previous call stopped
+    instead of restarting from the initial mesh.
 
     The greedy passes go in runs.  A run begins with one quadrature
     call for the would-be children of the pass at hand and of the next
     heap entries (``_fetch_ahead``).  Its passes are then replayed in
     Python: each child gets the id ``split`` will give it and goes into
-    the heap and the partition at once.  A run
-    ends (``_flush``) with one ``split`` of its elements in pass order,
-    and their children's values go into the cache.  This happens when a
-    pass needs an element that was not fetched ahead (one created in the
-    run, or one past the prefetch), at each resync of the running total
-    and before ``run`` returns, so nothing else splits the forest while
-    a run is open.  The quadrature gives every element the same bits in
+    the heap at once.  A run ends (``_flush``) with one ``split`` of its
+    elements in pass order, and their children's values go into the
+    cache.  This happens when a pass needs an element that was not
+    fetched ahead (one created in the run, or one past the prefetch),
+    when the running total is made exact at the tolerance check and
+    before ``run`` returns, so nothing else splits the forest while a
+    run is open.  The quadrature gives every element the same bits in
     any batch, and ``split`` numbers nodes and midpoints in order of
     first need, so the result equals that of a greedy that splits and
     fetches one element at a time.
     """
 
     def __init__(self, T0: Triangulation, values: _CachedElementValue):
-        self.T0 = T0
         self.forest = T0.forest
         self.values = values
         roots = T0.leaf_ids
         mu = values.node_values(self.forest, roots)
-        self._in = np.zeros(self.forest.n_nodes, dtype=bool)
-        self._in[roots] = True
-        # (-tilde, node) of every partition element, the one store of its
-        # surrogate weight: a node is pushed when it enters the partition
-        # and popped when it leaves it
+        # (-tilde, node) of every partition element, the one record of the
+        # partition and of its weights: a node is pushed when it enters the
+        # partition and popped when it leaves it
         self._heap = list(zip((-mu).tolist(), roots.tolist()))
         heapq.heapify(self._heap)
         # partition elements fetched ahead, node -> (-tilde of its
@@ -230,12 +226,11 @@ class ApproxState:
         # id the next new node gets
         self._pending, self._next = [], 0
         self._resync()
-        self._updates = 0
 
     @property
     def partition(self) -> np.ndarray:
         """Sorted node ids of the working partition."""
-        return np.flatnonzero(self._in)
+        return np.sort(np.array([n for _, n in self._heap], dtype=np.int64))
 
     def _resync(self):
         self._flush()
@@ -280,12 +275,9 @@ class ApproxState:
         its elements was not fetched ahead, the open run ends and a new
         one begins with this pass.  The running total is updated
         element by element, in the order a one-at-a-time greedy would
-        update it, and is resynced at every 4096th update on the
-        partition of that moment.
+        update it.
         """
         heap, ahead = self._heap, self._ahead
-        if not heap:
-            raise RuntimeError("greedy heap exhausted with a nonempty partition")
         top = heap[0][0]
         batch = []
         while heap and heap[0][0] == top:
@@ -293,27 +285,20 @@ class ApproxState:
         if not all(n in ahead for n in batch):
             self._flush()
             self._fetch_ahead(batch, top)
-        # read now: a resync inside the pass ends the run and drops them
-        todo = [ahead[n][:2] for n in batch]
         # elements split before the run keep their children, the others'
         # children get the ids split will give them
         first = self.forest.first_children(batch).tolist()
         new = self._next if self._pending else self.forest.n_nodes
         self._pending += batch
-        self._in = part = _grow(self._in, new + 2 * len(batch))
-        for n, c, (neg, d) in zip(batch, first, todo):
+        for n, c in zip(batch, first):
             if c < 0:
                 c, new = new, new + 2
+            neg, d = ahead[n][:2]
             heapq.heappush(heap, (neg, c))
             heapq.heappush(heap, (neg, c + 1))
-            part[n] = False
-            part[c] = part[c + 1] = True
             self.mu2_total += d
-            self._updates += 1
-            if self._updates % 4096 == 0:
-                self._resync()
         self._next = new
-        if len(self.T0.leaf_ids) + self._updates > _PARTITION_CAP:
+        if len(heap) > _PARTITION_CAP:
             self._flush()
             raise RuntimeError(
                 f"data approximation exceeded the partition cap ({_PARTITION_CAP} elements)"
@@ -322,22 +307,28 @@ class ApproxState:
     def run(self, tol: float) -> Triangulation:
         """Refine until the squared data total is at most ``tol``, then complete.
 
-        The completed conforming mesh is returned; the working partition
-        is kept (uncompleted) so later calls resume from it.
+        The running total is made exact only where it meets the target,
+        which is ``tol`` until a completion overshoots it.  The completed
+        conforming mesh is returned; the working partition is kept
+        (uncompleted) so later calls resume from it.
         """
         if not tol > 0.0:
             raise ValueError(f"tolerance must be positive, got {tol}")
+        target = tol
         while True:
             while True:
-                if self.mu2_total <= tol:
+                if self.mu2_total <= target:
                     self._resync()
-                    if self.mu2_total <= tol:
+                    if self.mu2_total <= target:
                         break
                 self._pass()
             T = complete_partition(self.forest, self.partition)
             mu = self.values.node_values(self.forest, T.leaf_ids)
-            if math.fsum((mu * mu).tolist()) <= tol:
+            total = math.fsum((mu * mu).tolist())
+            if total <= tol:
                 return T
-            # completion pushed the quadratured total marginally over the
-            # target; force one more greedy pass and try again
+            # the completion's quadratured total overshoots tol: aim the
+            # partition's exact total lower by the overshoot's ratio; the
+            # pass makes progress even where that total is 0
+            target = self.mu2_total * tol / total
             self._pass()

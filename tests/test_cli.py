@@ -159,6 +159,19 @@ def test_single_run_summary_and_csv(tmp_path, capsys):
     assert all(len(r) == len(CSV_HEADER.split(",")) for r in rows)
 
 
+def test_data_only_problem_runs_from_the_command_line(capsys):
+    argv = ["--problem", "data-only", "--field", "radial-alpha:0.6", "--max-elements", "3000"]
+    out = run_ok(argv, capsys)
+    assert math.isfinite(float(out.split("fitted_s=")[1].split()[0]))
+    assert int(out.split("levels=")[1].split()[0]) > 4
+
+
+def test_summary_of_fewer_than_four_records_has_no_fitted_rate(capsys):
+    # the initial mesh already meets the tolerance
+    out = run_ok(["--sigma-tol", "10"], capsys)
+    assert out.startswith("fitted_s=nan levels=1 ")
+
+
 def test_runs_are_deterministic_apart_from_timings(tmp_path, capsys):
     argv = SMALL + ["--field", "radial-alpha:0.6", "--domain", "l-shape"]
     a = run_ok(argv + ["--out", str(tmp_path / "a.csv")], capsys)

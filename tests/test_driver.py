@@ -11,6 +11,7 @@ from sepfem import (
     LevelRecord,
     MixedPoisson,
     SafemParams,
+    Triangulation,
     cafem_run,
     doerfler_select,
     field_from_name,
@@ -23,6 +24,7 @@ from sepfem import (
 )
 
 import sepfem.ls_fem
+import sepfem.marking
 import sepfem.mixed_fem
 from sepfem import sparse_direct
 from sepfem.cli import main
@@ -91,6 +93,46 @@ def test_both_cases_appear_and_sigma_decays():
     sig = [r.sigma2 for r in res.records]
     assert all(b < a for a, b in zip(sig[2:], sig[3:]))
     assert res.final_sigma == math.sqrt(sig[-1])
+
+
+def test_case_b_tightens_the_tolerance_when_an_overlay_adds_no_element(monkeypatch):
+    stalled = []
+    overlay = Triangulation.overlay
+
+    def spy(T, other):
+        out = overlay(T, other)
+        stalled.append(out.n_elements == T.n_elements)
+        return out
+
+    monkeypatch.setattr(Triangulation, "overlay", spy)
+    prob = MixedPoisson(field_from_name("checkerboard:5"))
+    res = safem_run(prob, l_shape(), SafemParams(kappa=100.0, max_elements=4000))
+    assert any(stalled)
+    case_b = [r for r in res.records if r.case == "B"]
+    assert case_b and all(r.marked > 0 for r in case_b)
+    assert res.stop_reason == "element-cap"
+
+
+def test_a_completion_over_the_tolerance_aims_the_greedy_lower(monkeypatch):
+    # checkerboard data: completing the partition often overshoots the
+    # tolerance, and each retry must bisect ahead by the overshoot rather
+    # than complete the whole partition again after every pass
+    completions = []
+    complete = sepfem.marking.complete_partition
+
+    def counted(*args):
+        completions.append(1)
+        return complete(*args)
+
+    monkeypatch.setattr(sepfem.marking, "complete_partition", counted)
+    prob = MixedPoisson(field_from_name("checkerboard:5"))
+    params = SafemParams(kappa=0.1, max_elements=5000)
+    res = safem_run(prob, unit_square_criss(), params)
+    case_b = [k for k, r in enumerate(res.records) if r.case == "B"]
+    assert len(case_b) >= 3
+    assert len(completions) <= 12
+    recs = res.records
+    assert all(recs[k + 1].mu2 <= params.rho_b * recs[k].mu2 for k in case_b)
 
 
 def test_record_bookkeeping_invariants():

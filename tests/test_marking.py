@@ -217,10 +217,17 @@ class OneAtATimeApprox(ApproxState):
     """
 
     def __init__(self, T0, values):
+        # the reference keeps its own node-indexed partition mask and
+        # surrogate weights
+        self._in = np.zeros(T0.forest.n_nodes, dtype=bool)
+        self._in[T0.leaf_ids] = True
         super().__init__(T0, OneNodePerCall(values))
-        # the reference keeps its own node-indexed surrogate weights
         self.tilde = np.zeros(self.forest.n_nodes)
         self.tilde[T0.leaf_ids] = self.values.node_values(self.forest, T0.leaf_ids)
+
+    @property
+    def partition(self):
+        return np.flatnonzero(self._in)
 
     def _bisect(self, n):
         c0, c1 = self.forest.split([n])[0].tolist()
@@ -238,9 +245,6 @@ class OneAtATimeApprox(ApproxState):
             self._in[c] = True
             heapq.heappush(self._heap, (-t, c))
         self.mu2_total += m0 * m0 + m1 * m1 - mu * mu
-        self._updates += 1
-        if self._updates % 4096 == 0:
-            self._resync()
 
     def _pass(self):
         heap, part = self._heap, self._in
@@ -254,8 +258,13 @@ class OneAtATimeApprox(ApproxState):
                 batch.append(n)
         for n in batch:
             self._bisect(n)
-        if len(self.T0.leaf_ids) + self._updates > sepfem.marking._PARTITION_CAP:
+        if np.count_nonzero(self._in) > sepfem.marking._PARTITION_CAP:
             raise RuntimeError("data approximation exceeded the partition cap")
+
+
+def growth(state, T0):
+    """Elements the greedy's partition gained over the initial mesh ``T0``."""
+    return len(state.partition) - T0.n_elements
 
 
 def trace_passes(state):
@@ -306,8 +315,7 @@ def compare_greedies(field, mesh, tols):
 
 def test_batched_greedy_equals_the_one_at_a_time_greedy_bit_for_bit():
     batched, _ = compare_greedies("radial-alpha:0.6", l_shape, (1e-1, 1e-2, 3e-3, 1e-3, 5e-4))
-    # past one periodic resync of the running total
-    assert batched._updates > 4096
+    assert growth(batched, l_shape()) > 4096
 
 
 def test_child_surrogate_is_the_same_in_any_batch():
@@ -351,6 +359,30 @@ def test_the_heap_is_the_only_store_of_surrogate_weights():
     for name, value in vars(state).items():
         if isinstance(value, np.ndarray) and len(value) >= state.forest.n_nodes:
             assert not np.issubdtype(value.dtype, np.floating), name
+
+
+def test_the_greedy_keeps_no_array_indexed_by_forest_node():
+    # the heap is the one record of the partition: no mask, of any dtype
+    f = field_from_name("radial-alpha:0.6")
+    state = ApproxState(l_shape(), ElementOscillation(f))
+    state.run(1e-3)
+    for name, value in vars(state).items():
+        assert not (isinstance(value, np.ndarray) and len(value) >= state.forest.n_nodes), name
+
+
+def test_the_running_total_is_made_exact_only_at_the_tolerance_check():
+    tol = 2e-4
+    state = ApproxState(l_shape(), ElementOscillation(field_from_name("linear-x")))
+    totals = []
+
+    def resync(inner=state._resync):
+        totals.append(state.mu2_total)
+        inner()
+
+    state._resync = resync
+    state.run(tol)
+    assert growth(state, l_shape()) > 4096
+    assert totals and all(t <= tol for t in totals)
 
 
 def watch_runs(state):
@@ -399,7 +431,6 @@ def test_a_resync_inside_a_run_matches_the_reference():
             state.run(tol)
         assert totals[batched] == totals[reference]
         assert_same_greedy(batched, reference)
-    assert batched._updates > 4096
     assert seen["resyncs in a run"] >= 1
 
 
@@ -436,13 +467,13 @@ def test_the_partition_cap_stops_both_greedies_at_the_same_pass(monkeypatch):
     assert totals[batched] == totals[reference]
     assert len(totals[batched]) > 50
     assert_same_greedy(batched, reference)
-    assert len(batched.T0.leaf_ids) + batched._updates > 1000
+    assert len(batched.partition) > 1000
 
 
 def test_large_tied_batches_of_a_checkerboard_match_the_reference():
     batched, passes = compare_greedies("checkerboard:3", l_shape, (1e-1,))
-    assert batched._updates > 8 * passes
-    assert batched._updates > 4096
+    assert growth(batched, l_shape()) > 8 * passes
+    assert growth(batched, l_shape()) > 4096
 
 
 def test_value_cache_is_kept_per_forest():
