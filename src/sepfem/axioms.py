@@ -202,20 +202,12 @@ def check_rlinear(records) -> AxiomReport:
     usable = sig2 if sig2[-1] > 0.0 else sig2[:-1]
     slope = np.polyfit(np.arange(len(usable)), np.log(usable), 1)[0]
     q = float(np.exp(slope))
-    C = 0.0
-    pairs = 0
-    worst_pair = None
-    for i in range(len(usable)):
-        for j in range(i + 1, len(usable)):
-            pairs += 1
-            c = usable[j] / (q ** (j - i) * usable[i])
-            if c > C:
-                C = c
-                worst_pair = (i, j)
+    # C is the worst ratio of sigma2_k q^-k over the pairs
+    C, worst_pair, pairs = _worst_ratio([s / q**k for k, s in enumerate(usable)])
     passed = q <= _RLINEAR_Q_MAX and math.isfinite(C)
     witness = {"q": q, "C": C}
     if worst_pair is not None:
-        witness["worst_pair"] = f"{worst_pair[0]}->{worst_pair[1]}"
+        witness["worst_pair"] = worst_pair
     return AxiomReport("Rlinear", passed, witness, pairs)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshError, Triangulation
+from .mesh import MeshError, Triangulation, _edge_ends, _midpoint
 from .quadrature import _centroids
 
 __all__ = ["Connectivity", "prolong_rt0"]
@@ -52,7 +52,7 @@ class Connectivity:
         if not T.is_conforming():
             raise MeshError("triangulation is not conforming")
         self.n_edges = len(keys)
-        self.edges = np.column_stack((keys >> 32, keys & ((1 << 32) - 1)))
+        self.edges = np.column_stack(_edge_ends(keys))
         self.boundary_edge = counts != 2
         self.edge_elem = np.full(self.n_edges, len(tris), dtype=np.int64)
         np.minimum.at(self.edge_elem, self.elem_edges.ravel(), np.arange(len(tris)).repeat(3))
@@ -63,7 +63,7 @@ class Connectivity:
         tang = pb - pa
         self.lengths = np.hypot(tang[:, 0], tang[:, 1])
         self.normals = np.column_stack((tang[:, 1], -tang[:, 0])) / self.lengths[:, np.newaxis]
-        self.midpoints = 0.5 * (pa + pb)
+        self.midpoints = _midpoint(pa, pb)
         self.elem_signs = np.where(tris[:, [1, 2, 0]] < tris[:, [2, 0, 1]], 1.0, -1.0)
 
         # compact node numbering for nodal spaces
@@ -100,10 +100,7 @@ class Connectivity:
         """(n, 3, 2) constant gradients of the nodal hat functions."""
         e = self.pts[:, [2, 0, 1], :] - self.pts[:, [1, 2, 0], :]  # P_{i+2}-P_{i+1}
         rot = np.stack((-e[:, :, 1], e[:, :, 0]), axis=2)
-        d1 = self.pts[:, 1, :] - self.pts[:, 0, :]
-        d2 = self.pts[:, 2, :] - self.pts[:, 0, :]
-        signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        return rot / (2.0 * signed[:, np.newaxis, np.newaxis])
+        return rot / (2.0 * self.areas[:, np.newaxis, np.newaxis])
 
     def local_flux_dofs(self, p: np.ndarray) -> np.ndarray:
         """(n, 3) outward-oriented local coefficients of a global flux vector."""
@@ -139,15 +136,14 @@ def rt_norm2(conn: Connectivity, a: np.ndarray, pbar: np.ndarray) -> np.ndarray:
     return conn.areas * np.einsum("nk,nk->n", pbar, pbar) + a * a * conn.second_moments()
 
 
-def rt_at_points(conn: Connectivity, rows, local_dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(m, q, 2) values of elementwise RT0 fields at q points per element.
+def rt_at_points(conn: Connectivity, rows, a, pbar, points: np.ndarray) -> np.ndarray:
+    """(m, q, 2) values a (x - x_K) + pbar of elementwise pairs at q points per element.
 
-    ``local_dofs`` are the (n, 3) outward coefficients of every element.
-    Row r of the (m, q, 2) ``points`` lies in element ``rows[r]``;
-    ``rows`` is any index of the elements, ``slice(None)`` for all of
-    them.  The values are those of the pair of ``rt_affine``.
+    ``a`` and ``pbar`` are the (n,) and (n, 2) pairs of every element
+    (see ``rt_affine``).  Row r of the (m, q, 2) ``points`` lies in
+    element ``rows[r]``; ``rows`` is any index of the elements,
+    ``slice(None)`` for all of them.
     """
-    a, pbar = rt_affine(conn, local_dofs)
     offsets = points - _centroids(conn.pts[rows])[:, np.newaxis, :]
     return a[rows, np.newaxis, np.newaxis] * offsets + pbar[rows, np.newaxis, :]
 
@@ -159,7 +155,7 @@ def tangential_jump_norms(conn: Connectivity, local_dofs: np.ndarray) -> np.ndar
     j0, j1 the squared norm is |E| (j0^2 + j0 j1 + j1^2) / 3 exactly.
     Boundary edges use the one-sided trace.
     """
-    traces = rt_at_points(conn, slice(None), local_dofs, conn.pts)
+    traces = rt_at_points(conn, slice(None), *rt_affine(conn, local_dofs), conn.pts)
     # the ends of local edge i are local vertices i + 1 and i + 2; the
     # end with the smaller vertex index comes first where the sign is +1
     ahead = traces[:, [1, 2, 0]]
@@ -196,7 +192,8 @@ def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.n
     if len(new_rows):
         anc = rows[fine.edge_elem[new_rows]]
         mids = fine.midpoints[new_rows, np.newaxis, :]
-        vals = rt_at_points(coarse, anc, coarse.local_flux_dofs(p), mids)[:, 0, :]
+        pair = rt_affine(coarse, coarse.local_flux_dofs(p))
+        vals = rt_at_points(coarse, anc, *pair, mids)[:, 0, :]
         out[new_rows] = np.einsum("mk,mk->m", vals, fine.normals[new_rows])
     return out
 

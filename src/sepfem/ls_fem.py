@@ -132,8 +132,7 @@ def ls_functional(conn: Connectivity, f, p, u) -> float:
     divp = 2.0 * a
 
     def shifted_sq(x, y):
-        v = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape).copy()
-        v += divp[:, np.newaxis]
+        v = f(x, y) + divp[:, np.newaxis]
         return v * v
 
     part_div = integrate_many(shifted_sq, conn.pts)
@@ -179,6 +178,9 @@ def delta_ls(sol_c: LsSolution, sol_f: LsSolution) -> float:
 
     Nonnegative for nested spaces; tiny negative values from roundoff are
     clamped at zero, anything below -1e-9 * LS(coarse) is logged loudly.
+    Such a rise comes from rough data: under the 7-point rule the minimum
+    is J_h + mu^2, J_h the functional for the elementwise means of f, and
+    mu^2 need not fall under refinement (the cause of a B2 failure).
     """
     d = sol_c.ls_total - sol_f.ls_total
     if d < -_CLAMP_REL * abs(sol_c.ls_total):

@@ -170,7 +170,7 @@ class ElementOscillation(_CachedElementValue):
     """mu(K) = ||f - f_K||_{L2(K)}, the piecewise-constant data oscillation."""
 
     def _compute_batch(self, coords):
-        return np.sqrt(np.maximum(mu2_elements(self.field, coords), 0.0))
+        return np.sqrt(mu2_elements(self.field, coords))
 
 
 class WeightedDataSize(_CachedElementValue):
@@ -178,8 +178,7 @@ class WeightedDataSize(_CachedElementValue):
 
     def _compute_batch(self, coords):
         f = self.field
-        sq = integrate_many(lambda x, y: np.asarray(f(x, y)) ** 2, coords)
-        return _areas(coords) * np.sqrt(np.maximum(sq, 0.0))
+        return _areas(coords) * np.sqrt(integrate_many(lambda x, y: f(x, y) ** 2, coords))
 
 
 class ApproxState:

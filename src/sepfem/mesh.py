@@ -15,7 +15,8 @@ ancestor-or-self leaves in another with a few vectorized passes over
 the forest's parent array; nesting checks, the overlay of two meshes
 and the prolongation between nested meshes all read it.
 ``Triangulation.edge_table`` is the one place that derives a mesh's
-edges.
+edges, and ``_edge_keys`` and ``_edge_ends`` the one encoding of an
+edge (a, b), a < b, as the key ``(a << 32) + b``.
 
 A triangle is stored as an index triple (v0, v1, v2): the refinement
 edge is (v0, v1) and v2 is the newest vertex.  Bisection inserts the
@@ -69,6 +70,16 @@ def _midpoint(a, b):
     return 0.5 * (a + b)
 
 
+def _edge_keys(u, v):
+    """Keys ``(a << 32) + b`` of the edges (u, v), with a, b = min, max of u, v."""
+    return (np.minimum(u, v) << 32) + np.maximum(u, v)
+
+
+def _edge_ends(keys):
+    """The ends (a, b), a < b, of the edge keys ``(a << 32) + b``."""
+    return keys >> 32, keys & 0xFFFFFFFF
+
+
 def _bisect(v0, v1, v2, m):
     """(k, 2, 3, ...) children (v2, v0, m) and (v1, v2, m) of the triangles (v0, v1, v2).
 
@@ -85,8 +96,7 @@ def _in_sorted(table, keys):
 
 def _edge_table(tris):
     """``Triangulation.edge_table`` of the (n, 3) vertex rows ``tris``."""
-    pair = tris[:, [[1, 2], [2, 0], [0, 1]]]
-    keys = (pair.min(axis=2) << 32) + pair.max(axis=2)
+    keys = _edge_keys(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]])
     keys, inverse, counts = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
     return keys, inverse.reshape(-1, 3), counts
 
@@ -198,7 +208,7 @@ class BisectionForest:
         new = np.array(list(dict.fromkeys(nodes[first < 0].tolist())), dtype=np.int64)
         if len(new):
             v0, v1, v2 = self._tri[new].T
-            keys = (np.minimum(v0, v1) << 32) + np.maximum(v0, v1)
+            keys = _edge_keys(v0, v1)
             # every vertex after the initial ones is a midpoint in _mid
             mid, nv0 = self._mid, self._nv
             base = nv0 - len(mid)
@@ -209,13 +219,13 @@ class BisectionForest:
                 fresh = m >= nv0
                 vkeys = np.empty(nv - nv0, dtype=np.int64)
                 vkeys[m[fresh] - nv0] = keys[fresh]
-                lo, hi = vkeys >> 32, vkeys & 0xFFFFFFFF
+                lo, hi = _edge_ends(vkeys)
                 self._xy = _grow(self._xy, nv)
                 self._xy[nv0:nv] = _midpoint(self._xy[lo], self._xy[hi])
                 on = _in_sorted(self._boundary, vkeys)
                 if on.any():
                     ids = np.arange(nv0, nv)[on]
-                    halves = np.concatenate(((lo[on] << 32) + ids, (hi[on] << 32) + ids))
+                    halves = np.concatenate((_edge_keys(lo[on], ids), _edge_keys(hi[on], ids)))
                     self._boundary = np.union1d(self._boundary, halves)
                 self._nv = nv
             nn0, nn = self._nn, self._nn + 2 * len(new)
@@ -525,9 +535,9 @@ def write_mesh(T: Triangulation, path) -> None:
     remap = {g: i for i, g in enumerate(used)}
     coords = T.forest.coords()
     keys = T.edge_table()[0]
-    keys = keys[_in_sorted(T.forest.boundary_keys(), keys)].tolist()
+    ends = _edge_ends(keys[_in_sorted(T.forest.boundary_keys(), keys)])
     # keys are sorted and remap is increasing, so the pairs come out sorted
-    boundary = [(remap[k >> 32], remap[k & 0xFFFFFFFF]) for k in keys]
+    boundary = [(remap[a], remap[b]) for a, b in np.column_stack(ends).tolist()]
     lines = [f"vertices {len(used)}"]
     for g in used:
         lines.append("%.17g %.17g" % (coords[g, 0], coords[g, 1]))
@@ -586,7 +596,7 @@ def read_mesh(path) -> Triangulation:
         tris.append(order[flag])
     nb = section("boundary")
     b = np.array([take(int, 2) for _ in range(nb)], dtype=np.int64).reshape(-1, 2)
-    block = np.unique((b.min(axis=1) << 32) + b.max(axis=1))
+    block = np.unique(_edge_keys(b[:, 0], b[:, 1]))
     if pos != len(tokens):
         raise MeshError("trailing data in mesh file")
     forest = BisectionForest(pts, tris)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import Connectivity, prolong_rt0, rt_affine, rt_norm2, tangential_jump_norms
+from .edges import Connectivity, prolong_rt0, rt_affine, rt_at_points, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
-from .quadrature import _centroids, integrate_many
+from .quadrature import integrate_many
 from .sparse_direct import _RESIDUAL_TOL, SolverError, _scatter, solve_spd
 
 __all__ = [
@@ -92,9 +92,9 @@ def _solve_marini(conn: Connectivity, load, f_means):
 
     u_loc = u_cr[conn.elem_edges]
     grad = -2.0 * np.einsum("ni,nik->nk", u_loc, grads)
-    k0 = conn.edge_elem
-    centroid = _centroids(conn.pts)
-    flux = grad[k0] - 0.5 * f_means[k0, np.newaxis] * (conn.midpoints - centroid[k0])
+    # p is the pair (-f_K / 2, grad u_CR) of ``rt_affine``
+    mids = conn.midpoints[:, np.newaxis, :]
+    flux = rt_at_points(conn, conn.edge_elem, -0.5 * f_means, grad, mids)[:, 0, :]
     p = np.einsum("ek,ek->e", flux, conn.normals)
     u = u_loc.mean(axis=1) + f_means * (conn.elem_edge_lengths**2).sum(axis=1) / 144.0
     return p, u, nint, lu_nnz

@@ -70,14 +70,15 @@ def _centroids(tris):
 
 def _values_at_points(f, tris):
     # (n, 7, 2) cartesian quadrature points; each sums its three vertex
-    # terms in a fixed order, so a triangle gets the same bits in any batch
+    # terms in a fixed order, so a triangle gets the same bits in any batch.
+    # A field may return a scalar or any shape that broadcasts to (n, 7).
     pts = (
         _POINTS[:, 0, np.newaxis] * tris[:, np.newaxis, 0, :]
         + _POINTS[:, 1, np.newaxis] * tris[:, np.newaxis, 1, :]
         + _POINTS[:, 2, np.newaxis] * tris[:, np.newaxis, 2, :]
     )
     with np.errstate(all="ignore"):
-        vals = f(pts[:, :, 0], pts[:, :, 1])
+        vals = np.broadcast_to(f(pts[:, :, 0], pts[:, :, 1]), pts.shape[:2])
     finite = np.isfinite(vals)
     if not finite.all():
         x, y = pts[np.nonzero(~finite)][0].tolist()

@@ -321,3 +321,37 @@ def test_criterion_9_collective_marking_matches_greedy(acceptance_log):
         acceptance_log, 9, "collective marking is rate optimal on data", ok,
         f"cafem_s={s_cafem:.4f} greedy_s={s_greedy:.4f} gap={gap:.4f}",
     )
+
+
+def test_criterion_10_separate_marking_at_scale(acceptance_log):
+    # singular data make the loop take case B (the greedy data
+    # approximation to rho_B mu^2) on about half of its levels
+    params = SafemParams(theta_a=0.3, kappa=0.1, rho_b=0.5, sigma_tol=0.0, max_elements=CAP)
+    t0 = time.perf_counter()
+    res = safem_run(MixedPoisson(field_from_name("radial-alpha:0.6")), l_shape(), params)
+    seconds = time.perf_counter() - t0
+    recs = res.records
+    cases = "".join(r.case for r in recs)
+    a12 = check_A12(recs)
+    rlin = check_rlinear(recs)
+    # the first levels sit before the asymptotic regime, as in criterion 4
+    rate = fit_rate([r for r in recs if r.N > 2000])
+    decreased = all(
+        b.mu2 <= params.rho_b * a.mu2 for a, b in zip(recs[:-1], recs[1:]) if a.case == "B"
+    )
+    ok = (
+        cases.count("B") >= 5
+        and a12.passed
+        and rlin.passed
+        and a12.witness["rho"] < 1.0
+        and rlin.witness["q"] < 1.0
+        and res.stop_reason == "element-cap"
+        and seconds <= 60.0
+        and 0.43 <= rate <= 0.57
+        and decreased
+    )
+    record(
+        acceptance_log, 10, "separate marking at scale", ok,
+        f"cases={cases} rho={a12.witness['rho']:.3f} q={rlin.witness['q']:.3f} "
+        f"rate_s={rate:.4f} mu2_decrease={decreased} {seconds:.1f}s",
+    )

@@ -366,3 +366,49 @@ def test_data_only_adaptive_run_reduces_the_indicator():
     assert sig[-1] < sig[0] / 10.0
     assert all(r.mu2 == 0.0 for r in res.records)
     assert res.records[0].eta2 > 0.0
+
+
+# the per-level (N, case, marked) of perfbench/round.py's three workloads
+# on l_shape() with a 3 000-element cap; a change that flips a marking
+# decision anywhere in the loop changes one of them
+TRAJECTORIES = {
+    "mixed-adaptive": (
+        ("mixed", "one", 0.3, 1.0, 0.5),
+        [
+            (0, "A", 2), (4, "A", 3), (7, "A", 3), (11, "A", 2), (14, "A", 4), (18, "A", 4),
+            (24, "A", 7), (38, "A", 6), (52, "A", 8), (62, "A", 12), (82, "A", 12), (94, "A", 19),
+            (130, "A", 22), (168, "A", 25), (206, "A", 33), (250, "A", 46), (314, "A", 53),
+            (392, "A", 71), (494, "A", 85), (594, "A", 97), (730, "A", 116), (868, "A", 152),
+            (1074, "A", 185), (1318, "A", 224), (1616, "A", 296), (2006, "A", 363),
+            (2480, "A", 402), (2986, "A", 472), (3610, "-", 0),
+        ],
+    ),
+    "ls-adaptive": (
+        ("ls", "one", 0.5, 1.0, 0.5),
+        [
+            (0, "A", 3), (4, "A", 5), (13, "A", 7), (22, "A", 9), (34, "A", 13), (50, "A", 21),
+            (76, "A", 26), (104, "A", 39), (160, "A", 50), (240, "A", 77), (346, "A", 117),
+            (512, "A", 161), (750, "A", 237), (1060, "A", 335), (1464, "A", 487), (2103, "A", 677),
+            (2986, "A", 942), (4166, "-", 0),
+        ],
+    ),
+    "separate-marking": (
+        ("mixed", "radial-alpha:0.6", 0.3, 0.1, 0.5),
+        [
+            (0, "B", 36), (36, "B", 60), (96, "B", 89), (185, "B", 199), (384, "B", 258),
+            (642, "B", 576), (1218, "B", 1146), (2364, "A", 37), (2404, "B", 2432), (4836, "-", 0),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRAJECTORIES))
+def test_benchmark_trajectories_are_pinned(workload):
+    (kind, field, theta, kappa, rho_b), want = TRAJECTORIES[workload]
+    cls = MixedPoisson if kind == "mixed" else LeastSquaresPoisson
+    params = SafemParams(
+        theta_a=theta, kappa=kappa, rho_b=rho_b, sigma_tol=0.0, max_elements=3000
+    )
+    res = safem_run(cls(field_from_name(field)), l_shape(), params)
+    assert res.stop_reason == "element-cap"
+    assert [(r.N, r.case, r.marked) for r in res.records] == want

@@ -17,16 +17,20 @@ import pytest
 from sepfem import (
     Connectivity,
     LeastSquaresPoisson,
+    SafemParams,
     assemble_ls,
     delta_ls,
     eta_ls,
     field_from_name,
+    integrate_many,
     l_shape,
     ls_functional,
     prolong_rt0,
+    safem_run,
     solve_ls,
     unit_square_criss,
 )
+from sepfem.edges import rt_affine, rt_norm2
 
 def brute_ls(T, f, p, u):
     """Functional value by plain loops, midpoint quadrature per element."""
@@ -189,6 +193,32 @@ def test_distance_clamps_and_warns_on_increase(caplog):
     with caplog.at_level(logging.WARNING, logger="sepfem.ls_fem"):
         assert delta_ls(a, c) == 0.0
     assert any("increased" in r.message for r in caplog.records)
+
+
+def test_on_rough_data_the_minimum_rises_only_through_the_oscillation():
+    # under the 7-point rule LS = J_h + mu^2 exactly, where J_h is the
+    # functional with f replaced by its quadratured means f_K: the rule
+    # gives Q((f - f_K)^2) = mu^2 and Q(f - f_K) = 0.  On rough data the
+    # 7-point mu^2 can rise under refinement (the cause of a B2 failure),
+    # and the minimum rises with it while J_h falls on every level
+    f = field_from_name("radial-alpha:0.5@0.25,0.75")
+    problem = LeastSquaresPoisson(f)
+    res = safem_run(problem, l_shape(), SafemParams(kappa=0.5, max_elements=3000))
+    totals, rest = [], []
+    for T, sol in zip(res.meshes, res.solutions):
+        conn = sol.conn
+        a, pbar = rt_affine(conn, conn.local_flux_dofs(sol.p))
+        f_means = integrate_many(f, conn.pts) / conn.areas
+        gradv = np.einsum("ni,nik->nk", sol.u[conn.elem_nodes], conn.p1_grads())
+        div_part = conn.areas * (f_means + 2.0 * a) ** 2
+        j_h = math.fsum((div_part + rt_norm2(conn, a, pbar - gradv)).tolist())
+        mu2 = problem.mu(T).total
+        assert abs(sol.ls_total - (j_h + mu2)) <= 1e-14 * sol.ls_total
+        totals.append(sol.ls_total)
+        rest.append(sol.ls_total - mu2)
+    assert len(totals) >= 20
+    assert totals[0] < totals[1] < totals[2]
+    assert all(b < a for a, b in zip(rest, rest[1:]))
 
 
 def eta2_ls_by_hand(T, sol):

@@ -11,7 +11,19 @@ import warnings
 import numpy as np
 import pytest
 
-from sepfem import field_from_name, integrate_many, l_shape, mu2_elements
+from sepfem import (
+    DataApproximationProblem,
+    LeastSquaresPoisson,
+    MixedPoisson,
+    SafemParams,
+    ScalarField,
+    WeightedDataSize,
+    field_from_name,
+    integrate_many,
+    l_shape,
+    mu2_elements,
+    safem_run,
+)
 
 REF = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
 
@@ -191,3 +203,27 @@ def test_non_finite_field_values_name_the_field_and_the_point():
         with pytest.raises(ValueError) as err:
             integrate_many(f, tri)
     assert repr(f) in str(err.value) and "(1.0, 1.0)" in str(err.value)
+
+
+def test_a_field_that_returns_a_scalar_gives_the_values_of_its_array_twin():
+    # a library field may return a scalar; every integral that reads field
+    # values broadcasts it to the quadrature points, so the constant 1.0
+    # gives, bit for bit, what the array-valued field "one" gives
+    const, one = ScalarField(lambda x, y: 1.0, "c"), field_from_name("one")
+    T = l_shape().uniform_refine().uniform_refine()
+    Tf = T.refine(T.leaf_ids[:5])
+    tris = T.tri_coords()
+    for fn in (integrate_many, mu2_elements):
+        assert np.array_equal(fn(const, tris), fn(one, tris))
+    for cls in (MixedPoisson, LeastSquaresPoisson):
+        problems = cls(const), cls(one)
+        got, want = (problem.solve(T) for problem in problems)
+        assert np.array_equal(got.p, want.p) and np.array_equal(got.u, want.u)
+        assert problems[0].extras(T, got) == problems[1].extras(T, want)
+    sizes = [WeightedDataSize(f).mesh_values2(T).values for f in (const, one)]
+    assert np.array_equal(*sizes)
+    deltas = [DataApproximationProblem(f).delta(T, Tf, None, None) for f in (const, one)]
+    assert deltas[0] == deltas[1] > 0.0
+    params = SafemParams(max_elements=2000)
+    runs = [safem_run(MixedPoisson(f), l_shape(), params) for f in (const, one)]
+    assert [r.eta2 for r in runs[0].records] == [r.eta2 for r in runs[1].records]
