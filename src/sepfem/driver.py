@@ -170,7 +170,6 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
     records: list[LevelRecord] = []
     meshes = [T0]
     solutions = []
-    prev: tuple | None = None
     T = T0
     level = 0
     try:
@@ -190,9 +189,8 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
                 sigma2=eta2.total + mu2.total,
                 extra=problem.extras(T, sol),
             )
-            if prev is not None:
-                prev_T, prev_sol = prev
-                records[-1].delta2 = problem.delta(prev_T, T, prev_sol, sol)
+            if solutions:
+                records[-1].delta2 = problem.delta(meshes[-2], T, solutions[-1], sol)
             records.append(rec)
             solutions.append(sol)
             reason = _stop_reason(rec.sigma2, T, params)
@@ -201,7 +199,6 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
                 return RunResult(records, meshes, solutions, reason)
             T_next = advance(T, eta2, mu2, rec)
             rec.seconds = time.perf_counter() - tic
-            prev = (T, sol)
             T = T_next
             meshes.append(T)
             level += 1
@@ -214,32 +211,32 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
 def safem_run(problem, T0: Triangulation, params: SafemParams | None = None) -> RunResult:
     """Separate-marking adaptive loop."""
     params = SafemParams() if params is None else params
-    state = {"approx": None}
+    approx = None
 
     def advance(T, eta2, mu2, rec):
+        nonlocal approx
         if mu2.total <= params.kappa * eta2.total:
             rec.case = "A"
             marked = doerfler_select(params.theta_a, eta2)
             rec.marked = len(marked)
             return T.refine(marked)
         rec.case = "B"
-        if state["approx"] is None:
-            state["approx"] = ApproxState(T0, problem.oscillation)
+        if approx is None:
+            approx = ApproxState(T0, problem.oscillation)
         tol = params.rho_b * mu2.total
-        T_next = T.overlay(state["approx"].run(tol))
         # mu under the 7-point rule is not monotone on rough data (f of
         # degree > 2, such as checkerboard:5), so the approximation mesh
         # can lie inside T and the overlay add nothing; force progress
-        # by tightening the approximation tolerance.
-        guard = 0
-        while T_next.n_elements == T.n_elements:
-            guard += 1
-            if guard > 120 or tol <= 0.0:
-                raise RuntimeError("case B made no progress at the smallest tolerance")
+        # by halving the approximation tolerance, up to 120 times.
+        for _ in range(121):
+            T_next = T.overlay(approx.run(tol))
+            if T_next.n_elements > T.n_elements:
+                rec.marked = T_next.n_elements - T.n_elements
+                return T_next
+            if tol <= 0.0:
+                break
             tol *= 0.5
-            T_next = T.overlay(state["approx"].run(tol))
-        rec.marked = T_next.n_elements - T.n_elements
-        return T_next
+        raise RuntimeError("case B made no progress at the smallest tolerance")
 
     return _run_loop(problem, T0, params, advance)
 

@@ -52,14 +52,13 @@ class Connectivity:
         if not T.is_conforming():
             raise MeshError("triangulation is not conforming")
         self.n_edges = len(keys)
-        self.edges = np.column_stack(_edge_ends(keys))
+        lo, hi = _edge_ends(keys)
         self.boundary_edge = counts != 2
         self.edge_elem = np.full(self.n_edges, len(tris), dtype=np.int64)
         np.minimum.at(self.edge_elem, self.elem_edges.ravel(), np.arange(len(tris)).repeat(3))
 
         coords = T.forest.coords()
-        pa = coords[self.edges[:, 0]]
-        pb = coords[self.edges[:, 1]]
+        pa, pb = coords[lo], coords[hi]
         tang = pb - pa
         self.lengths = np.hypot(tang[:, 0], tang[:, 1])
         self.normals = np.column_stack((tang[:, 1], -tang[:, 0])) / self.lengths[:, np.newaxis]
@@ -71,11 +70,16 @@ class Connectivity:
         self.n_nodes = len(self.node_vertices)
         self.elem_nodes = np.searchsorted(self.node_vertices, tris)
         bmask = np.zeros(self.n_nodes, dtype=bool)
-        bverts = self.edges[self.boundary_edge].reshape(-1)
-        bmask[np.searchsorted(self.node_vertices, np.unique(bverts))] = True
+        bverts = np.concatenate((lo[self.boundary_edge], hi[self.boundary_edge]))
+        bmask[np.searchsorted(self.node_vertices, bverts)] = True
         self.boundary_node = bmask
 
         self.elem_edge_lengths = self.lengths[self.elem_edges]
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(n_edges, 2) vertex ends (a, b), a < b, of each edge, decoded from the mesh's keys."""
+        return np.column_stack(_edge_ends(self.mesh.edge_table()[0]))
 
     def rt_div(self) -> np.ndarray:
         """(n, 3) divergence 2 s_i of the outward unit-flux basis per element."""
@@ -148,14 +152,15 @@ def rt_at_points(conn: Connectivity, rows, a, pbar, points: np.ndarray) -> np.nd
     return a[rows, np.newaxis, np.newaxis] * offsets + pbar[rows, np.newaxis, :]
 
 
-def tangential_jump_norms(conn: Connectivity, local_dofs: np.ndarray) -> np.ndarray:
+def tangential_jump_norms(conn: Connectivity, a: np.ndarray, pbar: np.ndarray) -> np.ndarray:
     """Squared L2 norms, per edge, of the tangential inter-element jump.
 
+    ``a`` and ``pbar`` are the elementwise RT0 pairs (see ``rt_affine``).
     The trace is affine along each edge, so with endpoint jump values
     j0, j1 the squared norm is |E| (j0^2 + j0 j1 + j1^2) / 3 exactly.
     Boundary edges use the one-sided trace.
     """
-    traces = rt_at_points(conn, slice(None), *rt_affine(conn, local_dofs), conn.pts)
+    traces = rt_at_points(conn, slice(None), a, pbar, conn.pts)
     # the ends of local edge i are local vertices i + 1 and i + 2; the
     # end with the smaller vertex index comes first where the sign is +1
     ahead = traces[:, [1, 2, 0]]

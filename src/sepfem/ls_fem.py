@@ -156,11 +156,10 @@ def eta_ls(T: Triangulation, sol: LsSolution) -> IndicatorField:
     where the first term is a^2 J_K, p being the pair (a, pbar) on K.
     """
     conn = sol.conn
-    dl = conn.local_flux_dofs(sol.p)
-    a, _ = rt_affine(conn, dl)
+    a, pbar = rt_affine(conn, conn.local_flux_dofs(sol.p))
     t_mean = a * a * conn.second_moments()
 
-    t_tang = tangential_jump_norms(conn, dl)[conn.elem_edges].sum(axis=1)
+    t_tang = tangential_jump_norms(conn, a, pbar)[conn.elem_edges].sum(axis=1)
 
     un = sol.u[conn.elem_nodes]
     gradu = np.einsum("ni,nik->nk", un, conn.p1_grads())

@@ -233,7 +233,8 @@ class ApproxState:
 
     def _resync(self):
         self._flush()
-        mu = self.values.node_values(self.forest, self.partition)
+        # fsum is exact in any order, so the heap's order serves
+        mu = self.values.node_values(self.forest, np.array([n for _, n in self._heap]))
         self.mu2_total = math.fsum((mu * mu).tolist())
 
     def _flush(self):

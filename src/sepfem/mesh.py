@@ -7,9 +7,9 @@ numbers the midpoints in the order they are created, deduplicates them
 forest-wide and is the one record of vertex ancestry, read through
 ``BisectionForest.midpoints``.  Nodes are never mutated or deleted,
 and every derived mesh keeps ancestry information.
-``Triangulation.refine`` and ``complete_partition`` share one
-conforming closure, which marks edges and bisects in vectorized rounds
-(Funken, Praetorius and Wissgott, CMAM 11, 2011).
+``Triangulation.refine``, ``uniform_refine`` and ``complete_partition``
+pass a mesh to one conforming closure, which marks edges and bisects in
+vectorized rounds (Funken, Praetorius and Wissgott, CMAM 11, 2011).
 ``Triangulation.coarse_rows`` maps the leaves of one mesh to their
 ancestor-or-self leaves in another with a few vectorized passes over
 the forest's parent array; nesting checks, the overlay of two meshes
@@ -241,24 +241,24 @@ class BisectionForest:
         return first[:, None] + np.arange(2)
 
 
-def _closure(forest: BisectionForest, ids, tris, table, forced) -> "Triangulation":
-    """Conforming newest-vertex-bisection closure of a leaf set.
+def _closure(T: "Triangulation", forced) -> "Triangulation":
+    """Conforming newest-vertex-bisection closure of the leaf set of ``T``.
 
-    ``ids`` are sorted leaf ids, ``tris`` and ``table`` their vertex
-    rows and ``_edge_table``, and ``forced`` the rows of the leaves that
-    must be bisected.  Each round marks the refinement edges of the
-    forced leaves and every hanging edge: held by one leaf, not on the
-    boundary, with a forest midpoint that is a vertex of a leaf (which
-    can only lie across the edge).  A leaf with a marked edge then marks
-    its refinement edge, until nothing changes.  Every leaf whose
-    refinement edge (local edge 2) is marked is bisected, and its
-    children (v2, v0, m) and (v1, v2, m) are bisected again when the
-    parent's edge 1 or edge 0, their refinement edges, is marked.  So
-    each marked edge is split on both sides: a conforming leaf set is
-    closed after one round, a hanging partition after a few.  Rounds
-    stop when nothing is marked, and the last round's table becomes
-    the result's ``edge_table``.
+    ``forced`` are the sorted rows of the leaves that must be bisected,
+    and the first round reads ``T.tris()`` and ``T.edge_table()``.  Each
+    round marks the refinement edges of the forced leaves and every
+    hanging edge: held by one leaf, not on the boundary, with a forest
+    midpoint that is a vertex of a leaf (which can only lie across the
+    edge).  A leaf with a marked edge then marks its refinement edge,
+    until nothing changes.  Every leaf whose refinement edge (local
+    edge 2) is marked is bisected, and its children (v2, v0, m) and
+    (v1, v2, m) are bisected again when the parent's edge 1 or edge 0,
+    their refinement edges, is marked.  So each marked edge is split on
+    both sides: a conforming leaf set is closed after one round, a
+    hanging partition after a few.  Rounds stop when nothing is marked,
+    and the last round's table becomes the result's ``edge_table``.
     """
+    forest, ids, tris, table = T.forest, T.leaf_ids, T.tris(), T.edge_table()
     n_split = 0
     while True:
         keys, elem_edges, counts = table
@@ -427,12 +427,11 @@ class Triangulation:
         bad = self.leaf_ids[rows] != marked
         if bad.any():
             raise MeshError(f"marked element {marked[bad][0]} is not a leaf")
-        rows = np.unique(rows)
-        return _closure(self.forest, self.leaf_ids, self.tris(), self.edge_table(), rows)
+        return _closure(self, np.unique(rows))
 
     def uniform_refine(self) -> "Triangulation":
         """Refine with every leaf marked (doubles the leaf count at least)."""
-        return self.refine(self.leaf_ids)
+        return _closure(self, np.arange(self.n_elements))
 
     def overlay(self, other: "Triangulation") -> "Triangulation":
         """Coarsest common refinement: the union of the two bisection trees.
@@ -452,10 +451,8 @@ class Triangulation:
 
 
 def complete_partition(forest: BisectionForest, leaf_ids) -> Triangulation:
-    """Smallest conforming closure of a (possibly hanging) partition."""
-    ids = np.unique(np.asarray(leaf_ids, dtype=np.int64))
-    tris = forest.tris(ids)
-    return _closure(forest, ids, tris, _edge_table(tris), ids[:0])
+    """Smallest conforming closure of a (possibly hanging) partition; ids are checked first."""
+    return _closure(Triangulation(forest, leaf_ids), np.empty(0, dtype=np.int64))
 
 
 # -- initial meshes ---------------------------------------------------------

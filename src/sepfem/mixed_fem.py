@@ -154,9 +154,9 @@ def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:
     integral and is evaluated exactly, the volume term by ``rt_norm2``.
     """
     conn = sol.conn
-    d = conn.local_flux_dofs(sol.p)
-    vol = conn.areas * rt_norm2(conn, *rt_affine(conn, d))
-    jumps = tangential_jump_norms(conn, d)
+    a, pbar = rt_affine(conn, conn.local_flux_dofs(sol.p))
+    vol = conn.areas * rt_norm2(conn, a, pbar)
+    jumps = tangential_jump_norms(conn, a, pbar)
     per_elem = jumps[conn.elem_edges].sum(axis=1)
     values = vol + np.sqrt(conn.areas) * per_elem
     return IndicatorField(T.leaf_ids, values)

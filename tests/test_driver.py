@@ -7,7 +7,9 @@ import pytest
 
 from sepfem import (
     CSV_HEADER,
+    ApproxState,
     DataApproximationProblem,
+    IndicatorField,
     LevelRecord,
     MixedPoisson,
     SafemParams,
@@ -111,6 +113,28 @@ def test_case_b_tightens_the_tolerance_when_an_overlay_adds_no_element(monkeypat
     case_b = [r for r in res.records if r.case == "B"]
     assert case_b and all(r.marked > 0 for r in case_b)
     assert res.stop_reason == "element-cap"
+
+
+def test_case_b_gives_up_after_121_approximations_that_add_nothing(monkeypatch, capsys):
+    # an approximation mesh that never refines T leaves the retry loop
+    # nothing to overlay, at every tolerance it halves down to
+    runs = []
+
+    def initial(self, tol):
+        runs.append(tol)
+        return Triangulation.initial(self.forest)
+
+    monkeypatch.setattr(ApproxState, "run", initial)
+    prob = MixedPoisson(field_from_name("radial-alpha:0.6"))
+    with pytest.raises(RuntimeError, match="^case B made no progress at the smallest tolerance$") as err:
+        safem_run(prob, l_shape(), SafemParams(kappa=0.1, max_elements=3000))
+    assert err.value.level == 0
+    assert len(runs) == 121
+    assert all(b == 0.5 * a for a, b in zip(runs, runs[1:]))
+    argv = ["--domain", "l-shape", "--field", "radial-alpha:0.6", "--kappa", "0.1", "--max-elements", "3000"]
+    assert main(argv) == 1
+    assert "error at level 0: case B made no progress at the smallest tolerance" in capsys.readouterr().err
+    assert len(runs) == 242
 
 
 def test_a_completion_over_the_tolerance_aims_the_greedy_lower(monkeypatch):
@@ -225,6 +249,17 @@ def test_any_error_leaving_a_level_names_it():
         uniform_run(FailingMu(field_from_name("one")), unit_square_criss(), small_params())
     assert type(err.value) is ValueError
     assert err.value.level == 2
+
+
+def test_indicators_on_different_element_ids_are_rejected_at_their_level():
+    class ReversedMu(MixedPoisson):
+        def mu(self, T):
+            mu2 = super().mu(T)
+            return IndicatorField(mu2.ids[::-1], mu2.values[::-1])
+
+    with pytest.raises(ValueError, match="eta and mu indicators disagree on element ids") as err:
+        safem_run(ReversedMu(field_from_name("one")), l_shape(), small_params())
+    assert err.value.level == 0
 
 
 def test_safem_equals_cafem_when_data_term_vanishes():

@@ -155,6 +155,17 @@ def test_complete_partition_closes_hanging_nodes():
     assert T.refines(T0)
 
 
+def test_complete_partition_checks_the_ids_before_any_split():
+    F = l_shape().forest
+    F.split([0])
+    n_nodes, n_vertices = F.n_nodes, F.n_vertices
+    # a closure of the valid ids would split two more nodes first
+    for ids in ([1, 2, 3, 4, 5, 6, -1], [F.n_nodes + 5]):
+        with pytest.raises(MeshError, match="leaf id out of range"):
+            complete_partition(F, ids)
+        assert (F.n_nodes, F.n_vertices) == (n_nodes, n_vertices)
+
+
 def test_refinement_is_deterministic():
     runs = []
     for _ in range(2):
@@ -300,6 +311,15 @@ def test_hanging_node_is_not_conforming():
     assert not H.is_conforming()
     with pytest.raises(MeshError):
         Connectivity(H)
+
+
+def test_an_edge_held_three_times_is_not_conforming():
+    # root 1, its child 6 and root 2 all hold the edge from vertex 0 to 3
+    F = l_shape().forest
+    F.split([1])
+    T = Triangulation(F, [0, 1, 2, 3, 4, 5, 6])
+    assert T.edge_table()[2].max() == 3
+    assert not T.is_conforming()
 
 
 def test_batched_split_shares_midpoints_and_reuses_children():

@@ -183,6 +183,11 @@ def test_unknown_fields_rejected():
             field_from_name(bad)
 
 
+def test_integrate_many_rejects_coordinates_not_shaped_n_3_2():
+    with pytest.raises(ValueError, match=re.escape("must have shape (n, 3, 2)")):
+        integrate_many(lambda x, y: x, np.zeros((4, 3)))
+
+
 @pytest.mark.parametrize(
     "spec",
     ["radial-alpha:0.5@nan,0", "radial-alpha:0.5@0,inf", "radial-alpha:0.5@1",
