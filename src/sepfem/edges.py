@@ -81,6 +81,14 @@ class Connectivity:
         """(n_edges, 2) vertex ends (a, b), a < b, of each edge, decoded from the mesh's keys."""
         return np.column_stack(_edge_ends(self.mesh.edge_table()[0]))
 
+    def other_elem(self) -> np.ndarray:
+        """(n_edges,) the holder of each edge besides ``edge_elem``; n for a boundary edge."""
+        n = len(self.tris)
+        total = np.bincount(
+            self.elem_edges.ravel(), weights=np.arange(n).repeat(3), minlength=self.n_edges
+        )
+        return np.where(self.boundary_edge, n, total.astype(np.int64) - self.edge_elem)
+
     def rt_div(self) -> np.ndarray:
         """(n, 3) divergence 2 s_i of the outward unit-flux basis per element."""
         return self.elem_edge_lengths / self.areas[:, np.newaxis]

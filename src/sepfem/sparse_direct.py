@@ -1,21 +1,22 @@
 """Sparse direct solves of the symmetric positive definite systems.
 
 Both discretizations reduce their linear algebra to one SPD system: the
-least-squares optimality system, and the Crouzeix-Raviart system from
-which the mixed solution is recovered.  Both are summed from local
-element blocks by ``_scatter``.  ``solve_spd`` factors the system with
-SuperLU in symmetric mode, without pivoting, on a nested dissection of
-the elements (George, SIAM J. Numer. Anal. 10, 1973), so one element
-tree orders both systems.  Each part of the mesh is cut across the
-longer axis of the bounding box of its element centroids, at the
-position near its median that the fewest interior edges cross
+least-squares optimality system, and the P1 stiffness system of the
+stream function from which the mixed flux is built.  Both are summed
+from local element blocks by ``_scatter``.  ``solve_spd`` factors the
+system with SuperLU in symmetric mode, without pivoting, on a nested
+dissection of the elements (George, SIAM J. Numer. Anal. 10, 1973), so
+one element tree orders both systems.  Each part of the mesh is cut
+across the longer axis of the bounding box of its element centroids, at
+the position near its median that the fewest interior edges cross
 (Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998, choose among
 candidate cuts by separator size): on the meshes graded toward a corner
 the exact median runs through the densest region.  Each unknown is
 ordered with the lowest part that holds all of its elements.
 ``solve_spd`` returns the solution with the number of L+U entries of its
-factor.  Both discretizations gate their solves on one relative
-residual, ``_RESIDUAL_TOL``, and raise ``SolverError`` above it.
+factor, and raises ``SolverError`` when SuperLU meets a zero pivot.
+Both discretizations gate their solves on one relative residual,
+``_RESIDUAL_TOL``, and raise ``SolverError`` above it.
 """
 
 from __future__ import annotations
@@ -58,14 +59,10 @@ def _leaf_slots(conn):
     ne = len(conn.tris)
     centroids = _centroids(conn.pts)
     xs, ys = centroids[:, 0].copy(), centroids[:, 1].copy()
-    # the two holders of each interior edge: the lowest one, and the sum
-    # of both less the lowest
+    # the two holders of each interior edge
     inner = np.flatnonzero(~conn.boundary_edge)
-    holder_sum = np.bincount(
-        conn.elem_edges.ravel(), weights=np.arange(ne).repeat(3), minlength=conn.n_edges
-    )
     a = conn.edge_elem[inner]
-    b = holder_sum[inner].astype(np.int64) - a
+    b = conn.other_elem()[inner]
 
     part = np.ones(ne, dtype=np.int64)
     depth = np.zeros(ne, dtype=np.int64)
@@ -191,17 +188,23 @@ def solve_spd(S, rhs, conn, dofs) -> tuple[np.ndarray, int]:
 
     S was summed by ``_scatter`` over the elements of ``conn`` on the
     unknowns ``dofs``, which drive the nested-dissection ordering of the
-    SuperLU factorization.  The second value is the number of L+U entries
-    of the factor.
+    SuperLU factorization.  ``rhs`` is one right-hand side, or one per
+    column, all solved on the one factor.  The second value is the number
+    of L+U entries of the factor.  A factorization that meets a zero
+    pivot raises ``SolverError``.
     """
     perm = nested_dissection(conn, dofs, S.shape[0])
     Sp = S.tocsr()[perm][:, perm].tocsc()
-    lu = spla.splu(
-        Sp,
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
-    x = np.empty(len(perm))
-    x[perm] = lu.solve(np.asarray(rhs, dtype=np.float64)[perm])
+    try:
+        lu = spla.splu(
+            Sp,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
+        raise SolverError(f"factorization of {len(perm)} unknowns failed: {err}") from None
+    rhs = np.asarray(rhs, dtype=np.float64)
+    x = np.empty(rhs.shape)
+    x[perm] = lu.solve(rhs[perm])
     return x, int(lu.nnz)

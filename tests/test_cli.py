@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import sepfem.mixed_fem
 from sepfem import read_mesh, safem_run, unit_square_criss, write_mesh
 from sepfem.cli import build_parser, main
 from sepfem.driver import CSV_HEADER, SafemParams
@@ -408,6 +409,25 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "solver failure at level 4" in captured.err
+
+
+def test_singular_factor_exits_3_with_the_level(monkeypatch, capsys):
+    # from the second level on the P1 matrix is all zeros, so SuperLU
+    # meets a zero pivot
+    real = sepfem.mixed_fem._scatter
+    calls = []
+
+    def singular_from_level_1(*args):
+        calls.append(None)
+        S = real(*args)
+        return S * 0.0 if len(calls) > 1 else S
+
+    monkeypatch.setattr(sepfem.mixed_fem, "_scatter", singular_from_level_1)
+    code = main(SMALL)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "solver failure at level 1: " in captured.err
+    assert "exactly singular" in captured.err
 
 
 def test_internal_error_exits_1(monkeypatch, capsys):

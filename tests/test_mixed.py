@@ -11,19 +11,23 @@ import math
 import numpy as np
 import pytest
 
+import sepfem.mixed_fem
 from sepfem import (
     Connectivity,
     MixedPoisson,
+    SafemParams,
+    SolverError,
     delta_mixed,
     eta_mixed,
     field_from_name,
     initial_mesh,
     l_shape,
+    safem_run,
     solve_mixed,
     unit_square_criss,
 )
 from sepfem.edges import rt_affine, rt_norm2
-from sepfem.mixed_fem import _saddle_residual
+from sepfem.mixed_fem import _mass_rows, _saddle_residual
 
 ETA2_SQUARE_CONST = 0.07975889843221229
 ETA2_LSHAPE_CONST = 0.840767435801184
@@ -161,7 +165,7 @@ def test_refined_mesh_still_matches_dense_oracle():
 
 def test_graded_mesh_matches_dense_oracle():
     # repeated refinement at the reentrant corner: element areas span a
-    # factor of 3e4, so the Crouzeix-Raviart recovery sees varying sizes
+    # factor of 3e4, so the tree fluxes and the P1 system see varying sizes
     T = l_shape()
     while T.n_elements < 100:
         corner = np.any(np.all(T.tri_coords() == 0.0, axis=2), axis=1)
@@ -187,7 +191,7 @@ def test_elementwise_residual_is_the_saddle_residual():
     for _ in range(3):
         p, u, load = rng.standard_normal(ne), rng.standard_normal(n), rng.standard_normal(n)
         want = K @ np.concatenate((p[perm], u)) - np.concatenate((np.zeros(ne), -load))
-        r = _saddle_residual(conn, p, u, load)
+        r = _saddle_residual(conn, p, _mass_rows(conn, p), u, load)
         got = np.concatenate((r[:ne][perm], r[ne:]))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -218,7 +222,8 @@ def test_divergence_constraint_holds_elementwise():
     T = l_shape().uniform_refine()
     for _ in range(3):
         sol = solve_mixed(T, f)
-        err = np.max(np.abs(sol.div_p + sol.f_means))
+        div_p = np.einsum("ni,ni->n", sol.conn.rt_div(), sol.conn.local_flux_dofs(sol.p))
+        err = np.max(np.abs(div_p + sol.f_means))
         assert err <= 1e-9 * np.max(np.abs(sol.f_means))
         eta2 = eta_mixed(T, sol)
         T = T.refine(eta2.ids[np.argsort(eta2.values)[-4:]])
@@ -320,3 +325,95 @@ def test_problem_wrapper_contract():
     extras = prob.extras(T, sol)
     assert extras["constraint_residual"] <= 1e-12
     assert extras["solver_residual"] <= 1e-10
+
+
+def grid_without(nx, ny, cells):
+    """The unit squares of an nx by ny grid, each cut along its diagonal
+    into two triangles, except the squares in ``cells``."""
+    pts = [(float(i), float(j)) for j in range(ny + 1) for i in range(nx + 1)]
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            if (i, j) in cells:
+                continue
+            a, b = j * (nx + 1) + i, j * (nx + 1) + i + 1
+            tris += [(a, b, b + nx + 1), (a, b + nx + 1, a + nx + 1)]
+    return initial_mesh(pts, tris)
+
+
+def holes_and_components(T):
+    """(g, c): holes and connected components, from Euler's formula and the
+    vertices reached through the edges."""
+    conn = Connectivity(T)
+    parent = list(range(conn.n_nodes))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in np.searchsorted(conn.node_vertices, conn.edges):
+        parent[root(int(a))] = root(int(b))
+    c = len({root(v) for v in range(conn.n_nodes)})
+    return conn.n_edges - T.n_elements - conn.n_nodes + c, c
+
+
+def assert_matches_dense(T, field, tol):
+    sol = solve_mixed(T, field_from_name(field))
+    edges, p_ref, u_ref, _, _ = dense_mixed_solve(T, sol.f_means)
+    perm = align(sol.conn, edges)
+    assert np.max(np.abs(sol.p[perm] - p_ref)) < tol
+    assert np.max(np.abs(sol.u - u_ref)) < tol
+
+
+def test_ring_matches_dense_oracle():
+    # a 4 x 3 grid without one square: the hole sits off the centre and
+    # the load varies, so the flux has a part around the hole that no
+    # curl of a P1 function gives (with f = 1 on a symmetric ring that
+    # part vanishes and a solve without it still passes)
+    T = grid_without(4, 3, {(1, 1)})
+    assert holes_and_components(T) == (1, 1)
+    for _ in range(3):
+        assert_matches_dense(T, "linear-x", 1e-11)
+        T = T.uniform_refine()
+
+
+def test_two_components_match_dense_oracle():
+    # two squares of different sizes that share no vertex
+    pts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (4, 0), (4, 2), (2, 2)]
+    T = initial_mesh(pts, [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)])
+    assert holes_and_components(T) == (0, 2)
+    for _ in range(3):
+        assert_matches_dense(T, "linear-x", 1e-11)
+        T = T.uniform_refine()
+
+
+def test_divergence_gap_is_reported_and_gated(monkeypatch):
+    T = l_shape().uniform_refine()
+    sol = solve_mixed(T, field_from_name("radial-alpha:0.6"))
+    terms = sol.conn.elem_edge_lengths * sol.conn.local_flux_dofs(sol.p)
+    load = sol.f_means * sol.conn.areas
+    gap = np.abs(terms.sum(axis=1) + load) / np.abs(terms).sum(axis=1)
+    assert sol.div_gap <= 1e-13
+    assert abs(sol.div_gap - gap.max()) <= 1e-15
+    prob = MixedPoisson(field_from_name("one"))
+    assert prob.extras(T, sol)["constraint_residual"] == sol.div_gap
+
+    # from the third solve on, one flux is off by a relative 2e-11: the
+    # saddle residual still passes, the divergence gate does not
+    real = sepfem.mixed_fem._solve_flux
+    calls = []
+
+    def perturbed(conn, load):
+        p, *rest = real(conn, load)
+        calls.append(len(calls))
+        if len(calls) >= 3:
+            p = p.copy()
+            p[len(p) // 2] *= 1.0 + 2e-11
+        return (p, *rest)
+
+    monkeypatch.setattr(sepfem.mixed_fem, "_solve_flux", perturbed)
+    params = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=500)
+    with pytest.raises(SolverError, match="divergence gap") as err:
+        safem_run(prob, l_shape(), params)
+    assert err.value.level == 2

@@ -12,9 +12,9 @@ import sepfem.sparse_direct as sparse_direct
 from sepfem import MixedPoisson, SafemParams, field_from_name, l_shape, safem_run
 from sepfem.edges import Connectivity
 from sepfem.ls_fem import assemble_ls
-from sepfem.mesh import initial_mesh
+from sepfem.mesh import initial_mesh, unit_square_criss
 from sepfem.mixed_fem import solve_mixed
-from sepfem.sparse_direct import nested_dissection, solve_spd
+from sepfem.sparse_direct import SolverError, nested_dissection, solve_spd
 
 
 def coupling_dissection(S, coords):
@@ -218,11 +218,15 @@ def ls_system_on(T):
     return S, rhs, conn, dofs, coords
 
 
-def cr_system_on(T, monkeypatch):
+def curl_system_on(T, monkeypatch):
+    """The P1 stream-function system of the mixed solve, its connectivity
+    and element unknowns, with the coordinates of each unknown's node."""
     systems = []
 
     def record(S, rhs, conn, dofs):
-        coords = conn.midpoints[~conn.boundary_edge]
+        held = dofs >= 0
+        coords = np.empty((S.shape[0], 2))
+        coords[dofs[held]] = T.forest.coords()[conn.node_vertices[conn.elem_nodes[held]]]
         systems.append((S, conn, dofs, coords))
         return solve_spd(S, rhs, conn, dofs)
 
@@ -231,9 +235,9 @@ def cr_system_on(T, monkeypatch):
     return systems[0]
 
 
-def cr_dofs(T):
-    """Connectivity, element unknowns and count of the CR system on T:
-    one unknown per interior edge, numbered by edge."""
+def edge_dofs(T):
+    """Connectivity, element unknowns and count of a system with one
+    unknown per interior edge, numbered by edge."""
     conn = Connectivity(T)
     interior = ~conn.boundary_edge
     index = np.full(conn.n_edges, -1, dtype=np.int64)
@@ -287,14 +291,15 @@ def graded_system(T, system, monkeypatch):
     if system == "ls":
         S, _, conn, dofs, coords = ls_system_on(T)
     else:
-        S, conn, dofs, coords = cr_system_on(T, monkeypatch)
+        S, conn, dofs, coords = curl_system_on(T, monkeypatch)
     assert len(conn.tris) == 3616
+    assert len(coords) == S.shape[0]
     perm = nested_dissection(conn, dofs, S.shape[0])
     assert is_permutation(perm, S.shape[0])
     return S, perm, coords
 
 
-@pytest.mark.parametrize("system", ["ls", "cr"])
+@pytest.mark.parametrize("system", ["ls", "curl"])
 def test_cuts_by_crossings_store_less_fill_than_median_cuts_on_a_graded_mesh(
     graded_mesh, system, monkeypatch
 ):
@@ -303,7 +308,7 @@ def test_cuts_by_crossings_store_less_fill_than_median_cuts_on_a_graded_mesh(
     assert fill(reordered(S, perm)) <= 0.8 * fill(reordered(S, ref))
 
 
-@pytest.mark.parametrize("system", ["ls", "cr"])
+@pytest.mark.parametrize("system", ["ls", "curl"])
 def test_element_dissection_stores_no_more_fill_than_the_coupling_ordering(
     graded_mesh, system, monkeypatch
 ):
@@ -331,7 +336,7 @@ def test_one_above_the_leaf_size_splits_at_the_median():
     # every cut of a strip crosses one interior edge, so the median wins:
     # elements 0..7 and 8..16; edge unknown i joins elements i and i + 1,
     # and the edge between the halves is ordered last
-    conn, dofs, n = cr_dofs(strip(17))
+    conn, dofs, n = edge_dofs(strip(17))
     assert n == 16
     perm = nested_dissection(conn, dofs, n)
     assert perm.tolist() == list(range(7)) + list(range(8, 16)) + [7]
@@ -345,7 +350,7 @@ def test_cut_avoids_couplings_bunched_at_the_median():
     for _ in range(4):
         x = T.tri_coords().mean(axis=1)[:, 0]
         T = T.refine(T.leaf_ids[(x > 98.0) & (x < 102.0)])
-    conn, dofs, n = cr_dofs(T)
+    conn, dofs, n = edge_dofs(T)
     x = conn.pts.mean(axis=1)[:, 0]
     assert 98.0 < np.sort(x)[len(x) // 2] < 102.0
     perm = nested_dissection(conn, dofs, n)
@@ -385,6 +390,15 @@ def test_degenerate_input_gives_a_permutation(case):
         assert np.ptp(centroids[:, 1]) < 1e-12
     dofs = np.arange(3 * m).reshape(m, 3)
     assert is_permutation(nested_dissection(conn, dofs, 3 * m), 3 * m)
+
+
+def test_singular_system_raises_solver_error():
+    # the second pivot of [[1, 1], [1, 1]] is exactly zero
+    conn = Connectivity(unit_square_criss())
+    S = sp.csr_matrix(np.ones((2, 2)))
+    dofs = np.array([[0, 1, -1], [0, 1, -1]])
+    with pytest.raises(SolverError, match="exactly singular"):
+        solve_spd(S, np.ones(2), conn, dofs)
 
 
 def test_superlu_path_matches_reference_solve():
