@@ -23,8 +23,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .axioms import (
     check_A4_telescope,
     check_A12,
@@ -181,7 +179,7 @@ def _write_report(path, reports):
 def _dump_solution(path, problem, T, sol):
     conn = sol.conn
     coords = T.forest.coords()[conn.node_vertices]
-    edge_nodes = np.searchsorted(conn.node_vertices, conn.edges)
+    edge_nodes = conn.edge_nodes()
     lines = [f"solution {problem.kind}", f"vertices {conn.n_nodes}"]
     for x, y in coords:
         lines.append(f"{float(x)!r} {float(y)!r}")

@@ -65,14 +65,16 @@ class Connectivity:
         self.midpoints = _midpoint(pa, pb)
         self.elem_signs = np.where(tris[:, [1, 2, 0]] < tris[:, [2, 0, 1]], 1.0, -1.0)
 
-        # compact node numbering for nodal spaces
-        self.node_vertices = np.unique(tris)
+        # compact node numbering for nodal spaces, in vertex order
+        used = np.zeros(T.forest.n_vertices, dtype=bool)
+        used[tris] = True
+        number = np.cumsum(used) - 1
+        self.node_vertices = np.flatnonzero(used)
         self.n_nodes = len(self.node_vertices)
-        self.elem_nodes = np.searchsorted(self.node_vertices, tris)
-        bmask = np.zeros(self.n_nodes, dtype=bool)
-        bverts = np.concatenate((lo[self.boundary_edge], hi[self.boundary_edge]))
-        bmask[np.searchsorted(self.node_vertices, bverts)] = True
-        self.boundary_node = bmask
+        self.elem_nodes = number[tris]
+        self.boundary_node = np.zeros(self.n_nodes, dtype=bool)
+        self.boundary_node[number[lo[self.boundary_edge]]] = True
+        self.boundary_node[number[hi[self.boundary_edge]]] = True
 
         self.elem_edge_lengths = self.lengths[self.elem_edges]
 
@@ -80,6 +82,17 @@ class Connectivity:
     def edges(self) -> np.ndarray:
         """(n_edges, 2) vertex ends (a, b), a < b, of each edge, decoded from the mesh's keys."""
         return np.column_stack(_edge_ends(self.mesh.edge_table()[0]))
+
+    def edge_nodes(self) -> np.ndarray:
+        """(n_edges, 2) node numbers of the ends (a, b) of each edge, read through ``elem_nodes``."""
+        # local edge i joins local vertices i + 1 and i + 2, and node
+        # numbers keep the vertex order
+        ahead = self.elem_nodes[:, [1, 2, 0]]
+        behind = self.elem_nodes[:, [2, 0, 1]]
+        ends = np.empty((self.n_edges, 2), dtype=np.int64)
+        ends[self.elem_edges, 0] = np.minimum(ahead, behind)
+        ends[self.elem_edges, 1] = np.maximum(ahead, behind)
+        return ends
 
     def other_elem(self) -> np.ndarray:
         """(n_edges,) the holder of each edge besides ``edge_elem``; n for a boundary edge."""
@@ -102,9 +115,14 @@ class Connectivity:
         """(n,) J_K = int_K |x - x_K|^2 = |K| (|E_1|^2 + |E_2|^2 + |E_3|^2) / 36."""
         return self.areas * (self.elem_edge_lengths**2).sum(axis=1) / 36.0
 
-    def rt_local_mass(self) -> np.ndarray:
-        """(n, 3, 3) local mass s_i s_j J_K + |K| mean(phi_i) . mean(phi_j) (exact)."""
-        s, means = 0.5 * self.rt_div(), self.rt_means()
+    def rt_local_mass(self, means=None) -> np.ndarray:
+        """(n, 3, 3) local mass s_i s_j J_K + |K| mean(phi_i) . mean(phi_j) (exact).
+
+        ``means`` is ``rt_means()``, passed by a caller that reads it too.
+        """
+        if means is None:
+            means = self.rt_means()
+        s = 0.5 * self.rt_div()
         ss = np.einsum("ni,nj,n->nij", s, s, self.second_moments())
         return ss + np.einsum("n,nik,njk->nij", self.areas, means, means)
 
@@ -132,15 +150,20 @@ class Connectivity:
         return np.column_stack(sums).reshape((self.n_edges,) + values.shape[2:])
 
 
-def rt_affine(conn: Connectivity, local_dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rt_affine(
+    conn: Connectivity, local_dofs: np.ndarray, means=None
+) -> tuple[np.ndarray, np.ndarray]:
     """The pair (a, pbar) of elementwise RT0 fields, p(x) = a (x - x_K) + pbar on K.
 
     ``local_dofs`` are the (n, 3) outward coefficients d of every
     element; a = sum_i d_i s_i is half the divergence, and
-    pbar = sum_i d_i s_i (x_K - P_i) is the element mean.
+    pbar = sum_i d_i s_i (x_K - P_i) is the element mean.  ``means`` is
+    ``conn.rt_means()``, passed by a caller that reads it more than once.
     """
+    if means is None:
+        means = conn.rt_means()
     a = np.einsum("ni,ni->n", 0.5 * conn.rt_div(), local_dofs)
-    return a, np.einsum("ni,nik->nk", local_dofs, conn.rt_means())
+    return a, np.einsum("ni,nik->nk", local_dofs, means)
 
 
 def rt_norm2(conn: Connectivity, a: np.ndarray, pbar: np.ndarray) -> np.ndarray:

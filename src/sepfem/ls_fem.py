@@ -63,7 +63,8 @@ def assemble_ls(T: Triangulation, f):
     ne = conn.n_edges
 
     sgn = conn.elem_signs
-    mloc = conn.rt_local_mass() * sgn[:, :, np.newaxis] * sgn[:, np.newaxis, :]
+    means = conn.rt_means()
+    mloc = conn.rt_local_mass(means) * sgn[:, :, np.newaxis] * sgn[:, np.newaxis, :]
     dvec = sgn * conn.rt_div()  # (n, 3) divergences of the global basis
     divloc = conn.areas[:, np.newaxis, np.newaxis] * (
         dvec[:, :, np.newaxis] * dvec[:, np.newaxis, :]
@@ -73,7 +74,7 @@ def assemble_ls(T: Triangulation, f):
         "nik,njk->nij", grads, grads
     )
     # flux i, node j: int_K phi_i . grad lambda_j = |K| mean(phi_i) . grad lambda_j
-    cloc = np.einsum("n,ni,nik,njk->nij", conn.areas, sgn, conn.rt_means(), grads)
+    cloc = np.einsum("n,ni,nik,njk->nij", conn.areas, sgn, means, grads)
 
     interior = ~conn.boundary_node
     nint = int(interior.sum())

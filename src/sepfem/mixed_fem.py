@@ -139,10 +139,10 @@ def _tree_potential(tree: _DualTree, mass: np.ndarray) -> np.ndarray:
     return u
 
 
-def _mass_inner(conn: Connectivity, v: np.ndarray, w: np.ndarray) -> float:
-    """(v, w) of two RT0 fields, from their pairs (see ``rt_affine``)."""
-    av, pv = rt_affine(conn, conn.local_flux_dofs(v))
-    aw, pw = rt_affine(conn, conn.local_flux_dofs(w))
+def _mass_inner(conn: Connectivity, v, w) -> float:
+    """(v, w) of two RT0 fields, from their pairs (a, pbar) (see ``rt_affine``)."""
+    av, pv = v
+    aw, pw = w
     return float(
         np.sum(conn.areas * np.einsum("nk,nk->n", pv, pw) + av * aw * conn.second_moments())
     )
@@ -198,8 +198,9 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray):
         n_free,
     )
     rhs = np.empty((n_free, fields.shape[1]))
+    means = conn.rt_means()
     for j, v in enumerate(fields.T):
-        pbar = rt_affine(conn, conn.local_flux_dofs(v))[1]
+        pbar = rt_affine(conn, conn.local_flux_dofs(v), means)[1]
         local = conn.areas[:, np.newaxis] * (
             pbar[:, np.newaxis, 0] * grads[:, :, 1] - pbar[:, np.newaxis, 1] * grads[:, :, 0]
         )
@@ -230,7 +231,7 @@ def _solve_flux(conn: Connectivity, load):
     entries of the factor.
     """
     tree = _dual_tree(conn)
-    ends = np.searchsorted(conn.node_vertices, conn.edges)
+    ends = conn.edge_nodes()
     free, holes = _free_nodes_and_holes(conn, tree, ends)
     # the columns: p_f, then each hole's unit cotree flux closed on the tree
     fields = np.zeros((conn.n_edges, 1 + len(holes)))
@@ -243,8 +244,10 @@ def _solve_flux(conn: Connectivity, load):
     fields += (psi[ends[:, 1]] - psi[ends[:, 0]]) / conn.lengths[:, np.newaxis]
     p, z = fields[:, 0], fields[:, 1:].T
     if len(z):
-        gram = [[_mass_inner(conn, zi, zj) for zj in z] for zi in z]
-        p = p + np.linalg.solve(gram, [-_mass_inner(conn, zi, p) for zi in z]) @ z
+        means = conn.rt_means()
+        pp, *pz = [rt_affine(conn, conn.local_flux_dofs(v), means) for v in fields.T]
+        gram = [[_mass_inner(conn, zi, zj) for zj in pz] for zi in pz]
+        p = p + np.linalg.solve(gram, [-_mass_inner(conn, zi, pp) for zi in pz]) @ z
     return p, tree, n_free, lu_nnz
 
 
@@ -274,10 +277,11 @@ def _mass_rows(conn: Connectivity, p) -> np.ndarray:
     (a, pbar) on K (see ``rt_affine``) and 2 s_i |K| = |E_i|,
     int_K phi_i . p = s_i a J_K + |K| mean(phi_i) . pbar.
     """
-    a, pbar = rt_affine(conn, conn.local_flux_dofs(p))
+    means = conn.rt_means()
+    a, pbar = rt_affine(conn, conn.local_flux_dofs(p), means)
     local = conn.elem_edge_lengths * (0.5 * a * conn.second_moments() / conn.areas)[
         :, np.newaxis
-    ] + np.einsum("n,nik,nk->ni", conn.areas, conn.rt_means(), pbar)
+    ] + np.einsum("n,nik,nk->ni", conn.areas, means, pbar)
     return conn.signed_edge_sum(local)
 
 

@@ -6,13 +6,17 @@ stream function from which the mixed flux is built.  Both are summed
 from local element blocks by ``_scatter``.  ``solve_spd`` factors the
 system with SuperLU in symmetric mode, without pivoting, on a nested
 dissection of the elements (George, SIAM J. Numer. Anal. 10, 1973), so
-one element tree orders both systems.  Each part of the mesh is cut
-across the longer axis of the bounding box of its element centroids, at
-the position near its median that the fewest interior edges cross
-(Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998, choose among
-candidate cuts by separator size): on the meshes graded toward a corner
-the exact median runs through the densest region.  Each unknown is
-ordered with the lowest part that holds all of its elements.
+one element tree orders both systems.  As in multilevel partitioning
+(Karypis-Kumar, SIAM J. Sci. Comput. 20, 1998), the elements are first
+coarsened, then cut: the bisection forest groups them into clusters of
+at most 8, the leaves below one node three generations up, and the
+dissection cuts the clusters.  Each part is cut across the longer axis
+of the bounding box of its clusters, at the position near its median
+element that the fewest interior edges cross (Gilbert-Miller-Teng, SIAM
+J. Sci. Comput. 19, 1998, choose among candidate cuts by separator
+size): on the meshes graded toward a corner the exact median runs
+through the densest region.  Each unknown is ordered with the lowest
+part that holds all of its elements.
 ``solve_spd`` returns the solution with the number of L+U entries of its
 factor, and raises ``SolverError`` when SuperLU meets a zero pivot.
 Both discretizations gate their solves on one relative residual,
@@ -33,8 +37,11 @@ _RESIDUAL_TOL = 1e-10
 
 # parts of at most this many elements are not cut
 _LEAF_SIZE = 16
-# a part is cut at one of the positions within this share of its size
-# on either side of its median
+# the elements below one forest node this many generations up are
+# dissected as one cluster
+_CLUSTER_DEPTH = 3
+# a part is cut at one of the positions within this share of its
+# elements on either side of its median element
 _WINDOW = 0.2
 
 
@@ -42,35 +49,75 @@ class SolverError(Exception):
     """Linear solver failed to reach the required residual."""
 
 
+def _clusters(T):
+    """Cluster of each element of T: the leaves below one forest node.
+
+    Each leaf joins the leaves that share its ancestor ``_CLUSTER_DEPTH``
+    generations up, clamped at the roots, so a cluster holds at most
+    2 ** _CLUSTER_DEPTH elements inside one forest triangle, and the
+    elements of a root mesh are their own clusters.  Clusters are
+    numbered by their ancestor's node id.
+    """
+    parents = T.forest.parents()
+    anc = T.leaf_ids
+    for _ in range(_CLUSTER_DEPTH):
+        up = parents[anc]
+        anc = np.where(up >= 0, up, anc)
+    seen = np.zeros(T.forest.n_nodes, dtype=bool)
+    seen[anc] = True
+    return (np.cumsum(seen) - 1)[anc]
+
+
 def _leaf_slots(conn):
     """First and last slot of each element's leaf in the element tree.
 
-    Every part with more than 16 elements is sorted along the longer axis
-    of the bounding box of its element centroids and cut in two.  The cut
-    is the position within 20 % of the part's size around its median
-    that the fewest interior edges (joining the two elements holding
-    them) cross; ties go to the position nearest the median, then to the
-    lower one.  All parts of one level are cut together.  Parts are
-    numbered as in a binary heap (the root is 1, the halves of part h are
-    2h and 2h + 1), and the slots are the heap numbers at the depth of
-    the deepest leaf: a leaf h at depth d covers the slots from
+    The elements are grouped into clusters (see ``_clusters``), and the
+    clusters are dissected (see ``_dissect``) at the mean of their
+    element centroids, weighted by their element counts, with the
+    interior edges that join two clusters as couplings.  Each element
+    gets its cluster's slots.
+    """
+    cluster = _clusters(conn.mesh)
+    weights = np.bincount(cluster)
+    centroids = _centroids(conn.pts)
+    xs = np.bincount(cluster, weights=centroids[:, 0]) / weights
+    ys = np.bincount(cluster, weights=centroids[:, 1]) / weights
+    # the two holders' clusters of each interior edge, where they differ
+    inner = np.flatnonzero(~conn.boundary_edge)
+    a = cluster[conn.edge_elem[inner]]
+    b = cluster[conn.other_elem()[inner]]
+    apart = a != b
+    first, last = _dissect(xs, ys, weights, a[apart], b[apart])
+    return first[cluster], last[cluster]
+
+
+def _dissect(xs, ys, weights, a, b):
+    """First and last slot of each weighted point's leaf in its dissection tree.
+
+    Point i stands for ``weights[i]`` elements at (xs[i], ys[i]), and
+    (a[j], b[j]) is the pair of points joined by coupling j.  Every part
+    of more than 16 elements and more than one point is sorted along the
+    longer axis of the bounding box of its points and cut in two.  The
+    cut is the position within 20 % of the part's elements around its
+    median element that the fewest couplings cross; ties go to the
+    position nearest the median, then to the lower one.  Where no
+    position falls inside that window, the window widens to the
+    positions nearest the median; a position that leaves a half empty is
+    never a cut.  With unit weights this is the rule of the element
+    dissection exactly.  All parts of one level are cut together.  Parts
+    are numbered as in a binary heap (the root is 1, the halves of part
+    h are 2h and 2h + 1), and the slots are the heap numbers at the depth
+    of the deepest leaf: a leaf h at depth d covers the slots from
     h << (D - d) to ((h + 1) << (D - d)) - 1.
     """
-    ne = len(conn.tris)
-    centroids = _centroids(conn.pts)
-    xs, ys = centroids[:, 0].copy(), centroids[:, 1].copy()
-    # the two holders of each interior edge
-    inner = np.flatnonzero(~conn.boundary_edge)
-    a = conn.edge_elem[inner]
-    b = conn.other_elem()[inner]
-
-    part = np.ones(ne, dtype=np.int64)
-    depth = np.zeros(ne, dtype=np.int64)
-    # the elements of the parts still to cut, grouped by part, with the
-    # parts' sizes and heap numbers; the couplings (a, b) are pairs of
-    # positions in ``active`` inside one part
-    active = np.arange(ne if ne > _LEAF_SIZE else 0)
-    counts = np.array([ne], dtype=np.int64)
+    n = len(weights)
+    part = np.ones(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    # the points of the parts still to cut, grouped by part, with the
+    # parts' point counts and heap numbers; the couplings (a, b) are
+    # pairs of positions in ``active`` inside one part
+    active = np.arange(n if n > 1 and weights.sum() > _LEAF_SIZE else 0)
+    counts = np.array([n], dtype=np.int64)
     heap = np.ones(1, dtype=np.int64)
     level = 0
     while len(active):
@@ -104,24 +151,34 @@ def _leaf_slots(conn):
         crossings[1:] = np.cumsum(
             np.bincount(low_end, minlength=m) - np.bincount(high_end, minlength=m)
         )[:-1]
+        # the elements of the part before each position
+        w = weights[active]
+        before = np.cumsum(w) - w
+        before -= before[first][grp]
+        total = np.add.reduceat(w, first)
         # one integer key per position ranks the cuts of a part: fewest
         # crossings, then nearest the median, then the lower side; it is
-        # unique within a part, and the median is always a candidate
-        median = (counts // 2)[grp]
-        offset = idx - first[grp] - median
+        # unique within a part, and the nearest cuts to the median are
+        # always candidates
+        offset = before - (total // 2)[grp]
         dist = np.abs(offset)
+        top = total.max()
+        cuts = idx > first[grp]
+        nearest = np.minimum.reduceat(np.where(cuts, dist, top), first)
+        reach = np.maximum((_WINDOW * total).astype(np.int64), nearest)
         key = np.where(
-            dist <= (_WINDOW * counts).astype(np.int64)[grp],
-            crossings * (2 * m + 2) + 2 * dist + (offset > 0),
+            cuts & (dist <= reach[grp]),
+            crossings * (2 * top + 2) + 2 * dist + (offset > 0),
             np.iinfo(np.int64).max,
         )
         cut = np.flatnonzero(key == np.minimum.reduceat(key, first)[grp])
         upper = idx >= cut[grp]
 
-        # halves of at most _LEAF_SIZE elements are leaves
+        # halves of at most _LEAF_SIZE elements, or of one point, are leaves
         half = 2 * grp + upper
-        sizes = np.bincount(half, minlength=2 * len(counts))
-        split = sizes > _LEAF_SIZE
+        points = np.bincount(half, minlength=2 * len(counts))
+        sizes = np.bincount(half, weights=w, minlength=2 * len(counts))
+        split = (sizes > _LEAF_SIZE) & (points > 1)
         going = split[half]
         done = ~going
         ids = active[done]
@@ -132,7 +189,7 @@ def _leaf_slots(conn):
         kept = np.cumsum(going) - 1
         a, b = kept[low_end[stay]], kept[high_end[stay]]
         active = active[going]
-        counts = sizes[split]
+        counts = points[split]
         heap = (2 * heap[:, np.newaxis] + np.arange(2)).ravel()[split]
         level += 1
 

@@ -161,6 +161,18 @@ def test_edge_elem_is_the_first_holder(conn):
     assert np.array_equal(conn.edge_elem, holder_tables(conn)[0][:, 0])
 
 
+def test_nodes_are_numbered_in_vertex_order(conn):
+    # the numbering the binary searches in the sorted vertex list gave
+    vertices = np.unique(conn.tris)
+    assert np.array_equal(conn.node_vertices, vertices)
+    assert np.array_equal(conn.elem_nodes, np.searchsorted(vertices, conn.tris))
+    ends = np.searchsorted(vertices, conn.edges)
+    assert np.array_equal(conn.edge_nodes(), ends)
+    boundary = np.zeros(conn.n_nodes, dtype=bool)
+    boundary[ends[conn.boundary_edge].ravel()] = True
+    assert np.array_equal(conn.boundary_node, boundary)
+
+
 def test_tangential_jumps_match_the_two_holder_jumps_bit_for_bit(conn):
     rng = np.random.default_rng(11)
     for _ in range(3):

@@ -378,6 +378,24 @@ def test_ring_matches_dense_oracle():
         T = T.uniform_refine()
 
 
+@pytest.mark.parametrize("cells, holes", [(set(), 0), ({(1, 1)}, 1), ({(1, 1), (3, 1)}, 2)])
+def test_each_step_of_a_solve_derives_the_rt0_means_once(cells, holes, monkeypatch):
+    # the stream functions' load (one column per hole besides p_f), the
+    # Gram system of the hole fields and the mass rows of the residual
+    T = grid_without(5, 3, cells).uniform_refine()
+    assert holes_and_components(T) == (holes, 1)
+    calls = []
+    means = Connectivity.rt_means
+
+    def counted(conn):
+        calls.append(1)
+        return means(conn)
+
+    monkeypatch.setattr(Connectivity, "rt_means", counted)
+    solve_mixed(T, field_from_name("linear-x"))
+    assert len(calls) == (3 if holes else 2)
+
+
 def test_two_components_match_dense_oracle():
     # two squares of different sizes that share no vertex
     pts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (4, 0), (4, 2), (2, 2)]

@@ -12,9 +12,100 @@ import sepfem.sparse_direct as sparse_direct
 from sepfem import MixedPoisson, SafemParams, field_from_name, l_shape, safem_run
 from sepfem.edges import Connectivity
 from sepfem.ls_fem import assemble_ls
-from sepfem.mesh import initial_mesh, unit_square_criss
+from sepfem.mesh import initial_mesh, read_mesh, unit_square_criss, write_mesh
 from sepfem.mixed_fem import solve_mixed
-from sepfem.sparse_direct import SolverError, nested_dissection, solve_spd
+from sepfem.quadrature import _centroids
+from sepfem.sparse_direct import (
+    _CLUSTER_DEPTH,
+    SolverError,
+    _clusters,
+    _dissect,
+    _leaf_slots,
+    nested_dissection,
+    solve_spd,
+)
+
+
+def element_slots(conn):
+    """The dissection of the elements themselves, as the reference for the clusters.
+
+    Every part with more than 16 elements is sorted along the longer axis
+    of the bounding box of its element centroids and cut in two.  The cut
+    is the position within 20 % of the part's size around its median
+    that the fewest interior edges (joining the two elements holding
+    them) cross; ties go to the position nearest the median, then to the
+    lower one.  All parts of one level are cut together.  Returns the
+    first and last slot of each element's leaf, as ``_leaf_slots``.
+    """
+    ne = len(conn.tris)
+    centroids = _centroids(conn.pts)
+    xs, ys = centroids[:, 0].copy(), centroids[:, 1].copy()
+    inner = np.flatnonzero(~conn.boundary_edge)
+    a = conn.edge_elem[inner]
+    b = conn.other_elem()[inner]
+
+    part = np.ones(ne, dtype=np.int64)
+    depth = np.zeros(ne, dtype=np.int64)
+    active = np.arange(ne if ne > 16 else 0)
+    counts = np.array([ne], dtype=np.int64)
+    heap = np.ones(1, dtype=np.int64)
+    level = 0
+    while len(active):
+        m = len(active)
+        first = np.cumsum(counts) - counts
+        grp = np.repeat(np.arange(len(counts)), counts)
+
+        x, y = xs[active], ys[active]
+        xlo, ylo = np.minimum.reduceat(x, first), np.minimum.reduceat(y, first)
+        xspan = np.maximum.reduceat(x, first) - xlo
+        yspan = np.maximum.reduceat(y, first) - ylo
+        along_y = yspan > xspan
+        lo = np.where(along_y, ylo, xlo)
+        width = np.where(along_y, yspan, xspan)
+        frac = (np.where(along_y[grp], y, x) - lo[grp]) / np.where(
+            width > 0.0, width, 1.0
+        )[grp]
+        order = np.argsort(grp + 0.5 * frac, kind="stable")
+        active = active[order]
+        idx = np.arange(m)
+        pos = np.empty(m, dtype=np.int64)
+        pos[order] = idx
+        a, b = pos[a], pos[b]
+        low_end, high_end = np.minimum(a, b), np.maximum(a, b)
+
+        crossings = np.zeros(m, dtype=np.int64)
+        crossings[1:] = np.cumsum(
+            np.bincount(low_end, minlength=m) - np.bincount(high_end, minlength=m)
+        )[:-1]
+        median = (counts // 2)[grp]
+        offset = idx - first[grp] - median
+        dist = np.abs(offset)
+        key = np.where(
+            dist <= (0.2 * counts).astype(np.int64)[grp],
+            crossings * (2 * m + 2) + 2 * dist + (offset > 0),
+            np.iinfo(np.int64).max,
+        )
+        cut = np.flatnonzero(key == np.minimum.reduceat(key, first)[grp])
+        upper = idx >= cut[grp]
+
+        half = 2 * grp + upper
+        sizes = np.bincount(half, minlength=2 * len(counts))
+        split = sizes > 16
+        going = split[half]
+        done = ~going
+        ids = active[done]
+        part[ids], depth[ids] = 2 * heap[grp[done]] + upper[done], level + 1
+
+        stay = going[low_end] & (upper[low_end] == upper[high_end])
+        kept = np.cumsum(going) - 1
+        a, b = kept[low_end[stay]], kept[high_end[stay]]
+        active = active[going]
+        counts = sizes[split]
+        heap = (2 * heap[:, np.newaxis] + np.arange(2)).ravel()[split]
+        level += 1
+
+    below = depth.max() - depth
+    return part << below, ((part + 1) << below) - 1
 
 
 def coupling_dissection(S, coords):
@@ -315,6 +406,86 @@ def test_element_dissection_stores_no_more_fill_than_the_coupling_ordering(
     S, perm, coords = graded_system(graded_mesh, system, monkeypatch)
     ref = coupling_dissection(S, coords)
     assert fill(reordered(S, perm)) <= fill(reordered(S, ref))
+
+
+@pytest.mark.parametrize("system", ["ls", "curl"])
+def test_cluster_dissection_stores_at_most_5_percent_more_fill_than_the_element_one(
+    graded_mesh, system, monkeypatch
+):
+    S, perm, _ = graded_system(graded_mesh, system, monkeypatch)
+    monkeypatch.setattr(sparse_direct, "_leaf_slots", element_slots)
+    _, ref, _ = graded_system(graded_mesh, system, monkeypatch)
+    assert fill(reordered(S, perm)) <= 1.05 * fill(reordered(S, ref))
+
+
+def test_root_mesh_is_dissected_element_by_element(graded_mesh, tmp_path):
+    # the graded mesh read back as a root mesh: every element is a cluster
+    # of its own, with unit weight, and the rule is the element rule
+    write_mesh(graded_mesh, tmp_path / "graded.mesh")
+    conn = Connectivity(read_mesh(tmp_path / "graded.mesh"))
+    assert len(conn.tris) == 3616
+    assert np.array_equal(_clusters(conn.mesh), np.arange(3616))
+    first, last = _leaf_slots(conn)
+    ref_first, ref_last = element_slots(conn)
+    assert np.array_equal(first, ref_first) and np.array_equal(last, ref_last)
+
+
+def test_clusters_partition_the_leaves_under_their_ancestors(graded_mesh):
+    T = graded_mesh
+    cluster = _clusters(T)
+    sizes = np.bincount(cluster)
+    assert len(cluster) == T.n_elements and sizes.min() >= 1
+    assert sizes.max() <= 2**_CLUSTER_DEPTH == 8
+    # each leaf's ancestor three generations up, clamped at the roots
+    anc = []
+    for leaf in T.leaf_ids.tolist():
+        for _ in range(_CLUSTER_DEPTH):
+            up = T.forest.parent(leaf)
+            leaf = leaf if up < 0 else up
+        anc.append(leaf)
+    anc = np.array(anc)
+    # one cluster per ancestor, numbered in the ancestors' order
+    assert np.array_equal(np.unique(anc, return_inverse=True)[1].ravel(), cluster)
+    # and every leaf lies inside its ancestor's triangle
+    v = T.forest.node_coords(anc)
+    c = _centroids(T.tri_coords())
+    e1, e2, d = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], c - v[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    s = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
+    t = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+    assert np.all((s > 0.0) & (t > 0.0) & (s + t < 1.0))
+    # the clusters are not the elements themselves on a refined mesh,
+    # and the dissection never parts a cluster's elements
+    assert sizes.mean() > 2.0
+    first, last = _leaf_slots(Connectivity(T))
+    for slots in (first, last):
+        assert np.array_equal(slots, slots[np.unique(cluster, return_index=True)[1]][cluster])
+
+
+@pytest.mark.parametrize(
+    "weights, lower",
+    [
+        # the median element is 9 of 18, the window reaches 3 elements
+        # from it, and the two cuts lie 4 from it: the lower one is taken
+        ((5, 8, 5), 1),
+        # with the median element at a cluster's edge, the cut is there
+        ((8, 8, 1), 1),
+        # the cut nearest the median would leave the lower half empty
+        ((16, 1), 1),
+        ((1, 16), 1),
+        # a half of one point is a leaf, however heavy
+        ((20, 1), 1),
+    ],
+)
+def test_heavy_points_are_cut_nearest_the_median_into_two_halves(weights, lower):
+    # points on a line, no couplings: every cut crosses nothing
+    n = len(weights)
+    xs, ys = np.arange(float(n)), np.zeros(n)
+    none = np.zeros(0, dtype=np.int64)
+    first, last = _dissect(xs, ys, np.array(weights), none, none)
+    # the root's halves are parts 2 and 3, both leaves here
+    assert first.tolist() == [2] * lower + [3] * (n - lower)
+    assert np.array_equal(first, last)
 
 
 def strip(m):
