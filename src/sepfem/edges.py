@@ -3,8 +3,7 @@
 The flux orientation convention is global and mesh independent: the
 fixed normal of edge (a, b) with a < b is the right perpendicular of
 P_b - P_a.  Vertex indices live in the bisection forest, so a geometric
-edge keeps its normal in every triangulation that contains it, which
-makes flux degrees of freedom transfer verbatim between nested meshes.
+edge keeps its normal in every triangulation that contains it.
 
 The forest orients every triangle counterclockwise, and the right
 perpendicular of an edge walked counterclockwise points out of the
@@ -19,16 +18,19 @@ s_i = |E_i| / (2 |K|), so every RT0 field is, on K, an affine pair
 a (x - x_K) + pbar about the centroid x_K (``rt_affine``).  As x - x_K
 has mean zero on K, its integrals are closed form in the pair and the
 second moment J_K, and no quadrature rule or local matrix is stored.
+On a fine element inside K the same field is the pair (a, p(x)) at the
+fine centroid x (``rt_at_points``), so fields of nested meshes are
+compared element by element.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshError, Triangulation, _edge_ends, _midpoint
+from .mesh import MeshError, Triangulation, _edge_ends
 from .quadrature import _centroids
 
-__all__ = ["Connectivity", "prolong_rt0"]
+__all__ = ["Connectivity"]
 
 
 class Connectivity:
@@ -62,7 +64,6 @@ class Connectivity:
         tang = pb - pa
         self.lengths = np.hypot(tang[:, 0], tang[:, 1])
         self.normals = np.column_stack((tang[:, 1], -tang[:, 0])) / self.lengths[:, np.newaxis]
-        self.midpoints = _midpoint(pa, pb)
         self.elem_signs = np.where(tris[:, [1, 2, 0]] < tris[:, [2, 0, 1]], 1.0, -1.0)
 
         # compact node numbering for nodal spaces, in vertex order
@@ -203,33 +204,3 @@ def tangential_jump_norms(conn: Connectivity, a: np.ndarray, pbar: np.ndarray) -
     j0 = np.einsum("ek,ek->e", jlo, tangents)
     j1 = np.einsum("ek,ek->e", jhi, tangents)
     return conn.lengths * (j0 * j0 + j0 * j1 + j1 * j1) / 3.0
-
-
-def prolong_rt0(coarse: Connectivity, p: np.ndarray, fine: Connectivity) -> np.ndarray:
-    """Coefficients of a coarse RT0 field on the edges of a nested fine mesh.
-
-    A coefficient is the constant normal-component value along its edge.
-    Edges present in both meshes keep their coefficient verbatim (the
-    global normal is vertex based, hence mesh independent); new edges
-    sample p(mid) . n of the coarse field, exact because the field is
-    affine on the coarse element containing the edge.  Raises ValueError
-    when a fine leaf has no ancestor-or-self among the coarse leaves.
-    """
-    rows = fine.mesh.coarse_rows(coarse.mesh)
-    if np.any(rows < 0):
-        raise ValueError("fine mesh does not refine the coarse one")
-    ckeys = coarse.mesh.edge_table()[0]
-    keys = fine.mesh.edge_table()[0]
-    pos = np.minimum(np.searchsorted(ckeys, keys), len(ckeys) - 1)
-    shared = ckeys[pos] == keys
-    out = np.empty(fine.n_edges)
-    out[shared] = p[pos[shared]]
-    new_rows = np.nonzero(~shared)[0]
-    if len(new_rows):
-        anc = rows[fine.edge_elem[new_rows]]
-        mids = fine.midpoints[new_rows, np.newaxis, :]
-        pair = rt_affine(coarse, coarse.local_flux_dofs(p))
-        vals = rt_at_points(coarse, anc, *pair, mids)[:, 0, :]
-        out[new_rows] = np.einsum("mk,mk->m", vals, fine.normals[new_rows])
-    return out
-

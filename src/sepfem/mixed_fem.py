@@ -17,9 +17,11 @@ the saddle-point system, summed element by element in closed form from
 each element's affine flux, so its matrices are never assembled, and
 the elementwise divergence gap is gated too.  The error estimator
 combines an area-weighted flux volume term with tangential
-inter-element jumps; the distance between nested solutions is the
-H(div) norm of the flux difference, computable exactly because nested
-RT0 spaces are inclusion-ordered.
+inter-element jumps.  Each solve keeps its flux's elementwise affine
+pair, and the distance between nested solutions, the H(div) norm of the
+flux difference, is closed form from the two solves' pairs, matched
+element to ancestor through ``coarse_rows``: nested RT0 spaces are
+inclusion-ordered.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 from scipy.sparse.linalg import spsolve_triangular
 
-from .edges import Connectivity, prolong_rt0, rt_affine, rt_norm2, tangential_jump_norms
+from .edges import Connectivity, rt_affine, rt_at_points, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
-from .quadrature import integrate_many
+from .quadrature import _centroids, integrate_many
 from .sparse_direct import _RESIDUAL_TOL, SolverError, _scatter, solve_spd
 
 # the worst elementwise gap of div p = -f_K, relative to the divergence's terms
@@ -54,6 +56,7 @@ class MixedSolution:
     conn: Connectivity
     p: np.ndarray          # constant normal trace per edge, against the global normal
     u: np.ndarray          # piecewise-constant multiplier per element
+    pair: tuple            # the flux's elementwise pair (a, pbar) (see ``rt_affine``)
     residual: float
     f_means: np.ndarray    # quadratured elementwise means of the data
     div_gap: float         # worst elementwise gap of div p = -f_K (see ``_div_gap``)
@@ -177,16 +180,16 @@ def _free_nodes_and_holes(conn: Connectivity, tree: _DualTree, ends: np.ndarray)
     return free, np.setdiff1d(cotree, forest.data.astype(np.int64) - 1)
 
 
-def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray):
+def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, means):
     """The psi with (curl psi, curl phi) = -(v, curl phi) for each column v of ``fields``.
 
     ``fields`` is (n_edges, m) RT0 coefficients; the P1 test functions
     phi are the hats of the ``free`` nodes, and psi is 0 on the others.
     The matrix is the P1 stiffness, factored once for all m columns.
     On K, (v, curl phi) = |K| pbar . curl phi, as x - x_K has mean zero
-    there, with curl phi = (d phi / dy, -d phi / dx).  Returns the
-    (n_nodes, m) psi, the number of unknowns and the L+U entries of the
-    factor.
+    there, with curl phi = (d phi / dy, -d phi / dx); ``means`` is
+    ``conn.rt_means()``.  Returns the (n_nodes, m) psi, the number of
+    unknowns and the L+U entries of the factor.
     """
     n_free = int(free.sum())
     dofs = np.where(free, np.cumsum(free) - 1, -1)[conn.elem_nodes]
@@ -198,7 +201,6 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray):
         n_free,
     )
     rhs = np.empty((n_free, fields.shape[1]))
-    means = conn.rt_means()
     for j, v in enumerate(fields.T):
         pbar = rt_affine(conn, conn.local_flux_dofs(v), means)[1]
         local = conn.areas[:, np.newaxis] * (
@@ -210,7 +212,7 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray):
     return psi, n_free, lu_nnz
 
 
-def _solve_flux(conn: Connectivity, load):
+def _solve_flux(conn: Connectivity, load, means):
     """Flux of the mixed system in the dual tree's basis.
 
     RT0 is the tree fluxes, one per element, plus the divergence-free
@@ -227,8 +229,8 @@ def _solve_flux(conn: Connectivity, load):
        off the curls as one more column on the same factor; a g x g
        system in the mass then gives alpha.
 
-    Returns p, the tree, the number of P1 unknowns factored and the L+U
-    entries of the factor.
+    ``means`` is ``conn.rt_means()``.  Returns p, the tree, the number
+    of P1 unknowns factored and the L+U entries of the factor.
     """
     tree = _dual_tree(conn)
     ends = conn.edge_nodes()
@@ -239,12 +241,11 @@ def _solve_flux(conn: Connectivity, load):
     loads = np.column_stack([load] + [_div_sums(conn, z) for z in fields[:, 1:].T])
     fields[tree.edge] = _tree_fluxes(tree, loads)
 
-    psi, n_free, lu_nnz = _stream_functions(conn, fields, free)
+    psi, n_free, lu_nnz = _stream_functions(conn, fields, free, means)
     # curl psi has the coefficient (psi_b - psi_a) / |E| on edge (a, b)
     fields += (psi[ends[:, 1]] - psi[ends[:, 0]]) / conn.lengths[:, np.newaxis]
     p, z = fields[:, 0], fields[:, 1:].T
     if len(z):
-        means = conn.rt_means()
         pp, *pz = [rt_affine(conn, conn.local_flux_dofs(v), means) for v in fields.T]
         gram = [[_mass_inner(conn, zi, zj) for zj in pz] for zi in pz]
         p = p + np.linalg.solve(gram, [-_mass_inner(conn, zi, pp) for zi in pz]) @ z
@@ -270,15 +271,15 @@ def _div_gap(conn: Connectivity, p, load) -> float:
     return float(rel.max(initial=0.0))
 
 
-def _mass_rows(conn: Connectivity, p) -> np.ndarray:
+def _mass_rows(conn: Connectivity, pair, means) -> np.ndarray:
     """Per edge, the row (A p)_e of the RT0 mass matrix A.
 
-    Each is summed from the elements' local dofs; with p the pair
-    (a, pbar) on K (see ``rt_affine``) and 2 s_i |K| = |E_i|,
+    Each is summed from the elements' local dofs; with ``pair`` the
+    (a, pbar) of p on K (see ``rt_affine``), ``means`` the basis means
+    ``conn.rt_means()`` and 2 s_i |K| = |E_i|,
     int_K phi_i . p = s_i a J_K + |K| mean(phi_i) . pbar.
     """
-    means = conn.rt_means()
-    a, pbar = rt_affine(conn, conn.local_flux_dofs(p), means)
+    a, pbar = pair
     local = conn.elem_edge_lengths * (0.5 * a * conn.second_moments() / conn.areas)[
         :, np.newaxis
     ] + np.einsum("n,nik,nk->ni", conn.areas, means, pbar)
@@ -306,7 +307,9 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
     in (p, u) (see ``_saddle_residual``) must meet 1e-10, and the worst
     elementwise gap of div p = -f_K, relative to the divergence's terms
     (see ``_div_gap``), 1e-12; either failure raises ``SolverError``.
-    The load is the quadrature of f per element.
+    The load is the quadrature of f per element.  The basis means and
+    the flux's pair (see ``rt_affine``) are derived once; the solution
+    keeps the pair for ``eta_mixed`` and ``delta_mixed``.
     """
     conn = Connectivity(T)
     load = integrate_many(f, conn.pts)
@@ -314,10 +317,13 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
     bnorm = float(np.linalg.norm(load))
     if bnorm == 0.0:
         p, u, res, gap = np.zeros(conn.n_edges), np.zeros(len(load)), 0.0, 0.0
+        pair = (np.zeros(len(load)), np.zeros((len(load), 2)))
         unknowns = lu_nnz = 0
     else:
-        p, tree, unknowns, lu_nnz = _solve_flux(conn, load)
-        mass = _mass_rows(conn, p)
+        means = conn.rt_means()
+        p, tree, unknowns, lu_nnz = _solve_flux(conn, load, means)
+        pair = rt_affine(conn, conn.local_flux_dofs(p), means)
+        mass = _mass_rows(conn, pair, means)
         u = _tree_potential(tree, mass)
         res = float(np.linalg.norm(_saddle_residual(conn, p, mass, u, load))) / bnorm
         if not res <= _RESIDUAL_TOL:
@@ -329,7 +335,7 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
             raise SolverError(
                 f"mixed divergence gap {gap:.3e} above {_DIV_GAP_TOL:g}"
             )
-    return MixedSolution(conn, p, u, res, f_means, gap, unknowns, lu_nnz)
+    return MixedSolution(conn, p, u, pair, res, f_means, gap, unknowns, lu_nnz)
 
 
 def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:
@@ -339,10 +345,11 @@ def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:
              + |K|^{1/2} sum_{E in E(K)} ||[p] . t_E||_{L2(E)}^2
 
     with one-sided traces on boundary edges.  Every term is a polynomial
-    integral and is evaluated exactly, the volume term by ``rt_norm2``.
+    integral and is evaluated exactly, the volume term by ``rt_norm2``
+    from the pair the solve keeps.
     """
     conn = sol.conn
-    a, pbar = rt_affine(conn, conn.local_flux_dofs(sol.p))
+    a, pbar = sol.pair
     vol = conn.areas * rt_norm2(conn, a, pbar)
     jumps = tangential_jump_norms(conn, a, pbar)
     per_elem = jumps[conn.elem_edges].sum(axis=1)
@@ -353,13 +360,20 @@ def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:
 def delta_mixed(Tc: Triangulation, Tf: Triangulation, sol_c: MixedSolution, sol_f: MixedSolution) -> float:
     """Squared H(div) distance ||p_f - p_c||^2 between nested solutions.
 
-    The coarse flux is prolonged exactly into the fine RT0 space, so the
-    norm of the difference's pair (a, pbar) is closed form, with
-    divergence 2 a; the prolongation rejects non-nested meshes.
+    Nested RT0 spaces are inclusion-ordered: on each fine element the
+    coarse flux is the pair (a_c, p_c(x_K)) of its ancestor's field at
+    the fine centroid x_K, the ancestor found by ``coarse_rows``.  So the
+    difference's pair (a, pbar) comes from the two solves' pairs, and its
+    norm is closed form, with divergence 2 a.  Raises ValueError when a
+    fine element has no ancestor-or-self among the coarse ones.
     """
-    cf = prolong_rt0(sol_c.conn, sol_c.p, sol_f.conn)
+    rows = Tf.coarse_rows(Tc)
+    if np.any(rows < 0):
+        raise ValueError("fine mesh does not refine the coarse one")
     conn = sol_f.conn
-    a, pbar = rt_affine(conn, conn.local_flux_dofs(sol_f.p - cf))
+    centroids = _centroids(conn.pts)[:, np.newaxis]
+    a = sol_f.pair[0] - sol_c.pair[0][rows]
+    pbar = sol_f.pair[1] - rt_at_points(sol_c.conn, rows, *sol_c.pair, centroids)[:, 0]
     l2 = float(np.sum(rt_norm2(conn, a, pbar)))
     hdiv = float(np.sum(conn.areas * (2.0 * a) ** 2))
     return l2 + hdiv

