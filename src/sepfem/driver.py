@@ -191,6 +191,11 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
             )
             if solutions:
                 records[-1].delta2 = problem.delta(meshes[-2], T, solutions[-1], sol)
+                # the previous level is finished: it keeps its leaves and
+                # its solution's coefficients, and its tables are derived
+                # again if anything reads them later
+                if meshes[-2] is not T:
+                    meshes[-2].release()
             records.append(rec)
             solutions.append(sol)
             reason = _stop_reason(rec.sigma2, T, params)

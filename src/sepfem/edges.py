@@ -40,21 +40,25 @@ class Connectivity:
     ``elem_signs[k, i]`` is +1 when the global normal of that edge points
     out of element k, read from the vertex order (see the module
     docstring).  ``edge_elem`` is the lowest-numbered element holding
-    each edge.
+    each edge, and ``keys`` are the mesh's sorted edge keys (see
+    ``Triangulation.edge_table``).
     """
 
     def __init__(self, T: Triangulation):
-        self.mesh = T
+        # T's forest, leaves and edge keys, not T itself: T keeps its
+        # Connectivity (see ``of``), and a reference back would make a
+        # cycle that only the garbage collector frees
+        self.forest, self.leaf_ids = T.forest, T.leaf_ids
         tris = T.tris()
         self.tris = tris
         self.pts = T.tri_coords()
         self.areas = T.areas()
 
-        keys, self.elem_edges, counts = T.edge_table()
+        self.keys, self.elem_edges, counts = T.edge_table()
         if not T.is_conforming():
             raise MeshError("triangulation is not conforming")
-        self.n_edges = len(keys)
-        lo, hi = _edge_ends(keys)
+        self.n_edges = len(self.keys)
+        lo, hi = _edge_ends(self.keys)
         self.boundary_edge = counts != 2
         self.edge_elem = np.full(self.n_edges, len(tris), dtype=np.int64)
         np.minimum.at(self.edge_elem, self.elem_edges.ravel(), np.arange(len(tris)).repeat(3))
@@ -79,10 +83,22 @@ class Connectivity:
 
         self.elem_edge_lengths = self.lengths[self.elem_edges]
 
+    @classmethod
+    def of(cls, T: Triangulation) -> "Connectivity":
+        """The Connectivity of ``T``, built on first read and kept with its other tables.
+
+        ``T.release()`` drops it with them, and the next read builds it
+        again, bit for bit.
+        """
+        conn = T._cache.get("connectivity")
+        if conn is None:
+            conn = T._cache["connectivity"] = cls(T)
+        return conn
+
     @property
     def edges(self) -> np.ndarray:
         """(n_edges, 2) vertex ends (a, b), a < b, of each edge, decoded from the mesh's keys."""
-        return np.column_stack(_edge_ends(self.mesh.edge_table()[0]))
+        return np.column_stack(_edge_ends(self.keys))
 
     def edge_nodes(self) -> np.ndarray:
         """(n_edges, 2) node numbers of the ends (a, b) of each edge, read through ``elem_nodes``."""

@@ -39,13 +39,18 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class LsSolution:
-    conn: Connectivity
+    mesh: Triangulation
     p: np.ndarray             # constant normal trace per edge, against the global normal
     u: np.ndarray             # nodal values on all nodes (zero on the boundary)
     residual: float           # relative gradient residual of the discrete minimum
     ls_total: float
     unknowns: int = 0         # size of the factored system, 0 if none was
     lu_nnz: int = 0           # and the L+U entries of its factor
+
+    @property
+    def conn(self) -> Connectivity:
+        """The mesh's Connectivity, kept with its other tables (see ``Connectivity.of``)."""
+        return Connectivity.of(self.mesh)
 
 
 def assemble_ls(T: Triangulation, f):
@@ -58,7 +63,7 @@ def assemble_ls(T: Triangulation, f):
     connectivity, the mask of interior nodes and the (n, 6) unknowns of
     each element (-1 on boundary nodes).
     """
-    conn = Connectivity(T)
+    conn = Connectivity.of(T)
     n = len(conn.tris)
     ne = conn.n_edges
 
@@ -118,7 +123,7 @@ def solve_ls(T: Triangulation, f) -> LsSolution:
     u = np.zeros(conn.n_nodes)
     u[interior] = x[conn.n_edges :]
     total = ls_functional(conn, f, p, u)
-    return LsSolution(conn, p, u, res, total, unknowns, lu_nnz)
+    return LsSolution(T, p, u, res, total, unknowns, lu_nnz)
 
 
 def ls_functional(conn: Connectivity, f, p, u) -> float:

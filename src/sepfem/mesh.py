@@ -305,7 +305,10 @@ class Triangulation:
     """An immutable leaf set of a bisection forest.
 
     Elements are identified by their forest node index, which is stable
-    across refinements of the same experiment.
+    across refinements of the same experiment.  The tables derived from
+    the leaf set (vertex rows, coordinates, areas, the edge table and
+    ``edges.Connectivity.of``) share one cache, filled on first read and
+    emptied by ``release``.
     """
 
     __slots__ = ("forest", "leaf_ids", "_cache")
@@ -378,6 +381,14 @@ class Triangulation:
         if out is None:
             out = self._cache["edge_table"] = _edge_table(self.tris())
         return out
+
+    def release(self) -> None:
+        """Drop every derived table: tris, coordinates, areas, edge table, connectivity.
+
+        The leaf set is all a Triangulation needs; each table is derived
+        again, bit for bit, on its next read.
+        """
+        self._cache.clear()
 
     def is_conforming(self) -> bool:
         """True iff every edge is matched: twice interior, once on the boundary."""

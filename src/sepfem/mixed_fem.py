@@ -53,7 +53,7 @@ __all__ = [
 
 @dataclass
 class MixedSolution:
-    conn: Connectivity
+    mesh: Triangulation
     p: np.ndarray          # constant normal trace per edge, against the global normal
     u: np.ndarray          # piecewise-constant multiplier per element
     pair: tuple            # the flux's elementwise pair (a, pbar) (see ``rt_affine``)
@@ -62,6 +62,11 @@ class MixedSolution:
     div_gap: float         # worst elementwise gap of div p = -f_K (see ``_div_gap``)
     unknowns: int = 0      # size of the factored P1 system, 0 if none was
     lu_nnz: int = 0        # and the L+U entries of its factor
+
+    @property
+    def conn(self) -> Connectivity:
+        """The mesh's Connectivity, kept with its other tables (see ``Connectivity.of``)."""
+        return Connectivity.of(self.mesh)
 
 
 @dataclass
@@ -311,7 +316,7 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
     the flux's pair (see ``rt_affine``) are derived once; the solution
     keeps the pair for ``eta_mixed`` and ``delta_mixed``.
     """
-    conn = Connectivity(T)
+    conn = Connectivity.of(T)
     load = integrate_many(f, conn.pts)
     f_means = load / conn.areas
     bnorm = float(np.linalg.norm(load))
@@ -335,7 +340,7 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
             raise SolverError(
                 f"mixed divergence gap {gap:.3e} above {_DIV_GAP_TOL:g}"
             )
-    return MixedSolution(conn, p, u, pair, res, f_means, gap, unknowns, lu_nnz)
+    return MixedSolution(T, p, u, pair, res, f_means, gap, unknowns, lu_nnz)
 
 
 def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:

@@ -69,20 +69,25 @@ def _centroids(tris):
 
 
 def _values_at_points(f, tris):
-    # (n, 7, 2) cartesian quadrature points; each sums its three vertex
-    # terms in a fixed order, so a triangle gets the same bits in any batch.
-    # A field may return a scalar or any shape that broadcasts to (n, 7).
-    pts = (
-        _POINTS[:, 0, np.newaxis] * tris[:, np.newaxis, 0, :]
-        + _POINTS[:, 1, np.newaxis] * tris[:, np.newaxis, 1, :]
-        + _POINTS[:, 2, np.newaxis] * tris[:, np.newaxis, 2, :]
+    # the (n, 7) x and y of the cartesian quadrature points, each coordinate
+    # the sum of its three vertex terms in a fixed order, so a triangle
+    # gets the same bits in any batch.  A field may return a scalar or any
+    # shape that broadcasts to (n, 7).
+    x, y = (
+        tris[:, 0, c, np.newaxis] * _POINTS[:, 0]
+        + tris[:, 1, c, np.newaxis] * _POINTS[:, 1]
+        + tris[:, 2, c, np.newaxis] * _POINTS[:, 2]
+        for c in (0, 1)
     )
     with np.errstate(all="ignore"):
-        vals = np.broadcast_to(f(pts[:, :, 0], pts[:, :, 1]), pts.shape[:2])
+        vals = np.broadcast_to(f(x, y), x.shape)
     finite = np.isfinite(vals)
     if not finite.all():
-        x, y = pts[np.nonzero(~finite)][0].tolist()
-        raise ValueError(f"field {f!r} is not finite at the quadrature point ({x!r}, {y!r})")
+        bad = np.nonzero(~finite)
+        raise ValueError(
+            f"field {f!r} is not finite at the quadrature point "
+            f"({x[bad][0].item()!r}, {y[bad][0].item()!r})"
+        )
     return vals
 
 

@@ -56,7 +56,8 @@ def _clusters(T):
     generations up, clamped at the roots, so a cluster holds at most
     2 ** _CLUSTER_DEPTH elements inside one forest triangle, and the
     elements of a root mesh are their own clusters.  Clusters are
-    numbered by their ancestor's node id.
+    numbered by their ancestor's node id.  T is a Triangulation or its
+    Connectivity: either carries the forest and the leaf ids.
     """
     parents = T.forest.parents()
     anc = T.leaf_ids
@@ -77,7 +78,7 @@ def _leaf_slots(conn):
     interior edges that join two clusters as couplings.  Each element
     gets its cluster's slots.
     """
-    cluster = _clusters(conn.mesh)
+    cluster = _clusters(conn)
     weights = np.bincount(cluster)
     centroids = _centroids(conn.pts)
     xs = np.bincount(cluster, weights=centroids[:, 0]) / weights
@@ -251,6 +252,10 @@ def solve_spd(S, rhs, conn, dofs) -> tuple[np.ndarray, int]:
     pivot raises ``SolverError``.
     """
     perm = nested_dissection(conn, dofs, S.shape[0])
+    # S is symmetric bit for bit, so the permuted matrix's CSR arrays
+    # would serve as its CSC arrays without tocsc's copy; but their row
+    # indices are unsorted, and SuperLU factors that more slowly than
+    # the copy costs
     Sp = S.tocsr()[perm][:, perm].tocsc()
     try:
         lu = spla.splu(

@@ -11,7 +11,7 @@ element-pair path.
 import numpy as np
 import pytest
 
-from sepfem import l_shape
+from sepfem import Connectivity, l_shape
 from sepfem.edges import rt_affine, rt_at_points
 
 _RESULTS = {}
@@ -49,22 +49,22 @@ def graded_l_shape():
 
 def edge_midpoints(conn):
     """(n_edges, 2) midpoints 0.5 (P_a + P_b) of the edges (a, b) of ``conn``."""
-    coords = conn.mesh.forest.coords()
+    coords = conn.forest.coords()
     a, b = conn.edges.T
     return 0.5 * (coords[a] + coords[b])
 
 
-def prolonged_flux(coarse, p, fine):
-    """Coefficients of the coarse RT0 field ``p`` on the edges of a nested fine mesh.
+def prolonged_flux(Tc, p, Tf):
+    """Coefficients of the RT0 field ``p`` of mesh Tc on the edges of a nested fine mesh Tf.
 
     An edge of both meshes keeps its coefficient verbatim, since the
     global normal is vertex based.  A new edge takes p(mid) . n from the
     coarse element holding it, exact because the field is affine there.
     """
-    rows = fine.mesh.coarse_rows(coarse.mesh)
+    rows = Tf.coarse_rows(Tc)
     assert np.all(rows >= 0)
-    ckeys = coarse.mesh.edge_table()[0]
-    keys = fine.mesh.edge_table()[0]
+    coarse, fine = Connectivity.of(Tc), Connectivity.of(Tf)
+    ckeys, keys = coarse.keys, fine.keys
     pos = np.minimum(np.searchsorted(ckeys, keys), len(ckeys) - 1)
     shared = ckeys[pos] == keys
     out = np.empty(fine.n_edges)

@@ -1,6 +1,8 @@
 """Adaptive loop bookkeeping tests: cases, records, CSV, rate fitting."""
 
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -235,6 +237,35 @@ def test_residual_gates_reject_a_nan_solve_and_name_the_level(cls, module, kind,
     assert err.value.level == 0
     assert main(["--problem", kind, "--max-elements", "60"]) == 3
     assert "solver failure at level 0: " in capsys.readouterr().err
+
+
+def held_array_bytes(root):
+    """nbytes of the distinct base arrays reachable from ``root``."""
+    seen, bases, stack = set(), {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj
+        else:
+            stack.extend(gc.get_referents(obj))
+    return sum(a.nbytes for a in bases.values())
+
+
+def test_a_run_holds_its_levels_leaves_and_coefficients_and_one_level_of_tables():
+    # the settings of the mixed-adaptive benchmark workload.  A finished
+    # level keeps leaf_ids, p, u, f_means and the pair (a, pbar): 60 B per
+    # element.  The last level's tables and the forest's doubled capacity
+    # bring the run to 138 B per element-level; before finished levels
+    # released their tables it held 348 B
+    params = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=3000)
+    res = safem_run(MixedPoisson(field_from_name("one")), l_shape(), params)
+    element_levels = sum(T.n_elements for T in res.meshes)
+    assert held_array_bytes(res) <= 140 * element_levels
 
 
 def test_any_error_leaving_a_level_names_it():

@@ -40,7 +40,8 @@ def geometric_signs(conn):
 
 def holder_tables(conn):
     """(n_edges, 2) holders of each edge and their local edges, -1 for none."""
-    _, elem_edges, counts = conn.mesh.edge_table()
+    elem_edges = conn.elem_edges
+    counts = np.bincount(elem_edges.ravel(), minlength=conn.n_edges)
     order = np.argsort(elem_edges.ravel(), kind="stable")
     elems, locals_ = order // 3, order % 3
     starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
@@ -70,7 +71,7 @@ def two_holder_jump_norms(conn, local_dofs):
     jlo, jhi = lo0.copy(), hi0.copy()
     jlo[interior] -= lo1[interior]
     jhi[interior] -= hi1[interior]
-    coords = conn.mesh.forest.coords()
+    coords = conn.forest.coords()
     tang = coords[conn.edges[:, 1]] - coords[conn.edges[:, 0]]
     tangents = tang / conn.lengths[:, np.newaxis]
     j0 = np.einsum("ek,ek->e", jlo, tangents)
@@ -264,13 +265,18 @@ def test_closed_form_integrals_match_the_midpoint_rule(closed_form):
 
 
 @pytest.mark.parametrize("cls", [MixedPoisson, LeastSquaresPoisson])
-def test_solutions_keep_only_the_tables_connectivity_builds(cls):
-    # nothing the loop reads afterwards caches state on a level's Connectivity
+def test_finished_levels_keep_no_tables_and_derive_them_again_bit_for_bit(cls):
+    # a finished level keeps its leaves and its solution's coefficients;
+    # its tables, Connectivity among them, are derived again when read
     params = SafemParams(max_elements=400, sigma_tol=1e-9)
     res = safem_run(cls(field_from_name("radial-alpha:0.6")), l_shape(), params)
+    assert len(res.meshes) > 2
+    assert [T._cache for T in res.meshes[:-1]] == [{}] * (len(res.meshes) - 1)
+    assert "connectivity" in res.meshes[-1]._cache
     for T, sol in zip(res.meshes, res.solutions):
         built = vars(Connectivity(T))
         kept = vars(sol.conn)
+        assert sol.conn is T._cache["connectivity"]
         assert kept.keys() == built.keys()
         for name, value in built.items():
             assert type(kept[name]) is type(value), name

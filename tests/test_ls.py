@@ -153,7 +153,7 @@ def test_minimum_drop_equals_energy_norm_of_update():
     Tf = Tc.uniform_refine()
     sol_f = solve_ls(Tf, f)
     S, rhs, conn_f, interior, _ = assemble_ls(Tf, f)
-    p_up = prolonged_flux(sol_c.conn, sol_c.p, conn_f)
+    p_up = prolonged_flux(Tc, sol_c.p, Tf)
     # the coarse potential at each fine element's vertices, from the
     # barycentric coordinates of those vertices in the coarse ancestor
     rows = Tf.coarse_rows(Tc)

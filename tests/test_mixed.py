@@ -301,7 +301,7 @@ def test_distance_matches_the_norm_of_the_prolonged_difference():
             Tf = Tc.refine(ids[-6:]).overlay(Tc.refine(ids[:6]))
         sol_f = solve_mixed(Tf, f)
         conn = sol_f.conn
-        diff = sol_f.p - prolonged_flux(sol_c.conn, sol_c.p, conn)
+        diff = sol_f.p - prolonged_flux(Tc, sol_c.p, Tf)
         a, pbar = rt_affine(conn, conn.local_flux_dofs(diff))
         div2 = float(np.sum(conn.areas * (2.0 * a) ** 2))
         want = float(np.sum(rt_norm2(conn, a, pbar))) + div2
@@ -319,7 +319,7 @@ def test_volume_term_halves_under_one_sweep_with_frozen_flux():
     vol_c = float(np.sum(conn_c.areas * norms_c))
     Tf = T.uniform_refine()
     conn_f = Connectivity(Tf)
-    pf = prolonged_flux(conn_c, sol.p, conn_f)
+    pf = prolonged_flux(T, sol.p, Tf)
     norms_f = rt_norm2(conn_f, *rt_affine(conn_f, conn_f.local_flux_dofs(pf)))
     vol_f = float(np.sum(conn_f.areas * norms_f))
     assert abs(vol_f - 0.5 * vol_c) < 1e-13 * vol_c

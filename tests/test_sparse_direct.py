@@ -425,7 +425,7 @@ def test_root_mesh_is_dissected_element_by_element(graded_mesh, tmp_path):
     write_mesh(graded_mesh, tmp_path / "graded.mesh")
     conn = Connectivity(read_mesh(tmp_path / "graded.mesh"))
     assert len(conn.tris) == 3616
-    assert np.array_equal(_clusters(conn.mesh), np.arange(3616))
+    assert np.array_equal(_clusters(conn), np.arange(3616))
     first, last = _leaf_slots(conn)
     ref_first, ref_last = element_slots(conn)
     assert np.array_equal(first, ref_first) and np.array_equal(last, ref_last)
@@ -584,6 +584,20 @@ def test_superlu_path_matches_reference_solve():
         options=dict(SymmetricMode=True),
     )
     assert lu_nnz == lu.nnz
+
+
+@pytest.mark.parametrize("system", ["ls", "curl"])
+def test_assembled_systems_equal_their_transpose_bit_for_bit(graded_mesh, system, monkeypatch):
+    # every off-diagonal entry sums at most two element terms, in either
+    # order the same, so SuperLU's symmetric mode sees S bit for bit from
+    # either triangle
+    S = ls_system_on(graded_mesh)[0] if system == "ls" else curl_system_on(graded_mesh, monkeypatch)[0]
+    St = S.T.tocsr()
+    for A in (S, St):
+        A.sort_indices()
+    assert np.array_equal(S.indptr, St.indptr)
+    assert np.array_equal(S.indices, St.indices)
+    assert np.array_equal(S.data.view(np.int64), St.data.view(np.int64))
 
 
 def test_names_the_benchmark_tracer_wraps_are_in_place(monkeypatch):
