@@ -30,7 +30,7 @@ import numpy as np
 
 from .marking import ApproxState, IndicatorField, WeightedDataSize, doerfler_select
 from .mesh import Triangulation
-from .quadrature import integrate_many
+from .quadrature import _areas, integrate_many
 
 __all__ = [
     "SafemParams",
@@ -191,11 +191,6 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
             )
             if solutions:
                 records[-1].delta2 = problem.delta(meshes[-2], T, solutions[-1], sol)
-                # the previous level is finished: it keeps its leaves and
-                # its solution's coefficients, and its tables are derived
-                # again if anything reads them later
-                if meshes[-2] is not T:
-                    meshes[-2].release()
             records.append(rec)
             solutions.append(sol)
             reason = _stop_reason(rec.sigma2, T, params)
@@ -203,6 +198,11 @@ def _run_loop(problem, T0, params, advance) -> RunResult:
                 rec.seconds = time.perf_counter() - tic
                 return RunResult(records, meshes, solutions, reason)
             T_next = advance(T, eta2, mu2, rec)
+            # the level is finished once it is refined: it keeps its
+            # leaves and its solution's coefficients, and its tables are
+            # derived again if anything reads them later
+            if T_next is not T:
+                T.release()
             rec.seconds = time.perf_counter() - tic
             T = T_next
             meshes.append(T)
@@ -301,7 +301,8 @@ class DataApproximationProblem:
         rows = Tf.coarse_rows(Tc)
         if np.any(rows < 0):
             raise ValueError("delta requires the second mesh to refine the first")
-        w_coarse = Tc.areas()[rows]
+        # the coarse areas from the forest, not from Tc's released tables
+        w_coarse = _areas(Tc.forest.node_coords(Tc.leaf_ids[rows]))
         w_fine = Tf.areas()
         f = self.field
         l2sq = integrate_many(lambda x, y: f(x, y) ** 2, Tf.tri_coords())

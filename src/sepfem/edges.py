@@ -188,16 +188,15 @@ def rt_norm2(conn: Connectivity, a: np.ndarray, pbar: np.ndarray) -> np.ndarray:
     return conn.areas * np.einsum("nk,nk->n", pbar, pbar) + a * a * conn.second_moments()
 
 
-def rt_at_points(conn: Connectivity, rows, a, pbar, points: np.ndarray) -> np.ndarray:
+def rt_at_points(pts, a, pbar, points: np.ndarray) -> np.ndarray:
     """(m, q, 2) values a (x - x_K) + pbar of elementwise pairs at q points per element.
 
-    ``a`` and ``pbar`` are the (n,) and (n, 2) pairs of every element
-    (see ``rt_affine``).  Row r of the (m, q, 2) ``points`` lies in
-    element ``rows[r]``; ``rows`` is any index of the elements,
-    ``slice(None)`` for all of them.
+    Row r of the (m, q, 2) ``points`` lies in the element with the
+    (m, 3, 2) vertex coordinates ``pts[r]`` and the pair ``a[r]``,
+    ``pbar[r]`` (see ``rt_affine``).
     """
-    offsets = points - _centroids(conn.pts[rows])[:, np.newaxis, :]
-    return a[rows, np.newaxis, np.newaxis] * offsets + pbar[rows, np.newaxis, :]
+    offsets = points - _centroids(pts)[:, np.newaxis, :]
+    return a[:, np.newaxis, np.newaxis] * offsets + pbar[:, np.newaxis, :]
 
 
 def tangential_jump_norms(conn: Connectivity, a: np.ndarray, pbar: np.ndarray) -> np.ndarray:
@@ -208,7 +207,7 @@ def tangential_jump_norms(conn: Connectivity, a: np.ndarray, pbar: np.ndarray) -
     j0, j1 the squared norm is |E| (j0^2 + j0 j1 + j1^2) / 3 exactly.
     Boundary edges use the one-sided trace.
     """
-    traces = rt_at_points(conn, slice(None), a, pbar, conn.pts)
+    traces = rt_at_points(conn.pts, a, pbar, conn.pts)
     # the ends of local edge i are local vertices i + 1 and i + 2; the
     # end with the smaller vertex index comes first where the sign is +1
     ahead = traces[:, [1, 2, 0]]

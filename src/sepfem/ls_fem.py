@@ -20,7 +20,7 @@ from .edges import Connectivity, rt_affine, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import integrate_many
-from .sparse_direct import _RESIDUAL_TOL, SolverError, _scatter, solve_spd
+from .sparse_direct import _RESIDUAL_TOL, SolverError, assemble_spd, solve_spd
 
 __all__ = [
     "LsSolution",
@@ -59,64 +59,62 @@ def assemble_ls(T: Triangulation, f):
     Unknowns are all edge fluxes followed by the interior nodal values.
     Blocks: (div q, div r) + (q, r) couples fluxes, -(q, grad w) couples
     flux and potential, (grad v, grad w) is the nodal stiffness; the only
-    load is -(f, div r).  Returns the matrix, the right-hand side, the
-    connectivity, the mask of interior nodes and the (n, 6) unknowns of
-    each element (-1 on boundary nodes).
+    load is -(f, div r).  Returns the matrix in its factor's order and
+    that order (see ``assemble_spd``), the right-hand side in the
+    unknowns' own order, the connectivity and the mask of interior nodes.
     """
     conn = Connectivity.of(T)
     n = len(conn.tris)
     ne = conn.n_edges
-
-    sgn = conn.elem_signs
-    means = conn.rt_means()
-    mloc = conn.rt_local_mass(means) * sgn[:, :, np.newaxis] * sgn[:, np.newaxis, :]
-    dvec = sgn * conn.rt_div()  # (n, 3) divergences of the global basis
-    divloc = conn.areas[:, np.newaxis, np.newaxis] * (
-        dvec[:, :, np.newaxis] * dvec[:, np.newaxis, :]
-    )
-    grads = conn.p1_grads()
-    kloc = conn.areas[:, np.newaxis, np.newaxis] * np.einsum(
-        "nik,njk->nij", grads, grads
-    )
-    # flux i, node j: int_K phi_i . grad lambda_j = |K| mean(phi_i) . grad lambda_j
-    cloc = np.einsum("n,ni,nik,njk->nij", conn.areas, sgn, means, grads)
 
     interior = ~conn.boundary_node
     nint = int(interior.sum())
     int_index = np.full(conn.n_nodes, -1, dtype=np.int64)
     int_index[interior] = np.arange(nint)
     elem_int = int_index[conn.elem_nodes]  # (n, 3), -1 on boundary nodes
-
-    # one (6, 6) block per element on its three fluxes and three nodes
-    block = np.empty((n, 6, 6))
-    block[:, :3, :3] = mloc + divloc
-    block[:, :3, 3:] = -cloc
-    block[:, 3:, :3] = -cloc.transpose(0, 2, 1)
-    block[:, 3:, 3:] = kloc
     dofs = np.concatenate(
         (conn.elem_edges, np.where(elem_int >= 0, ne + elem_int, -1)), axis=1
     )
+
+    # one (6, 6) block per element on its three fluxes and three nodes,
+    # each part written into it as it is formed
+    block = np.empty((n, 6, 6))
+    sgn = conn.elem_signs
+    means = conn.rt_means()
+    areas = conn.areas[:, np.newaxis, np.newaxis]
+    block[:, :3, :3] = conn.rt_local_mass(means) * sgn[:, :, np.newaxis] * sgn[:, np.newaxis, :]
+    dvec = sgn * conn.rt_div()  # (n, 3) divergences of the global basis
+    block[:, :3, :3] += areas * (dvec[:, :, np.newaxis] * dvec[:, np.newaxis, :])
+    grads = conn.p1_grads()
+    block[:, 3:, 3:] = areas * np.einsum("nik,njk->nij", grads, grads)
+    # flux i, node j: int_K phi_i . grad lambda_j = |K| mean(phi_i) . grad lambda_j
+    block[:, :3, 3:] = -np.einsum("n,ni,nik,njk->nij", conn.areas, sgn, means, grads)
+    block[:, 3:, :3] = block[:, :3, 3:].transpose(0, 2, 1)
     ndof = ne + nint
-    S = _scatter(block, dofs, ndof)
+    S, perm = assemble_spd(block, dofs, ndof, conn)
 
     load = integrate_many(f, conn.pts)  # int_K f
     rhs = np.zeros(ndof)
     rhs[:ne] = conn.signed_edge_sum(-conn.rt_div() * load[:, np.newaxis])
-    return S, rhs, conn, interior, dofs
+    return S, perm, rhs, conn, interior
 
 
 def solve_ls(T: Triangulation, f) -> LsSolution:
-    """Minimize the least-squares functional; gradient residual <= 1e-10."""
-    S, rhs, conn, interior, dofs = assemble_ls(T, f)
+    """Minimize the least-squares functional; gradient residual <= 1e-10.
+
+    The residual is that of the system in its factor's order, S x[perm]
+    - rhs[perm] (see ``assemble_spd``).
+    """
+    S, perm, rhs, conn, interior = assemble_ls(T, f)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         x = np.zeros(S.shape[0])
         res = 0.0
         unknowns = lu_nnz = 0
     else:
-        x, lu_nnz = solve_spd(S, rhs, conn, dofs)
+        x, lu_nnz = solve_spd(S, rhs, perm)
         unknowns = S.shape[0]
-        res = float(np.linalg.norm(S @ x - rhs)) / bnorm
+        res = float(np.linalg.norm(S @ x[perm] - rhs[perm])) / bnorm
     if not res <= _RESIDUAL_TOL:
         raise SolverError(f"least-squares residual {res:.3e} above {_RESIDUAL_TOL:g}")
     p = x[: conn.n_edges]

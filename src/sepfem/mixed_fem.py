@@ -37,7 +37,7 @@ from .edges import Connectivity, rt_affine, rt_at_points, rt_norm2, tangential_j
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import _centroids, integrate_many
-from .sparse_direct import _RESIDUAL_TOL, SolverError, _scatter, solve_spd
+from .sparse_direct import _RESIDUAL_TOL, SolverError, assemble_spd, solve_spd
 
 # the worst elementwise gap of div p = -f_K, relative to the divergence's terms
 _DIV_GAP_TOL = 1e-12
@@ -160,7 +160,10 @@ def _free_nodes_and_holes(conn: Connectivity, tree: _DualTree, ends: np.ndarray)
     """The P1 nodes left free, and one cotree edge per hole of the mesh.
 
     The curls of P1 lose the constants of each connected component, so
-    the lowest node of each is pinned.  A mesh with g holes, where
+    the lowest node of each is pinned.  Refinement changes neither the
+    components nor their lowest nodes, which are vertices of the root
+    mesh (the forest numbers them before every midpoint), so both are
+    read from the root triangles.  A mesh with g holes, where
     g = edges - elements - nodes + components, has g divergence-free
     fields that are no curl: the cotree edges off a spanning forest of
     the primal graph, closed through the tree, are one per hole.  Any
@@ -168,13 +171,17 @@ def _free_nodes_and_holes(conn: Connectivity, tree: _DualTree, ends: np.ndarray)
     the two nodes of each edge.
     """
     n_nodes = conn.n_nodes
-    primal = sp.csr_matrix(
-        (np.ones(conn.n_edges), (ends[:, 0], ends[:, 1])), shape=(n_nodes, n_nodes)
+    roots = conn.forest.tris(conn.forest.roots)
+    nv = int(roots.max()) + 1
+    graph = sp.csr_matrix(
+        (np.ones(roots.size), (roots.ravel(), roots[:, [1, 2, 0]].ravel())), shape=(nv, nv)
     )
-    n_comp, labels = connected_components(primal, directed=False)
+    labels = connected_components(graph, directed=False)[1]
+    used = np.unique(roots)
+    lowest = used[np.unique(labels[used], return_index=True)[1]]
     free = np.ones(n_nodes, dtype=bool)
-    free[np.unique(labels, return_index=True)[1]] = False
-    if conn.n_edges - len(conn.tris) - n_nodes + n_comp == 0:
+    free[np.searchsorted(conn.node_vertices, lowest)] = False
+    if conn.n_edges - len(conn.tris) - n_nodes + len(lowest) == 0:
         return free, np.zeros(0, dtype=np.int64)
     cotree = np.ones(conn.n_edges, dtype=bool)
     cotree[tree.edge] = False
@@ -200,10 +207,11 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, 
     dofs = np.where(free, np.cumsum(free) - 1, -1)[conn.elem_nodes]
     held = dofs >= 0
     grads = conn.p1_grads()
-    S = _scatter(
+    S, perm = assemble_spd(
         conn.areas[:, np.newaxis, np.newaxis] * np.einsum("nik,njk->nij", grads, grads),
         dofs,
         n_free,
+        conn,
     )
     rhs = np.empty((n_free, fields.shape[1]))
     for j, v in enumerate(fields.T):
@@ -213,7 +221,7 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, 
         )
         rhs[:, j] = -np.bincount(dofs[held], weights=local[held], minlength=n_free)
     psi = np.zeros((conn.n_nodes, fields.shape[1]))
-    psi[free], lu_nnz = solve_spd(S, rhs, conn, dofs)
+    psi[free], lu_nnz = solve_spd(S, rhs, perm)
     return psi, n_free, lu_nnz
 
 
@@ -369,16 +377,20 @@ def delta_mixed(Tc: Triangulation, Tf: Triangulation, sol_c: MixedSolution, sol_
     coarse flux is the pair (a_c, p_c(x_K)) of its ancestor's field at
     the fine centroid x_K, the ancestor found by ``coarse_rows``.  So the
     difference's pair (a, pbar) comes from the two solves' pairs, and its
-    norm is closed form, with divergence 2 a.  Raises ValueError when a
-    fine element has no ancestor-or-self among the coarse ones.
+    norm is closed form, with divergence 2 a.  The ancestors' corners
+    come from the forest, so no table of the coarse mesh is read.  Raises
+    ValueError when a fine element has no ancestor-or-self among the
+    coarse ones.
     """
     rows = Tf.coarse_rows(Tc)
     if np.any(rows < 0):
         raise ValueError("fine mesh does not refine the coarse one")
     conn = sol_f.conn
     centroids = _centroids(conn.pts)[:, np.newaxis]
-    a = sol_f.pair[0] - sol_c.pair[0][rows]
-    pbar = sol_f.pair[1] - rt_at_points(sol_c.conn, rows, *sol_c.pair, centroids)[:, 0]
+    a_c, p_c = sol_c.pair[0][rows], sol_c.pair[1][rows]
+    coarse = Tc.forest.node_coords(Tc.leaf_ids[rows])
+    a = sol_f.pair[0] - a_c
+    pbar = sol_f.pair[1] - rt_at_points(coarse, a_c, p_c, centroids)[:, 0]
     l2 = float(np.sum(rt_norm2(conn, a, pbar)))
     hdiv = float(np.sum(conn.areas * (2.0 * a) ** 2))
     return l2 + hdiv

@@ -2,21 +2,23 @@
 
 Both discretizations reduce their linear algebra to one SPD system: the
 least-squares optimality system, and the P1 stiffness system of the
-stream function from which the mixed flux is built.  Both are summed
-from local element blocks by ``_scatter``.  ``solve_spd`` factors the
-system with SuperLU in symmetric mode, without pivoting, on a nested
-dissection of the elements (George, SIAM J. Numer. Anal. 10, 1973), so
-one element tree orders both systems.  As in multilevel partitioning
-(Karypis-Kumar, SIAM J. Sci. Comput. 20, 1998), the elements are first
-coarsened, then cut: the bisection forest groups them into clusters of
-at most 8, the leaves below one node three generations up, and the
-dissection cuts the clusters.  Each part is cut across the longer axis
-of the bounding box of its clusters, at the position near its median
-element that the fewest interior edges cross (Gilbert-Miller-Teng, SIAM
-J. Sci. Comput. 19, 1998, choose among candidate cuts by separator
-size): on the meshes graded toward a corner the exact median runs
-through the densest region.  Each unknown is ordered with the lowest
-part that holds all of its elements.
+stream function from which the mixed flux is built.  ``assemble_spd``
+orders the unknowns by a nested dissection of the elements (George,
+SIAM J. Numer. Anal. 10, 1973), so one element tree orders both
+systems, and sums the local element blocks on the new labels: each
+system is assembled once, in the order its factor uses, with 32-bit
+indices.  ``solve_spd`` hands that matrix to SuperLU in symmetric mode,
+without pivoting and without a permuted copy.  As in multilevel
+partitioning (Karypis-Kumar, SIAM J. Sci. Comput. 20, 1998), the
+elements are first coarsened, then cut: the bisection forest groups
+them into clusters of at most 8, the leaves below one node three
+generations up, and the dissection cuts the clusters.  Each part is cut
+across the longer axis of the bounding box of its clusters, at the
+position near its median element that the fewest interior edges cross
+(Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998, choose among
+candidate cuts by separator size): on the meshes graded toward a corner
+the exact median runs through the densest region.  Each unknown is
+ordered with the lowest part that holds all of its elements.
 ``solve_spd`` returns the solution with the number of L+U entries of its
 factor, and raises ``SolverError`` when SuperLU meets a zero pivot.
 Both discretizations gate their solves on one relative residual,
@@ -31,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .quadrature import _centroids
 
-__all__ = ["SolverError", "solve_spd", "nested_dissection"]
+__all__ = ["SolverError", "assemble_spd", "solve_spd", "nested_dissection"]
 
 _RESIDUAL_TOL = 1e-10
 
@@ -206,8 +208,7 @@ def nested_dissection(conn, dofs, n) -> np.ndarray:
     and each unknown joins the lowest part of the element tree that holds
     all of its elements, so the unknowns a part holds separate its two
     halves.  The ordering lists every part after the parts below it, and
-    the unknowns of one part by index, so ``S[perm][:, perm]`` is the
-    reordered matrix.
+    the unknowns of one part by index: unknown ``perm[i]`` comes i-th.
     """
     first, last = _leaf_slots(conn)
     held = dofs >= 0
@@ -230,42 +231,60 @@ def _scatter(blocks, dofs, n):
 
     ``blocks[k]`` is the (q, q) matrix of element k on the unknowns
     ``dofs[k]``; an entry -1 in ``dofs`` marks an eliminated unknown,
-    whose rows and columns are dropped.
+    whose rows and columns are dropped.  The triplets carry 32-bit
+    indices, as SuperLU does.
     """
-    q = dofs.shape[1]
-    rows = np.repeat(dofs[:, :, np.newaxis], q, axis=2).ravel()
-    cols = np.repeat(dofs[:, np.newaxis, :], q, axis=1).ravel()
+    dofs = dofs.astype(np.int32, copy=False)
+    rows, cols = dofs[:, :, np.newaxis], dofs[:, np.newaxis, :]
     keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix(
-        (blocks.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsr()
+    # the triplets are taken from broadcast views, so only the kept ones
+    # are ever stored
+    data = blocks[keep]
+    rows = np.broadcast_to(rows, keep.shape)[keep]
+    cols = np.broadcast_to(cols, keep.shape)[keep]
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def solve_spd(S, rhs, conn, dofs) -> tuple[np.ndarray, int]:
-    """Solve the sparse SPD system S x = rhs; return x and the factor's size.
+def assemble_spd(blocks, dofs, n, conn) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The SPD system summed from local element blocks, in its factor's order.
 
-    S was summed by ``_scatter`` over the elements of ``conn`` on the
-    unknowns ``dofs``, which drive the nested-dissection ordering of the
-    SuperLU factorization.  ``rhs`` is one right-hand side, or one per
-    column, all solved on the one factor.  The second value is the number
-    of L+U entries of the factor.  A factorization that meets a zero
-    pivot raises ``SolverError``.
+    ``blocks[k]`` is the (q, q) matrix of element k of ``conn`` on the
+    unknowns ``dofs[k]`` (-1 marks an eliminated one) of a system of
+    order n.  The unknowns are ordered by ``nested_dissection`` and the
+    blocks summed on the new labels, so the system A is assembled once,
+    as S = P A P^T with ``S[i, j] = A[perm[i], perm[j]]``: a CSR matrix
+    with sorted 32-bit indices.  Every off-diagonal entry sums at most
+    two element terms, so S equals its transpose bit for bit.  Returns
+    S and ``perm``.
     """
-    perm = nested_dissection(conn, dofs, S.shape[0])
-    # S is symmetric bit for bit, so the permuted matrix's CSR arrays
-    # would serve as its CSC arrays without tocsc's copy; but their row
-    # indices are unsorted, and SuperLU factors that more slowly than
-    # the copy costs
-    Sp = S.tocsr()[perm][:, perm].tocsc()
+    perm = nested_dissection(conn, dofs, n)
+    # rank[-1] is -1, so an eliminated unknown stays eliminated
+    rank = np.full(n + 1, -1, dtype=np.int32)
+    rank[perm] = np.arange(n, dtype=np.int32)
+    return _scatter(blocks, rank[dofs], n), perm
+
+
+def solve_spd(S, rhs, perm) -> tuple[np.ndarray, int]:
+    """Solve the sparse SPD system A x = rhs; return x and the factor's size.
+
+    S is P A P^T as ``assemble_spd`` returns it, with ``perm`` its order;
+    ``rhs`` is one right-hand side, or one per column, all solved on the
+    one factor, and x is in the unknowns' own order.  S is symmetric, so
+    its CSR arrays are also its CSC arrays, and SuperLU factors them in
+    place, in their order, without pivoting.  The second value is the
+    number of L+U entries of the factor.  A factorization that meets a
+    zero pivot raises ``SolverError``.
+    """
+    n = S.shape[0]
     try:
         lu = spla.splu(
-            Sp,
+            sp.csc_matrix((S.data, S.indices, S.indptr), shape=(n, n)),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
-        raise SolverError(f"factorization of {len(perm)} unknowns failed: {err}") from None
+        raise SolverError(f"factorization of {n} unknowns failed: {err}") from None
     rhs = np.asarray(rhs, dtype=np.float64)
     x = np.empty(rhs.shape)
     x[perm] = lu.solve(rhs[perm])

@@ -11,7 +11,7 @@ element-pair path.
 import numpy as np
 import pytest
 
-from sepfem import Connectivity, l_shape
+from sepfem import Connectivity, MixedPoisson, SafemParams, field_from_name, l_shape, safem_run
 from sepfem.edges import rt_affine, rt_at_points
 
 _RESULTS = {}
@@ -36,6 +36,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name, ok, detail = _RESULTS[number]
         flag = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {flag} [{name}] {detail}")
+
+
+@pytest.fixture(scope="session")
+def graded_mesh():
+    """The last mesh of the mixed loop with f = 1 and a 3 000-element cap.
+
+    The loop grades the L-shape toward its re-entrant corner; 3 616
+    elements.
+    """
+    params = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=3000)
+    res = safem_run(MixedPoisson(field_from_name("one")), l_shape(), params)
+    return res.meshes[-1]
 
 
 def graded_l_shape():
@@ -72,6 +84,7 @@ def prolonged_flux(Tc, p, Tf):
     new = np.flatnonzero(~shared)
     pair = rt_affine(coarse, coarse.local_flux_dofs(p))
     mids = edge_midpoints(fine)[new, np.newaxis]
-    vals = rt_at_points(coarse, rows[fine.edge_elem[new]], *pair, mids)[:, 0]
+    holder = rows[fine.edge_elem[new]]
+    vals = rt_at_points(coarse.pts[holder], pair[0][holder], pair[1][holder], mids)[:, 0]
     out[new] = np.einsum("mk,mk->m", vals, fine.normals[new])
     return out

@@ -414,15 +414,15 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
 def test_singular_factor_exits_3_with_the_level(monkeypatch, capsys):
     # from the second level on the P1 matrix is all zeros, so SuperLU
     # meets a zero pivot
-    real = sepfem.mixed_fem._scatter
+    real = sepfem.mixed_fem.assemble_spd
     calls = []
 
     def singular_from_level_1(*args):
         calls.append(None)
-        S = real(*args)
-        return S * 0.0 if len(calls) > 1 else S
+        S, perm = real(*args)
+        return (S * 0.0 if len(calls) > 1 else S), perm
 
-    monkeypatch.setattr(sepfem.mixed_fem, "_scatter", singular_from_level_1)
+    monkeypatch.setattr(sepfem.mixed_fem, "assemble_spd", singular_from_level_1)
     code = main(SMALL)
     captured = capsys.readouterr()
     assert code == 3

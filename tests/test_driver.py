@@ -268,6 +268,36 @@ def test_a_run_holds_its_levels_leaves_and_coefficients_and_one_level_of_tables(
     assert held_array_bytes(res) <= 140 * element_levels
 
 
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (MixedPoisson, "one"),
+        (LeastSquaresPoisson, "one"),
+        (DataApproximationProblem, "radial-alpha:0.6"),
+    ],
+)
+def test_a_level_releases_its_tables_once_it_is_refined(cls, field):
+    # level k's tables are dropped as soon as it is refined, so level
+    # k + 1's solve starts without them, and its distance (which reads
+    # level k's leaves and coefficients) derives none of them again
+    problem = cls(field_from_name(field))
+    solve = problem.solve
+    meshes, held = [], []
+
+    def watched(T):
+        if meshes:
+            held.append(list(meshes[-1]._cache))
+        meshes.append(T)
+        return solve(T)
+
+    problem.solve = watched
+    params = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=3000)
+    res = safem_run(problem, l_shape(), params)
+    assert len(held) == len(res.records) - 1 >= 10
+    assert held == [[]] * len(held)
+    assert [T._cache for T in res.meshes[:-1]] == [{}] * len(held)
+
+
 def test_any_error_leaving_a_level_names_it():
     class FailingMu(DataApproximationProblem):
         def mu(self, T):

@@ -56,7 +56,7 @@ def holder_tables(conn):
 def two_holder_jump_norms(conn, local_dofs):
     """Squared tangential jump per edge, from each holder's traces at the edge's ends."""
     holders, local = holder_tables(conn)
-    traces = rt_at_points(conn, slice(None), *rt_affine(conn, local_dofs), conn.pts)
+    traces = rt_at_points(conn.pts, *rt_affine(conn, local_dofs), conn.pts)
 
     def side_vals(s):
         k, l = holders[:, s], local[:, s]
@@ -196,7 +196,7 @@ def test_normal_traces_of_a_conforming_field_cancel_on_interior_edges(conn):
     rng = np.random.default_rng(2)
     p = rng.standard_normal(conn.n_edges)
     mids = edge_midpoints(conn)[conn.elem_edges]
-    vals = rt_at_points(conn, slice(None), *rt_affine(conn, conn.local_flux_dofs(p)), mids)
+    vals = rt_at_points(conn.pts, *rt_affine(conn, conn.local_flux_dofs(p)), mids)
     traces = np.einsum("nik,nik->ni", vals, conn.normals[conn.elem_edges])
     sums = conn.signed_edge_sum(traces)
     interior = ~conn.boundary_edge

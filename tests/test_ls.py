@@ -7,8 +7,10 @@ dense normal equations are solved with numpy.  The package minimizer
 must reproduce those coefficients.
 """
 
+import gc
 import logging
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -111,12 +113,34 @@ def test_solver_matches_brute_force_minimizer(field_name):
 
 def test_system_is_symmetric_positive_definite():
     T = l_shape().uniform_refine()
-    S, rhs, conn, interior, _ = assemble_ls(T, field_from_name("one"))
+    S, _, rhs, conn, interior = assemble_ls(T, field_from_name("one"))
     D = S.toarray()
     assert np.max(np.abs(D - D.T)) < 1e-14
     w = np.linalg.eigvalsh(D)
     assert w.min() > 0.0
     assert S.shape[0] == conn.n_edges + int(interior.sum())
+
+
+def test_a_solve_peaks_below_1000_bytes_per_unknown(graded_mesh):
+    # the solve sums its system once, in its factor's order, from 32-bit
+    # triplets taken only where both unknowns are kept, and SuperLU
+    # factors that matrix's own arrays.  tracemalloc sees numpy's arrays
+    # (not SuperLU's factor): with 64-bit triplets, the unfiltered index
+    # arrays and three permuted copies of S for the factor, this solve
+    # peaked at 1 237 B per unknown; it now takes 767 B
+    T = graded_mesh
+    Connectivity.of(T)  # the mesh's own tables are not the solve's
+    f = field_from_name("one")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve_ls(T, f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert T.n_elements == 3616 and sol.unknowns == 7233
+    assert peak <= 1000 * sol.unknowns
 
 
 def test_zero_data_gives_zero_minimum():
@@ -146,13 +170,14 @@ def test_functional_rejects_partial_potential_vector():
 
 def test_minimum_drop_equals_energy_norm_of_update():
     # with S the SPD system and b its load, LS(coarse) - LS(fine) equals
-    # d^T S d for d the coefficient difference in the fine space
+    # d^T S d for d the coefficient difference in the fine space (S is
+    # assembled in its factor's order, so d is read in that order)
     f = field_from_name("one")
     Tc = l_shape()
     sol_c = solve_ls(Tc, f)
     Tf = Tc.uniform_refine()
     sol_f = solve_ls(Tf, f)
-    S, rhs, conn_f, interior, _ = assemble_ls(Tf, f)
+    S, perm, rhs, conn_f, interior = assemble_ls(Tf, f)
     p_up = prolonged_flux(Tc, sol_c.p, Tf)
     # the coarse potential at each fine element's vertices, from the
     # barycentric coordinates of those vertices in the coarse ancestor
@@ -165,7 +190,7 @@ def test_minimum_drop_equals_energy_norm_of_update():
     u_up[conn_f.elem_nodes] = np.einsum("kij,kj->ki", lam, sol_c.u[sol_c.conn.elem_nodes[rows]])
     carried = ls_functional(conn_f, f, p_up, u_up)
     assert abs(carried - sol_c.ls_total) < 1e-12 * sol_c.ls_total
-    d = np.concatenate((p_up - sol_f.p, (u_up - sol_f.u)[interior]))
+    d = np.concatenate((p_up - sol_f.p, (u_up - sol_f.u)[interior]))[perm]
     drop = float(d @ (S @ d))
     got = delta_ls(sol_c, sol_f)
     assert abs(got - drop) < 1e-10 * sol_c.ls_total

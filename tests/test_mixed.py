@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import sepfem.mixed_fem
 from conftest import graded_l_shape, prolonged_flux
@@ -28,7 +30,8 @@ from sepfem import (
     unit_square_criss,
 )
 from sepfem.edges import rt_affine, rt_norm2
-from sepfem.mixed_fem import _mass_rows, _saddle_residual
+from sepfem.mixed_fem import _dual_tree, _free_nodes_and_holes, _mass_rows, _saddle_residual
+from sepfem.quadrature import _centroids
 
 ETA2_SQUARE_CONST = 0.07975889843221229
 ETA2_LSHAPE_CONST = 0.840767435801184
@@ -310,6 +313,31 @@ def test_distance_matches_the_norm_of_the_prolonged_difference():
         Tc, sol_c = Tf, sol_f
 
 
+def test_distance_reads_no_coarse_table_and_matches_the_coarse_connectivity_route(graded_mesh):
+    # the ancestors' corners come from the forest, in the same bits as
+    # the coarse Connectivity's element coordinates, so the distance
+    # needs no table of a level that was released once refined
+    f = field_from_name("radial-alpha:0.6")
+    Tc = graded_mesh
+    sol_c = solve_mixed(Tc, f)
+    ids = eta_mixed(Tc, sol_c).ids
+    for Tf in (Tc.refine(ids[::7]), Tc.uniform_refine()):
+        sol_f = solve_mixed(Tf, f)
+        Tc.release()
+        got = delta_mixed(Tc, Tf, sol_c, sol_f)
+        assert Tc._cache == {}
+        # the coarse flux at each fine centroid through the coarse Connectivity
+        conn_c, conn = Connectivity(Tc), sol_f.conn
+        rows = Tf.coarse_rows(Tc)
+        offsets = _centroids(conn.pts) - _centroids(conn_c.pts[rows])
+        a_c, p_c = sol_c.pair
+        a = sol_f.pair[0] - a_c[rows]
+        pbar = sol_f.pair[1] - (a_c[rows, np.newaxis] * offsets + p_c[rows])
+        want = float(np.sum(rt_norm2(conn, a, pbar))) + float(np.sum(conn.areas * (2.0 * a) ** 2))
+        assert np.any(a != 0.0)
+        assert got == want
+
+
 def test_volume_term_halves_under_one_sweep_with_frozen_flux():
     f = field_from_name("one")
     T = unit_square_criss().uniform_refine()
@@ -428,6 +456,38 @@ def test_each_step_of_a_solve_derives_the_rt0_means_once(cells, holes, monkeypat
     assert len(res.records) >= 3
     assert all(np.isfinite(r.delta2) for r in res.records[:-1])
     assert len(calls) == len(res.records)
+
+
+@pytest.mark.parametrize("case", ["graded", "ring", "two-components", "one-shared-vertex", "unused-vertex"])
+def test_pinned_nodes_are_the_lowest_of_each_component_of_the_mesh(case, graded_mesh):
+    # the pinned nodes and the component count are read from the root
+    # mesh; on a refined mesh they are those of its own primal graph
+    if case == "graded":
+        T = graded_mesh
+    else:
+        if case == "ring":
+            T = grid_without(4, 3, {(1, 1)})
+        elif case == "two-components":
+            pts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (4, 0), (4, 2), (2, 2)]
+            T = initial_mesh(pts, [(4, 5, 6), (4, 6, 7), (0, 1, 2), (0, 2, 3)])
+        elif case == "one-shared-vertex":
+            T = initial_mesh([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)], [(0, 1, 2), (2, 3, 4)])
+        else:
+            # the first point is no triangle's vertex
+            pts = [(5, 5), (0, 0), (1, 0), (1, 1), (0, 1)]
+            T = initial_mesh(pts, [(1, 2, 3), (1, 3, 4)])
+        T = T.uniform_refine()
+        T = T.refine(T.leaf_ids[::3])
+    conn = Connectivity(T)
+    ends = conn.edge_nodes()
+    free, holes = _free_nodes_and_holes(conn, _dual_tree(conn), ends)
+    n = conn.n_nodes
+    primal = sp.csr_matrix((np.ones(conn.n_edges), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    n_comp, labels = connected_components(primal, directed=False)
+    pinned = np.unique(labels, return_index=True)[1]
+    assert n_comp == {"two-components": 2, "one-shared-vertex": 1}.get(case, 1)
+    assert np.array_equal(free, ~np.isin(np.arange(n), pinned))
+    assert len(holes) == conn.n_edges - T.n_elements - n + n_comp == (case == "ring")
 
 
 def test_two_components_match_dense_oracle():

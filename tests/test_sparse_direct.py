@@ -1,16 +1,18 @@
 """SPD direct solves: the nested-dissection ordering and the SuperLU path."""
 
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import sepfem.ls_fem
 import sepfem.mixed_fem
 import sepfem.sparse_direct as sparse_direct
 from conftest import edge_midpoints
-from sepfem import MixedPoisson, SafemParams, field_from_name, l_shape, safem_run
+from sepfem import field_from_name, l_shape
 from sepfem.edges import Connectivity
 from sepfem.ls_fem import assemble_ls
 from sepfem.mesh import initial_mesh, read_mesh, unit_square_criss, write_mesh
@@ -22,6 +24,8 @@ from sepfem.sparse_direct import (
     _clusters,
     _dissect,
     _leaf_slots,
+    _scatter,
+    assemble_spd,
     nested_dissection,
     solve_spd,
 )
@@ -293,38 +297,55 @@ def median_dissection(S, coords):
     return np.lexsort((np.arange(n), -depth, last))
 
 
-def ls_system(levels):
+def recorded_assemblies(module, monkeypatch):
+    """The arguments (blocks, dofs, n, conn) of each ``assemble_spd`` call ``module`` makes."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return assemble_spd(*args)
+
+    monkeypatch.setattr(module, "assemble_spd", record)
+    return calls
+
+
+def spd_system(args, **rest):
+    """The system of one ``assemble_spd`` call: A summed by the plain
+    ``_scatter`` on the unknowns' own labels, and S and perm as
+    ``assemble_spd`` returns them."""
+    blocks, dofs, n, conn = args
+    S, perm = assemble_spd(*args)
+    return SimpleNamespace(A=_scatter(blocks, dofs, n), S=S, perm=perm, conn=conn, dofs=dofs, **rest)
+
+
+def ls_system(levels, monkeypatch):
     T = l_shape()
     for _ in range(levels):
         T = T.uniform_refine()
-    return ls_system_on(T)
+    return ls_system_on(T, monkeypatch)
 
 
-def ls_system_on(T):
-    """The LS matrix, right-hand side, connectivity and element unknowns,
-    with one point per unknown for the reference orderings."""
-    S, rhs, conn, interior, dofs = assemble_ls(T, field_from_name("one"))
+def ls_system_on(T, monkeypatch):
+    """The LS system and right-hand side, with one point per unknown for
+    the reference orderings."""
+    calls = recorded_assemblies(sepfem.ls_fem, monkeypatch)
+    _, _, rhs, conn, interior = assemble_ls(T, field_from_name("one"))
     coords = np.concatenate(
         (edge_midpoints(conn), T.forest.coords()[conn.node_vertices[interior]])
     )
-    return S, rhs, conn, dofs, coords
+    return spd_system(calls[0], rhs=rhs, coords=coords)
 
 
 def curl_system_on(T, monkeypatch):
-    """The P1 stream-function system of the mixed solve, its connectivity
-    and element unknowns, with the coordinates of each unknown's node."""
-    systems = []
-
-    def record(S, rhs, conn, dofs):
-        held = dofs >= 0
-        coords = np.empty((S.shape[0], 2))
-        coords[dofs[held]] = T.forest.coords()[conn.node_vertices[conn.elem_nodes[held]]]
-        systems.append((S, conn, dofs, coords))
-        return solve_spd(S, rhs, conn, dofs)
-
-    monkeypatch.setattr(sepfem.mixed_fem, "solve_spd", record)
+    """The P1 stream-function system of the mixed solve, with the
+    coordinates of each unknown's node."""
+    calls = recorded_assemblies(sepfem.mixed_fem, monkeypatch)
     solve_mixed(T, field_from_name("one"))
-    return systems[0]
+    _, dofs, n, conn = calls[0]
+    held = dofs >= 0
+    coords = np.empty((n, 2))
+    coords[dofs[held]] = T.forest.coords()[conn.node_vertices[conn.elem_nodes[held]]]
+    return spd_system(calls[0], coords=coords)
 
 
 def edge_dofs(T):
@@ -353,70 +374,58 @@ def is_permutation(perm, n):
     return np.array_equal(np.sort(perm), np.arange(n))
 
 
-def test_small_system_keeps_natural_order():
-    S, _, conn, dofs, _ = ls_system(1)
-    assert len(conn.tris) <= 16
-    n = S.shape[0]
-    assert nested_dissection(conn, dofs, n).tolist() == list(range(n))
+def test_small_system_keeps_natural_order(monkeypatch):
+    system = ls_system(1, monkeypatch)
+    assert len(system.conn.tris) <= 16
+    n = system.S.shape[0]
+    assert system.perm.tolist() == list(range(n))
 
 
-def test_ordering_is_a_permutation_that_cuts_fill():
-    S, _, conn, dofs, _ = ls_system(8)
-    n = S.shape[0]
-    perm = nested_dissection(conn, dofs, n)
-    assert is_permutation(perm, n)
+def test_ordering_is_a_permutation_that_cuts_fill(monkeypatch):
+    system = ls_system(8, monkeypatch)
+    assert is_permutation(system.perm, system.S.shape[0])
     # the natural order of the unknowns follows the forest and is far
     # from banded; dissection must cut the factor's fill several times
-    assert 3 * fill(reordered(S, perm)) < fill(S)
-
-
-@pytest.fixture(scope="module")
-def graded_mesh():
-    # the mixed loop with f = 1 grades the L-shape toward its re-entrant
-    # corner; 3 616 elements
-    params = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=3000)
-    res = safem_run(MixedPoisson(field_from_name("one")), l_shape(), params)
-    return res.meshes[-1]
+    assert 3 * fill(system.S) < fill(system.A)
 
 
 def graded_system(T, system, monkeypatch):
     if system == "ls":
-        S, _, conn, dofs, coords = ls_system_on(T)
+        system = ls_system_on(T, monkeypatch)
     else:
-        S, conn, dofs, coords = curl_system_on(T, monkeypatch)
-    assert len(conn.tris) == 3616
-    assert len(coords) == S.shape[0]
-    perm = nested_dissection(conn, dofs, S.shape[0])
-    assert is_permutation(perm, S.shape[0])
-    return S, perm, coords
+        system = curl_system_on(T, monkeypatch)
+    assert len(system.conn.tris) == 3616
+    assert len(system.coords) == system.S.shape[0]
+    assert is_permutation(system.perm, system.S.shape[0])
+    return system
 
 
 @pytest.mark.parametrize("system", ["ls", "curl"])
 def test_cuts_by_crossings_store_less_fill_than_median_cuts_on_a_graded_mesh(
     graded_mesh, system, monkeypatch
 ):
-    S, perm, coords = graded_system(graded_mesh, system, monkeypatch)
-    ref = median_dissection(S, coords)
-    assert fill(reordered(S, perm)) <= 0.8 * fill(reordered(S, ref))
+    system = graded_system(graded_mesh, system, monkeypatch)
+    ref = median_dissection(system.A, system.coords)
+    assert fill(system.S) <= 0.8 * fill(reordered(system.A, ref))
 
 
 @pytest.mark.parametrize("system", ["ls", "curl"])
 def test_element_dissection_stores_no_more_fill_than_the_coupling_ordering(
     graded_mesh, system, monkeypatch
 ):
-    S, perm, coords = graded_system(graded_mesh, system, monkeypatch)
-    ref = coupling_dissection(S, coords)
-    assert fill(reordered(S, perm)) <= fill(reordered(S, ref))
+    system = graded_system(graded_mesh, system, monkeypatch)
+    ref = coupling_dissection(system.A, system.coords)
+    assert fill(system.S) <= fill(reordered(system.A, ref))
 
 
 @pytest.mark.parametrize("system", ["ls", "curl"])
 def test_cluster_dissection_stores_at_most_5_percent_more_fill_than_the_element_one(
     graded_mesh, system, monkeypatch
 ):
-    S, perm, _ = graded_system(graded_mesh, system, monkeypatch)
+    clusters = graded_system(graded_mesh, system, monkeypatch)
     monkeypatch.setattr(sparse_direct, "_leaf_slots", element_slots)
-    _, ref, _ = graded_system(graded_mesh, system, monkeypatch)
-    assert fill(reordered(S, perm)) <= 1.05 * fill(reordered(S, ref))
+    elements = graded_system(graded_mesh, system, monkeypatch)
+    assert fill(clusters.S) <= 1.05 * fill(elements.S)
 
 
 def test_root_mesh_is_dissected_element_by_element(graded_mesh, tmp_path):
@@ -565,33 +574,54 @@ def test_degenerate_input_gives_a_permutation(case):
 
 
 def test_singular_system_raises_solver_error():
-    # the second pivot of [[1, 1], [1, 1]] is exactly zero
+    # the second pivot of [[1, 1], [1, 1]] is exactly zero: each of the
+    # two elements adds a block of halves on the unknowns 0 and 1
     conn = Connectivity(unit_square_criss())
-    S = sp.csr_matrix(np.ones((2, 2)))
     dofs = np.array([[0, 1, -1], [0, 1, -1]])
+    S, perm = assemble_spd(np.full((2, 3, 3), 0.5), dofs, 2, conn)
+    assert np.array_equal(S.toarray(), np.ones((2, 2)))
     with pytest.raises(SolverError, match="exactly singular"):
-        solve_spd(S, np.ones(2), conn, dofs)
+        solve_spd(S, np.ones(2), perm)
 
 
-def test_superlu_path_matches_reference_solve():
-    S, rhs, conn, dofs, _ = ls_system(3)
-    x, lu_nnz = solve_spd(S, rhs, conn, dofs)
-    ref = spla.spsolve(sp.csc_matrix(S), rhs)
+def test_superlu_path_matches_reference_solve(monkeypatch):
+    system = ls_system(3, monkeypatch)
+    A, rhs = system.A, system.rhs
+    x, lu_nnz = solve_spd(system.S, rhs, system.perm)
+    ref = spla.spsolve(sp.csc_matrix(A), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
-    perm = nested_dissection(conn, dofs, S.shape[0])
     lu = spla.splu(
-        reordered(S, perm).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        reordered(A, system.perm).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
     assert lu_nnz == lu.nnz
 
 
 @pytest.mark.parametrize("system", ["ls", "curl"])
+def test_systems_are_assembled_in_their_factors_order_bit_for_bit(graded_mesh, system, monkeypatch):
+    # S = P A P^T, summed once on the relabelled unknowns: the same
+    # entries, in the same bits, as the plain sum permuted afterwards,
+    # with sorted 32-bit indices; both systems eliminate unknowns (the
+    # boundary nodes of LS, the pinned node of the curl system)
+    system = graded_system(graded_mesh, system, monkeypatch)
+    assert np.any(system.dofs < 0)
+    S, ref = system.S, reordered(system.A, system.perm)
+    ref.sort_indices()
+    assert S.format == "csr"
+    assert S.indptr.dtype == S.indices.dtype == np.int32
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    assert np.all((np.diff(S.indices) > 0) | (np.diff(rows) > 0))
+    assert np.array_equal(S.indptr, ref.indptr)
+    assert np.array_equal(S.indices, ref.indices)
+    assert np.array_equal(S.data.view(np.int64), ref.data.view(np.int64))
+
+
+@pytest.mark.parametrize("system", ["ls", "curl"])
 def test_assembled_systems_equal_their_transpose_bit_for_bit(graded_mesh, system, monkeypatch):
     # every off-diagonal entry sums at most two element terms, in either
     # order the same, so SuperLU's symmetric mode sees S bit for bit from
-    # either triangle
-    S = ls_system_on(graded_mesh)[0] if system == "ls" else curl_system_on(graded_mesh, monkeypatch)[0]
+    # either triangle, and reads its CSR arrays as CSC
+    S = graded_system(graded_mesh, system, monkeypatch).S.copy()
     St = S.T.tocsr()
     for A in (S, St):
         A.sort_indices()
