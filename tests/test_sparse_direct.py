@@ -298,23 +298,24 @@ def median_dissection(S, coords):
 
 
 def recorded_assemblies(module, monkeypatch):
-    """The arguments (blocks, dofs, n, conn) of each ``assemble_spd`` call ``module`` makes."""
+    """Each ``assemble_spd`` call ``module`` makes: its arguments
+    (blocks, dofs, n, conn) and what it returned, (S, perm)."""
     calls = []
 
     def record(*args):
-        calls.append(args)
-        return assemble_spd(*args)
+        out = assemble_spd(*args)
+        calls.append((args, out))
+        return out
 
     monkeypatch.setattr(module, "assemble_spd", record)
     return calls
 
 
-def spd_system(args, **rest):
+def spd_system(call, **rest):
     """The system of one ``assemble_spd`` call: A summed by the plain
     ``_scatter`` on the unknowns' own labels, and S and perm as
-    ``assemble_spd`` returns them."""
-    blocks, dofs, n, conn = args
-    S, perm = assemble_spd(*args)
+    ``assemble_spd`` returned them."""
+    (blocks, dofs, n, conn), (S, perm) = call
     return SimpleNamespace(A=_scatter(blocks, dofs, n), S=S, perm=perm, conn=conn, dofs=dofs, **rest)
 
 
@@ -341,7 +342,7 @@ def curl_system_on(T, monkeypatch):
     coordinates of each unknown's node."""
     calls = recorded_assemblies(sepfem.mixed_fem, monkeypatch)
     solve_mixed(T, field_from_name("one"))
-    _, dofs, n, conn = calls[0]
+    _, dofs, n, conn = calls[0][0]
     held = dofs >= 0
     coords = np.empty((n, 2))
     coords[dofs[held]] = T.forest.coords()[conn.node_vertices[conn.elem_nodes[held]]]
