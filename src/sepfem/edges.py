@@ -132,17 +132,6 @@ class Connectivity:
         """(n,) J_K = int_K |x - x_K|^2 = |K| (|E_1|^2 + |E_2|^2 + |E_3|^2) / 36."""
         return self.areas * (self.elem_edge_lengths**2).sum(axis=1) / 36.0
 
-    def rt_local_mass(self, means=None) -> np.ndarray:
-        """(n, 3, 3) local mass s_i s_j J_K + |K| mean(phi_i) . mean(phi_j) (exact).
-
-        ``means`` is ``rt_means()``, passed by a caller that reads it too.
-        """
-        if means is None:
-            means = self.rt_means()
-        s = 0.5 * self.rt_div()
-        ss = np.einsum("ni,nj,n->nij", s, s, self.second_moments())
-        return ss + np.einsum("n,nik,njk->nij", self.areas, means, means)
-
     def p1_grads(self) -> np.ndarray:
         """(n, 3, 2) constant gradients of the nodal hat functions."""
         e = self.pts[:, [2, 0, 1], :] - self.pts[:, [1, 2, 0], :]  # P_{i+2}-P_{i+1}

@@ -57,8 +57,12 @@ def assemble_ls(T: Triangulation, f):
     """Assemble the SPD least-squares system and right-hand side.
 
     Unknowns are all edge fluxes followed by the interior nodal values.
-    Blocks: (div q, div r) + (q, r) couples fluxes, -(q, grad w) couples
-    flux and potential, (grad v, grad w) is the nodal stiffness; the only
+    The functional is a sum of squares over the elements, so the matrix
+    is the Gram matrix R^T R of four rows per element on its three
+    fluxes and three nodes.  With q = a (x - x_K) + qbar on K (see
+    ``rt_affine``) and J_K the second moment, the squares are
+    |K| (div q)^2 = |K| (2 a)^2, a^2 J_K and the two components of
+    |K| |qbar - grad v|^2, as x - x_K has mean zero on K.  The only
     load is -(f, div r).  Returns the matrix in its factor's order and
     that order (see ``assemble_spd``), the right-hand side in the
     unknowns' own order, the connectivity and the mask of interior nodes.
@@ -76,22 +80,19 @@ def assemble_ls(T: Triangulation, f):
         (conn.elem_edges, np.where(elem_int >= 0, ne + elem_int, -1)), axis=1
     )
 
-    # one (6, 6) block per element on its three fluxes and three nodes,
-    # each part written into it as it is formed
-    block = np.empty((n, 6, 6))
+    # the rows of R on each element's three fluxes (the global basis,
+    # signed) and three nodes: sqrt|K| div q, sqrt(J_K) a and
+    # sqrt|K| (qbar - grad v), with a = sum_i s_i d_i and div q = 2 a
     sgn = conn.elem_signs
-    means = conn.rt_means()
-    areas = conn.areas[:, np.newaxis, np.newaxis]
-    block[:, :3, :3] = conn.rt_local_mass(means) * sgn[:, :, np.newaxis] * sgn[:, np.newaxis, :]
-    dvec = sgn * conn.rt_div()  # (n, 3) divergences of the global basis
-    block[:, :3, :3] += areas * (dvec[:, :, np.newaxis] * dvec[:, np.newaxis, :])
-    grads = conn.p1_grads()
-    block[:, 3:, 3:] = areas * np.einsum("nik,njk->nij", grads, grads)
-    # flux i, node j: int_K phi_i . grad lambda_j = |K| mean(phi_i) . grad lambda_j
-    block[:, :3, 3:] = -np.einsum("n,ni,nik,njk->nij", conn.areas, sgn, means, grads)
-    block[:, 3:, :3] = block[:, :3, 3:].transpose(0, 2, 1)
+    sgn_s = sgn * (0.5 * conn.rt_div())
+    root = np.sqrt(conn.areas)[:, np.newaxis]
+    rows = np.zeros((n, 4, 6))
+    rows[:, 0, :3] = 2.0 * root * sgn_s
+    rows[:, 1, :3] = np.sqrt(conn.second_moments())[:, np.newaxis] * sgn_s
+    rows[:, 2:, :3] = (root * sgn)[:, np.newaxis, :] * conn.rt_means().transpose(0, 2, 1)
+    rows[:, 2:, 3:] = -root[:, :, np.newaxis] * conn.p1_grads().transpose(0, 2, 1)
     ndof = ne + nint
-    S, perm = assemble_spd(block, dofs, ndof, conn)
+    S, perm = assemble_spd(rows, dofs, ndof, conn)
 
     load = integrate_many(f, conn.pts)  # int_K f
     rhs = np.zeros(ndof)

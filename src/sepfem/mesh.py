@@ -315,7 +315,10 @@ class Triangulation:
 
     def __init__(self, forest: BisectionForest, leaf_ids):
         self.forest = forest
-        arr = np.unique(np.asarray(leaf_ids, dtype=np.int64))
+        arr = np.array(leaf_ids, dtype=np.int64)
+        # the closure, overlay and APPROX pass their ids sorted and unique
+        if arr.ndim != 1 or np.any(arr[1:] <= arr[:-1]):
+            arr = np.unique(arr)
         if len(arr) == 0:
             raise MeshError("empty triangulation")
         if arr[0] < 0 or arr[-1] >= forest.n_nodes:

@@ -58,7 +58,6 @@ class MixedSolution:
     u: np.ndarray          # piecewise-constant multiplier per element
     pair: tuple            # the flux's elementwise pair (a, pbar) (see ``rt_affine``)
     residual: float
-    f_means: np.ndarray    # quadratured elementwise means of the data
     div_gap: float         # worst elementwise gap of div p = -f_K (see ``_div_gap``)
     unknowns: int = 0      # size of the factored P1 system, 0 if none was
     lu_nnz: int = 0        # and the L+U entries of its factor
@@ -197,7 +196,8 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, 
 
     ``fields`` is (n_edges, m) RT0 coefficients; the P1 test functions
     phi are the hats of the ``free`` nodes, and psi is 0 on the others.
-    The matrix is the P1 stiffness, factored once for all m columns.
+    The matrix is the P1 stiffness, the Gram matrix of the rows
+    sqrt|K| grad phi on each element, factored once for all m columns.
     On K, (v, curl phi) = |K| pbar . curl phi, as x - x_K has mean zero
     there, with curl phi = (d phi / dy, -d phi / dx); ``means`` is
     ``conn.rt_means()``.  Returns the (n_nodes, m) psi, the number of
@@ -207,12 +207,9 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, 
     dofs = np.where(free, np.cumsum(free) - 1, -1)[conn.elem_nodes]
     held = dofs >= 0
     grads = conn.p1_grads()
-    S, perm = assemble_spd(
-        conn.areas[:, np.newaxis, np.newaxis] * np.einsum("nik,njk->nij", grads, grads),
-        dofs,
-        n_free,
-        conn,
-    )
+    # the rows of R: sqrt|K| grad psi on K, one per component
+    rows = np.sqrt(conn.areas)[:, np.newaxis, np.newaxis] * grads.transpose(0, 2, 1)
+    S, perm = assemble_spd(rows, dofs, n_free, conn)
     rhs = np.empty((n_free, fields.shape[1]))
     for j, v in enumerate(fields.T):
         pbar = rt_affine(conn, conn.local_flux_dofs(v), means)[1]
@@ -326,7 +323,6 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
     """
     conn = Connectivity.of(T)
     load = integrate_many(f, conn.pts)
-    f_means = load / conn.areas
     bnorm = float(np.linalg.norm(load))
     if bnorm == 0.0:
         p, u, res, gap = np.zeros(conn.n_edges), np.zeros(len(load)), 0.0, 0.0
@@ -348,7 +344,7 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
             raise SolverError(
                 f"mixed divergence gap {gap:.3e} above {_DIV_GAP_TOL:g}"
             )
-    return MixedSolution(T, p, u, pair, res, f_means, gap, unknowns, lu_nnz)
+    return MixedSolution(T, p, u, pair, res, gap, unknowns, lu_nnz)
 
 
 def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:

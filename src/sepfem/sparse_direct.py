@@ -2,17 +2,21 @@
 
 Both discretizations reduce their linear algebra to one SPD system: the
 least-squares optimality system, and the P1 stiffness system of the
-stream function from which the mixed flux is built.  ``assemble_spd``
-orders the unknowns by a nested dissection of the elements (George,
-SIAM J. Numer. Anal. 10, 1973), so one element tree orders both
-systems, and sums the local element blocks on the new labels: each
-system is assembled once, in the order its factor uses, with 32-bit
-indices.  ``solve_spd`` hands that matrix to SuperLU in symmetric mode,
-without pivoting and without a permuted copy.  As in multilevel
-partitioning (Karypis-Kumar, SIAM J. Sci. Comput. 20, 1998), the
-elements are first coarsened, then cut: the bisection forest groups
-them into clusters of at most 8, the leaves below one node three
-generations up, and the dissection cuts the clusters.  Each part is cut
+stream function from which the mixed flux is built.  Each minimizes a
+sum of squares, so each matrix is a Gram matrix R^T R of rows that
+every element contributes: the terms of the least-squares functional,
+and the gradient of the stream function.  ``assemble_spd`` orders the
+unknowns by a nested dissection of the elements (George, SIAM J.
+Numer. Anal. 10, 1973), so one element tree orders both systems, and
+forms R^T R on the new labels: each system is assembled once, in the
+order its factor uses, with 32-bit indices, symmetric bit for bit and
+independent of the unknowns' numbering.  ``solve_spd`` hands that
+matrix to SuperLU in symmetric mode, without pivoting and without a
+permuted copy.  As in multilevel partitioning (Karypis-Kumar, SIAM J.
+Sci. Comput. 20, 1998), the elements are first coarsened, then cut:
+the bisection forest groups them into clusters of at most 8, the
+leaves below one node three generations up, and the dissection cuts
+the clusters.  Each part is cut
 across the longer axis of the bounding box of its clusters, at the
 position near its median element that the fewest interior edges cross
 (Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998, choose among
@@ -226,42 +230,35 @@ def nested_dissection(conn, dofs, n) -> np.ndarray:
     return np.argsort(end * 64 + k, kind="stable")
 
 
-def _scatter(blocks, dofs, n):
-    """CSR matrix of order n summed from local element blocks.
+def assemble_spd(rows, dofs, n, conn) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The SPD system S = R^T R of the elements' rows of R, in its factor's order.
 
-    ``blocks[k]`` is the (q, q) matrix of element k on the unknowns
-    ``dofs[k]``; an entry -1 in ``dofs`` marks an eliminated unknown,
-    whose rows and columns are dropped.  The triplets carry 32-bit
-    indices, as SuperLU does.
-    """
-    dofs = dofs.astype(np.int32, copy=False)
-    rows, cols = dofs[:, :, np.newaxis], dofs[:, np.newaxis, :]
-    keep = (rows >= 0) & (cols >= 0)
-    # the triplets are taken from broadcast views, so only the kept ones
-    # are ever stored
-    data = blocks[keep]
-    rows = np.broadcast_to(rows, keep.shape)[keep]
-    cols = np.broadcast_to(cols, keep.shape)[keep]
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def assemble_spd(blocks, dofs, n, conn) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The SPD system summed from local element blocks, in its factor's order.
-
-    ``blocks[k]`` is the (q, q) matrix of element k of ``conn`` on the
-    unknowns ``dofs[k]`` (-1 marks an eliminated one) of a system of
-    order n.  The unknowns are ordered by ``nested_dissection`` and the
-    blocks summed on the new labels, so the system A is assembled once,
-    as S = P A P^T with ``S[i, j] = A[perm[i], perm[j]]``: a CSR matrix
-    with sorted 32-bit indices.  Every off-diagonal entry sums at most
-    two element terms, so S equals its transpose bit for bit.  Returns
-    S and ``perm``.
+    ``rows[k]`` holds the (r, q) rows of R that element k of ``conn``
+    contributes, on the unknowns ``dofs[k]`` of a system of order n; an
+    entry -1 in ``dofs`` marks an eliminated unknown, whose columns are
+    dropped.  The unknowns are ordered by ``nested_dissection`` and the
+    columns of R relabelled by their rank, so the system A = R^T R is
+    formed once, as S = P A P^T with ``S[i, j] = A[perm[i], perm[j]]``:
+    a CSR matrix with sorted 32-bit indices.  Every entry of S sums its
+    products R[m, i] R[m, j] over the rows m of R in element order,
+    whatever the labels, so S equals its transpose bit for bit and does
+    not depend on how the unknowns are numbered; an entry whose products
+    cancel exactly is not stored.  Returns S and ``perm``.
     """
     perm = nested_dissection(conn, dofs, n)
     # rank[-1] is -1, so an eliminated unknown stays eliminated
     rank = np.full(n + 1, -1, dtype=np.int32)
     rank[perm] = np.arange(n, dtype=np.int32)
-    return _scatter(blocks, rank[dofs], n), perm
+    cols = np.broadcast_to(rank[dofs][:, np.newaxis, :], rows.shape)
+    keep = cols >= 0
+    indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(keep.sum(axis=2))
+    R = sp.csr_matrix((rows[keep], cols[keep], indptr), shape=(len(indptr) - 1, n))
+    # the rows of R^T list the rows of R in order, so each entry sums
+    # its products in element order
+    S = R.T.tocsr() @ R
+    S.sort_indices()
+    return S, perm
 
 
 def solve_spd(S, rhs, perm) -> tuple[np.ndarray, int]:

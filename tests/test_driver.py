@@ -258,10 +258,11 @@ def held_array_bytes(root):
 
 def test_a_run_holds_its_levels_leaves_and_coefficients_and_one_level_of_tables():
     # the settings of the mixed-adaptive benchmark workload.  A finished
-    # level keeps leaf_ids, p, u, f_means and the pair (a, pbar): 60 B per
-    # element.  The last level's tables and the forest's doubled capacity
-    # bring the run to 138 B per element-level; before finished levels
-    # released their tables it held 348 B
+    # level keeps leaf_ids, p, u and the pair (a, pbar): 52 B per element.
+    # The last level's tables and the forest's doubled capacity bring the
+    # run to 130 B per element-level (138 B when each level kept its data
+    # means too); before finished levels released their tables it held
+    # 348 B
     params = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=3000)
     res = safem_run(MixedPoisson(field_from_name("one")), l_shape(), params)
     element_levels = sum(T.n_elements for T in res.meshes)
@@ -464,9 +465,10 @@ def test_data_only_adaptive_run_reduces_the_indicator():
     assert res.records[0].eta2 > 0.0
 
 
-# the per-level (N, case, marked) of perfbench/round.py's three workloads
-# on l_shape() with a 3 000-element cap; a change that flips a marking
-# decision anywhere in the loop changes one of them
+# the per-level (N, case, marked) of perfbench/round.py's three workloads,
+# and of least squares with separate marking, on l_shape() with a
+# 3 000-element cap; a change that flips a marking decision anywhere in
+# the loop changes one of them
 TRAJECTORIES = {
     "mixed-adaptive": (
         ("mixed", "one", 0.3, 1.0, 0.5),
@@ -486,6 +488,15 @@ TRAJECTORIES = {
             (76, "A", 26), (104, "A", 39), (160, "A", 50), (240, "A", 77), (346, "A", 117),
             (512, "A", 161), (750, "A", 237), (1060, "A", 335), (1464, "A", 487), (2103, "A", 677),
             (2986, "A", 942), (4166, "-", 0),
+        ],
+    ),
+    # the only configuration that runs least squares through APPROX
+    "ls-separate": (
+        ("ls", "radial-alpha:0.6", 0.5, 0.1, 0.5),
+        [
+            (0, "B", 36), (36, "B", 60), (96, "B", 89), (185, "B", 199), (384, "A", 30),
+            (424, "B", 282), (706, "A", 61), (778, "A", 120), (922, "B", 532), (1454, "A", 199),
+            (1702, "A", 375), (2148, "B", 1330), (3478, "-", 0),
         ],
     ),
     "separate-marking": (

@@ -8,6 +8,8 @@ RT0 integrals, now closed form in each element's affine pair, are held
 against the midpoint rule the package once evaluated them with.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,11 @@ import sepfem.edges
 import sepfem.ls_fem
 import sepfem.mixed_fem
 from sepfem.edges import rt_affine, rt_at_points, rt_norm2, tangential_jump_norms
+from sepfem.ls_fem import assemble_ls, ls_functional
+from sepfem.marking import ElementOscillation
 from sepfem.mixed_fem import _mass_rows
+from sepfem.quadrature import integrate_many
+from sepfem.sparse_direct import assemble_spd
 
 
 def geometric_signs(conn):
@@ -238,11 +244,6 @@ def closed_form_moments(conn, p):
     return got, conn.signed_edge_sum(local), scale
 
 
-def closed_form_mass(conn, p):
-    want = midpoint_mass(conn)
-    return conn.rt_local_mass(), want, want
-
-
 def closed_form_means(conn, p):
     want = conn.areas[:, np.newaxis, np.newaxis] / 3.0 * midpoint_basis(conn).sum(axis=2)
     return conn.areas[:, np.newaxis, np.newaxis] * conn.rt_means(), want, want
@@ -250,7 +251,7 @@ def closed_form_means(conn, p):
 
 @pytest.mark.parametrize(
     "closed_form",
-    [closed_form_norm, closed_form_deviation, closed_form_moments, closed_form_mass, closed_form_means],
+    [closed_form_norm, closed_form_deviation, closed_form_moments, closed_form_means],
     ids=lambda fn: fn.__name__,
 )
 def test_closed_form_integrals_match_the_midpoint_rule(closed_form):
@@ -262,6 +263,39 @@ def test_closed_form_integrals_match_the_midpoint_rule(closed_form):
         # smallest elements of the grading are held to the same bound
         err = np.abs(got - want).reshape(len(got), -1).max(axis=1)
         assert np.all(err <= 1e-13 * np.abs(scale).reshape(len(got), -1).max(axis=1))
+
+
+def test_least_squares_rows_give_the_functional(monkeypatch):
+    # assemble_ls forms its matrix as R^T R of four rows per element; with
+    # b = -sqrt|K| f_K on each divergence row, ||R x - b||^2 + mu^2 is the
+    # least-squares functional of x = (p, u), as the 7-point rule gives
+    # Q((f + c)^2) = |K| (f_K + c)^2 + Q((f - f_K)^2) for a constant c
+    T = graded_l_shape()
+    f = field_from_name("radial-alpha:0.6")
+    calls = []
+
+    def record(rows, dofs, n, conn):
+        calls.append((rows, dofs))
+        return assemble_spd(rows, dofs, n, conn)
+
+    monkeypatch.setattr(sepfem.ls_fem, "assemble_spd", record)
+    conn, interior = assemble_ls(T, f)[3:]
+    ((rows, dofs),) = calls
+    assert rows.shape == (len(conn.tris), 4, 6)
+    b = np.zeros(rows.shape[:2])
+    b[:, 0] = -np.sqrt(conn.areas) * integrate_many(f, conn.pts) / conn.areas
+    mu2 = math.fsum(ElementOscillation(f).mesh_values2(T).values.tolist())
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        p = rng.standard_normal(conn.n_edges)
+        u = np.zeros(conn.n_nodes)
+        u[interior] = rng.standard_normal(int(interior.sum()))
+        # x[-1] = 0 stands for the eliminated boundary nodes
+        x = np.concatenate((p, u[interior], [0.0]))
+        res = np.einsum("nrq,nq->nr", rows, x[dofs]) - b
+        got = math.fsum((res * res).ravel().tolist()) + mu2
+        want = ls_functional(conn, f, p, u)
+        assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("cls", [MixedPoisson, LeastSquaresPoisson])

@@ -122,12 +122,13 @@ def test_system_is_symmetric_positive_definite():
 
 
 def test_a_solve_peaks_below_1000_bytes_per_unknown(graded_mesh):
-    # the solve sums its system once, in its factor's order, from 32-bit
-    # triplets taken only where both unknowns are kept, and SuperLU
-    # factors that matrix's own arrays.  tracemalloc sees numpy's arrays
-    # (not SuperLU's factor): with 64-bit triplets, the unfiltered index
+    # the solve forms its system once, in its factor's order, as R^T R
+    # of the elements' rows with 32-bit indices, and SuperLU factors that
+    # matrix's own arrays.  tracemalloc sees numpy's arrays (not
+    # SuperLU's factor): with 64-bit triplets, the unfiltered index
     # arrays and three permuted copies of S for the factor, this solve
-    # peaked at 1 237 B per unknown; it now takes 767 B
+    # peaked at 1 237 B per unknown; summing (6, 6) element blocks
+    # through COO triplets, 767 B; it now takes 523 B
     T = graded_mesh
     Connectivity.of(T)  # the mesh's own tables are not the solve's
     f = field_from_name("one")

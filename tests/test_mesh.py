@@ -322,6 +322,27 @@ def test_an_edge_held_three_times_is_not_conforming():
     assert not T.is_conforming()
 
 
+@pytest.mark.parametrize(
+    "ids", [[3, 0, 5, 1], [0, 1, 3, 5, 3, 0], np.array([[5, 3], [1, 0]]), np.array([0, 1, 3, 5])]
+)
+def test_leaf_ids_are_sorted_and_unique_whatever_the_input(ids):
+    F = l_shape().forest
+    T = Triangulation(F, ids)
+    assert T.leaf_ids.dtype == np.int64
+    assert T.leaf_ids.tolist() == [0, 1, 3, 5]
+    # the ids are the Triangulation's own, not a view of its input's
+    if isinstance(ids, np.ndarray):
+        assert not np.shares_memory(T.leaf_ids, ids)
+
+
+@pytest.mark.parametrize("ids", [[], [0, 6], [-1, 0], [6], [2, 2, -1]])
+def test_empty_or_out_of_range_leaf_ids_are_rejected(ids):
+    F = l_shape().forest
+    assert F.n_nodes == 6
+    with pytest.raises(MeshError, match="empty triangulation|leaf id out of range"):
+        Triangulation(F, ids)
+
+
 def test_batched_split_shares_midpoints_and_reuses_children():
     forest = unit_square_criss().forest
     # both triangles have the diagonal as refinement edge

@@ -31,7 +31,7 @@ from sepfem import (
 )
 from sepfem.edges import rt_affine, rt_norm2
 from sepfem.mixed_fem import _dual_tree, _free_nodes_and_holes, _mass_rows, _saddle_residual
-from sepfem.quadrature import _centroids
+from sepfem.quadrature import _centroids, integrate_many
 
 ETA2_SQUARE_CONST = 0.07975889843221229
 ETA2_LSHAPE_CONST = 0.840767435801184
@@ -229,8 +229,9 @@ def test_divergence_constraint_holds_elementwise():
     for _ in range(3):
         sol = solve_mixed(T, f)
         div_p = np.einsum("ni,ni->n", sol.conn.rt_div(), sol.conn.local_flux_dofs(sol.p))
-        err = np.max(np.abs(div_p + sol.f_means))
-        assert err <= 1e-9 * np.max(np.abs(sol.f_means))
+        f_means = integrate_many(f, sol.conn.pts) / sol.conn.areas
+        err = np.max(np.abs(div_p + f_means))
+        assert err <= 1e-9 * np.max(np.abs(f_means))
         eta2 = eta_mixed(T, sol)
         T = T.refine(eta2.ids[np.argsort(eta2.values)[-4:]])
 
@@ -365,10 +366,13 @@ def test_nonconstant_load_matches_dense_oracle():
 
 
 def test_data_means_are_quadratured_element_means():
+    # div p = -f_K, with f_K the quadratured mean of f = x on K: the
+    # mean of its corners' x
     T = unit_square_criss()
     sol = solve_mixed(T, field_from_name("linear-x"))
     cx = T.tri_coords()[:, :, 0].mean(axis=1)
-    assert np.allclose(sol.f_means, cx, atol=1e-14)
+    div_p = np.einsum("ni,ni->n", sol.conn.rt_div(), sol.conn.local_flux_dofs(sol.p))
+    assert np.allclose(-div_p, cx, atol=1e-14)
 
 
 def test_problem_wrapper_contract():
@@ -416,8 +420,10 @@ def holes_and_components(T):
 
 
 def assert_matches_dense(T, field, tol):
-    sol = solve_mixed(T, field_from_name(field))
-    edges, p_ref, u_ref, _, _ = dense_mixed_solve(T, sol.f_means)
+    f = field_from_name(field)
+    sol = solve_mixed(T, f)
+    f_means = integrate_many(f, sol.conn.pts) / sol.conn.areas
+    edges, p_ref, u_ref, _, _ = dense_mixed_solve(T, f_means)
     perm = align(sol.conn, edges)
     assert np.max(np.abs(sol.p[perm] - p_ref)) < tol
     assert np.max(np.abs(sol.u - u_ref)) < tol
@@ -502,9 +508,10 @@ def test_two_components_match_dense_oracle():
 
 def test_divergence_gap_is_reported_and_gated(monkeypatch):
     T = l_shape().uniform_refine()
-    sol = solve_mixed(T, field_from_name("radial-alpha:0.6"))
+    f = field_from_name("radial-alpha:0.6")
+    sol = solve_mixed(T, f)
     terms = sol.conn.elem_edge_lengths * sol.conn.local_flux_dofs(sol.p)
-    load = sol.f_means * sol.conn.areas
+    load = integrate_many(f, sol.conn.pts)
     gap = np.abs(terms.sum(axis=1) + load) / np.abs(terms).sum(axis=1)
     assert sol.div_gap <= 1e-13
     assert abs(sol.div_gap - gap.max()) <= 1e-15

@@ -24,7 +24,6 @@ from sepfem.sparse_direct import (
     _clusters,
     _dissect,
     _leaf_slots,
-    _scatter,
     assemble_spd,
     nested_dissection,
     solve_spd,
@@ -299,7 +298,7 @@ def median_dissection(S, coords):
 
 def recorded_assemblies(module, monkeypatch):
     """Each ``assemble_spd`` call ``module`` makes: its arguments
-    (blocks, dofs, n, conn) and what it returned, (S, perm)."""
+    (rows, dofs, n, conn) and what it returned, (S, perm)."""
     calls = []
 
     def record(*args):
@@ -311,12 +310,26 @@ def recorded_assemblies(module, monkeypatch):
     return calls
 
 
+def gram(rows, dofs, n):
+    """A = R^T R on the unknowns' own labels, R stored with its zeros.
+
+    Row r of element k of R is ``rows[k, r]`` on the columns ``dofs[k]``;
+    the columns -1 are dropped.
+    """
+    m, r, _ = rows.shape
+    cols = np.broadcast_to(dofs[:, np.newaxis, :], rows.shape)
+    line = np.broadcast_to(np.arange(m * r).reshape(m, r, 1), rows.shape)
+    keep = cols >= 0
+    R = sp.coo_matrix((rows[keep], (line[keep], cols[keep])), shape=(m * r, n)).tocsr()
+    return (R.T @ R).tocsr()
+
+
 def spd_system(call, **rest):
-    """The system of one ``assemble_spd`` call: A summed by the plain
-    ``_scatter`` on the unknowns' own labels, and S and perm as
-    ``assemble_spd`` returned them."""
-    (blocks, dofs, n, conn), (S, perm) = call
-    return SimpleNamespace(A=_scatter(blocks, dofs, n), S=S, perm=perm, conn=conn, dofs=dofs, **rest)
+    """The system of one ``assemble_spd`` call: A = R^T R formed on the
+    unknowns' own labels, and S and perm as ``assemble_spd`` returned
+    them."""
+    (rows, dofs, n, conn), (S, perm) = call
+    return SimpleNamespace(A=gram(rows, dofs, n), S=S, perm=perm, conn=conn, dofs=dofs, **rest)
 
 
 def ls_system(levels, monkeypatch):
@@ -575,11 +588,13 @@ def test_degenerate_input_gives_a_permutation(case):
 
 
 def test_singular_system_raises_solver_error():
-    # the second pivot of [[1, 1], [1, 1]] is exactly zero: each of the
-    # two elements adds a block of halves on the unknowns 0 and 1
+    # the second pivot of [[1, 1], [1, 1]] is exactly zero: the first
+    # element adds the row (1, 1) on the unknowns 0 and 1, the second a
+    # row of zeros
     conn = Connectivity(unit_square_criss())
     dofs = np.array([[0, 1, -1], [0, 1, -1]])
-    S, perm = assemble_spd(np.full((2, 3, 3), 0.5), dofs, 2, conn)
+    rows = np.array([[[1.0, 1.0, 3.0]], [[0.0, 0.0, 3.0]]])
+    S, perm = assemble_spd(rows, dofs, 2, conn)
     assert np.array_equal(S.toarray(), np.ones((2, 2)))
     with pytest.raises(SolverError, match="exactly singular"):
         solve_spd(S, np.ones(2), perm)
@@ -600,10 +615,11 @@ def test_superlu_path_matches_reference_solve(monkeypatch):
 
 @pytest.mark.parametrize("system", ["ls", "curl"])
 def test_systems_are_assembled_in_their_factors_order_bit_for_bit(graded_mesh, system, monkeypatch):
-    # S = P A P^T, summed once on the relabelled unknowns: the same
-    # entries, in the same bits, as the plain sum permuted afterwards,
-    # with sorted 32-bit indices; both systems eliminate unknowns (the
-    # boundary nodes of LS, the pinned node of the curl system)
+    # S = P A P^T, formed once on the relabelled unknowns: the same
+    # entries, in the same bits, as R^T R on the unknowns' own labels
+    # permuted afterwards, with sorted 32-bit indices; both systems
+    # eliminate unknowns (the boundary nodes of LS, the pinned node of
+    # the curl system)
     system = graded_system(graded_mesh, system, monkeypatch)
     assert np.any(system.dofs < 0)
     S, ref = system.S, reordered(system.A, system.perm)
@@ -619,9 +635,9 @@ def test_systems_are_assembled_in_their_factors_order_bit_for_bit(graded_mesh, s
 
 @pytest.mark.parametrize("system", ["ls", "curl"])
 def test_assembled_systems_equal_their_transpose_bit_for_bit(graded_mesh, system, monkeypatch):
-    # every off-diagonal entry sums at most two element terms, in either
-    # order the same, so SuperLU's symmetric mode sees S bit for bit from
-    # either triangle, and reads its CSR arrays as CSC
+    # entries (i, j) and (j, i) sum the same products over the rows of R
+    # in the same order, so SuperLU's symmetric mode sees S bit for bit
+    # from either triangle, and reads its CSR arrays as CSC
     S = graded_system(graded_mesh, system, monkeypatch).S.copy()
     St = S.T.tocsr()
     for A in (S, St):
@@ -629,6 +645,35 @@ def test_assembled_systems_equal_their_transpose_bit_for_bit(graded_mesh, system
     assert np.array_equal(S.indptr, St.indptr)
     assert np.array_equal(S.indices, St.indices)
     assert np.array_equal(S.data.view(np.int64), St.data.view(np.int64))
+
+
+def test_assembled_system_does_not_depend_on_the_unknowns_labels():
+    # rows of magnitudes 1e-8 to 1e8 on 20 unknowns shared by many of 96
+    # elements, so every entry sums many products, whose rounding depends
+    # on the order they are added in; under 20 relabellings of the
+    # unknowns, S mapped back to the first labels is the same bit for bit
+    T = l_shape()
+    for _ in range(4):
+        T = T.uniform_refine()
+    conn = Connectivity(T)
+    m, n = len(conn.tris), 20
+    assert m == 96
+    rng = np.random.default_rng(7)
+    dofs = np.array([rng.choice(n, 6, replace=False) for _ in range(m)])
+    dofs[rng.random(dofs.shape) < 0.1] = -1
+    rows = rng.choice([-1.0, 1.0], (m, 3, 6)) * 10.0 ** rng.uniform(-8.0, 8.0, (m, 3, 6))
+    mapped = []
+    for _ in range(20):
+        label = rng.permutation(n)
+        S, perm = assemble_spd(rows, np.where(dofs >= 0, label[dofs], -1), n, conn)
+        # S[i, j] is the entry of the unknowns perm[i] and perm[j] of the
+        # relabelled system, whose unknown label[a] is unknown a
+        A = np.empty((n, n))
+        A[np.ix_(perm, perm)] = S.toarray()
+        mapped.append(A[np.ix_(label, label)].view(np.int64))
+    assert np.count_nonzero(mapped[0]) == n * n
+    for A in mapped[1:]:
+        assert np.array_equal(A, mapped[0])
 
 
 def test_names_the_benchmark_tracer_wraps_are_in_place(monkeypatch):
