@@ -12,7 +12,8 @@ the domain: one tree flux per element carries the load, so the
 constraint holds element by element by construction, and the curls of
 a P1 stream function (plus one field per hole) carry the rest.  Its one
 factored system is the P1 stiffness matrix, and the tree steps are unit
-triangular solves (see ``_solve_flux``).  The residual is measured on
+triangular solves (see ``_solve_flux``); the least-squares solve
+works in the same basis (``TreeBasis``).  The residual is measured on
 the saddle-point system, summed element by element in closed form from
 each element's affine flux, so its matrices are never assembled, and
 the elementwise divergence gap is gated too.  The error estimator
@@ -37,7 +38,7 @@ from .edges import Connectivity, rt_affine, rt_at_points, rt_norm2, tangential_j
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import _centroids, integrate_many
-from .sparse_direct import _RESIDUAL_TOL, SolverError, assemble_spd, solve_spd
+from .sparse_direct import _RESIDUAL_TOL, SolverError, assemble_nodal, solve_spd
 
 # the worst elementwise gap of div p = -f_K, relative to the divergence's terms
 _DIV_GAP_TOL = 1e-12
@@ -191,6 +192,62 @@ def _free_nodes_and_holes(conn: Connectivity, tree: _DualTree, ends: np.ndarray)
     return free, np.setdiff1d(cotree, forest.data.astype(np.int64) - 1)
 
 
+def p1_rows(conn: Connectivity, grads) -> np.ndarray:
+    """(n, 2, 3) rows sqrt|K| grad phi of the P1 stiffness on each element, one per component.
+
+    The stiffness is their Gram matrix; ``grads`` is ``conn.p1_grads()``.
+    """
+    return np.sqrt(conn.areas)[:, np.newaxis, np.newaxis] * grads.transpose(0, 2, 1)
+
+
+@dataclass
+class TreeBasis:
+    """RT0 in the dual tree's basis, as both discretizations solve in it.
+
+    The basis is the tree fluxes, one per element on its tree edge
+    (``tree``), the curls of the hats of the ``free`` P1 nodes, and one
+    field per hole: a cotree edge's unit flux closed through the tree,
+    so divergence-free (``holes``, (n_edges, g) RT0 coefficients).
+    ``ends`` holds the two nodes of each edge and ``lengths`` its length.
+    """
+
+    tree: _DualTree
+    ends: np.ndarray
+    lengths: np.ndarray
+    free: np.ndarray
+    holes: np.ndarray
+
+    @classmethod
+    def of(cls, conn: Connectivity) -> "TreeBasis":
+        """The basis on the mesh of ``conn`` (see ``_dual_tree``, ``_free_nodes_and_holes``)."""
+        tree = _dual_tree(conn)
+        ends = conn.edge_nodes()
+        free, cotree = _free_nodes_and_holes(conn, tree, ends)
+        holes = np.zeros((conn.n_edges, len(cotree)))
+        holes[cotree, np.arange(len(cotree))] = 1.0
+        if len(cotree):
+            holes[tree.edge] = _tree_fluxes(
+                tree, np.column_stack([_div_sums(conn, z) for z in holes.T])
+            )
+        return cls(tree, ends, conn.lengths, free, holes)
+
+    def fluxes(self, loads: np.ndarray) -> np.ndarray:
+        """The tree fluxes whose divergences sum to -loads (see ``_tree_fluxes``)."""
+        return _tree_fluxes(self.tree, loads)
+
+    def potential(self, mass: np.ndarray) -> np.ndarray:
+        """The per-element u that zeroes the tree edges' rows (see ``_tree_potential``)."""
+        return _tree_potential(self.tree, mass)
+
+    def curls(self, psi: np.ndarray) -> np.ndarray:
+        """RT0 coefficients of curl psi, for nodal psi of shape (n_nodes,) or (n_nodes, m).
+
+        On the edge (a, b) the coefficient is (psi_b - psi_a) / |E|.
+        """
+        lengths = self.lengths if psi.ndim == 1 else self.lengths[:, np.newaxis]
+        return (psi[self.ends[:, 1]] - psi[self.ends[:, 0]]) / lengths
+
+
 def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, means):
     """The psi with (curl psi, curl phi) = -(v, curl phi) for each column v of ``fields``.
 
@@ -207,9 +264,8 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, 
     dofs = np.where(free, np.cumsum(free) - 1, -1)[conn.elem_nodes]
     held = dofs >= 0
     grads = conn.p1_grads()
-    # the rows of R: sqrt|K| grad psi on K, one per component
-    rows = np.sqrt(conn.areas)[:, np.newaxis, np.newaxis] * grads.transpose(0, 2, 1)
-    S, perm = assemble_spd(rows, dofs, n_free, conn)
+    # R is not kept: the factorization runs without it
+    S, perm = assemble_nodal(p1_rows(conn, grads), conn, (free,))[0][:2]
     rhs = np.empty((n_free, fields.shape[1]))
     for j, v in enumerate(fields.T):
         pbar = rt_affine(conn, conn.local_flux_dofs(v), means)[1]
@@ -218,8 +274,8 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, 
         )
         rhs[:, j] = -np.bincount(dofs[held], weights=local[held], minlength=n_free)
     psi = np.zeros((conn.n_nodes, fields.shape[1]))
-    psi[free], lu_nnz = solve_spd(S, rhs, perm)
-    return psi, n_free, lu_nnz
+    psi[free], factor = solve_spd(S, rhs, perm)
+    return psi, n_free, factor.nnz
 
 
 def _solve_flux(conn: Connectivity, load, means):
@@ -235,31 +291,26 @@ def _solve_flux(conn: Connectivity, load, means):
     2. p = p_f + curl psi + sum_j alpha_j z_j is p_f less its mass
        projection on the divergence-free fields.  (curl psi, curl phi)
        = -(p_f, curl phi) is the P1 stiffness system.  Each hole's
-       field z_j is a cotree edge closed through the tree and projected
-       off the curls as one more column on the same factor; a g x g
-       system in the mass then gives alpha.
+       field z_j, a cotree edge closed through the tree (``TreeBasis``),
+       is projected off the curls as one more column on the same
+       factor; a g x g system in the mass then gives alpha.
 
     ``means`` is ``conn.rt_means()``.  Returns p, the tree, the number
     of P1 unknowns factored and the L+U entries of the factor.
     """
-    tree = _dual_tree(conn)
-    ends = conn.edge_nodes()
-    free, holes = _free_nodes_and_holes(conn, tree, ends)
-    # the columns: p_f, then each hole's unit cotree flux closed on the tree
-    fields = np.zeros((conn.n_edges, 1 + len(holes)))
-    fields[holes, np.arange(1, 1 + len(holes))] = 1.0
-    loads = np.column_stack([load] + [_div_sums(conn, z) for z in fields[:, 1:].T])
-    fields[tree.edge] = _tree_fluxes(tree, loads)
+    basis = TreeBasis.of(conn)
+    # the columns: p_f, then each hole's field
+    fields = np.column_stack((np.zeros(conn.n_edges), basis.holes))
+    fields[basis.tree.edge, 0] = basis.fluxes(load[:, np.newaxis])[:, 0]
 
-    psi, n_free, lu_nnz = _stream_functions(conn, fields, free, means)
-    # curl psi has the coefficient (psi_b - psi_a) / |E| on edge (a, b)
-    fields += (psi[ends[:, 1]] - psi[ends[:, 0]]) / conn.lengths[:, np.newaxis]
+    psi, n_free, lu_nnz = _stream_functions(conn, fields, basis.free, means)
+    fields += basis.curls(psi)
     p, z = fields[:, 0], fields[:, 1:].T
     if len(z):
         pp, *pz = [rt_affine(conn, conn.local_flux_dofs(v), means) for v in fields.T]
         gram = [[_mass_inner(conn, zi, zj) for zj in pz] for zi in pz]
         p = p + np.linalg.solve(gram, [-_mass_inner(conn, zi, pp) for zi in pz]) @ z
-    return p, tree, n_free, lu_nnz
+    return p, basis.tree, n_free, lu_nnz
 
 
 def _div_sums(conn: Connectivity, p) -> np.ndarray:

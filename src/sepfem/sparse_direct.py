@@ -1,30 +1,30 @@
-"""Sparse direct solves of the symmetric positive definite systems.
+"""Sparse direct solves of the symmetric positive definite P1 systems.
 
-Both discretizations reduce their linear algebra to one SPD system: the
-least-squares optimality system, and the P1 stiffness system of the
-stream function from which the mixed flux is built.  Each minimizes a
-sum of squares, so each matrix is a Gram matrix R^T R of rows that
-every element contributes: the terms of the least-squares functional,
-and the gradient of the stream function.  ``assemble_spd`` orders the
-unknowns by a nested dissection of the elements (George, SIAM J.
-Numer. Anal. 10, 1973), so one element tree orders both systems, and
-forms R^T R on the new labels: each system is assembled once, in the
-order its factor uses, with 32-bit indices, symmetric bit for bit and
-independent of the unknowns' numbering.  ``solve_spd`` hands that
-matrix to SuperLU in symmetric mode, without pivoting and without a
-permuted copy.  As in multilevel partitioning (Karypis-Kumar, SIAM J.
-Sci. Comput. 20, 1998), the elements are first coarsened, then cut:
-the bisection forest groups them into clusters of at most 8, the
-leaves below one node three generations up, and the dissection cuts
-the clusters.  Each part is cut
-across the longer axis of the bounding box of its clusters, at the
-position near its median element that the fewest interior edges cross
-(Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998, choose among
+Both discretizations work in the basis of a spanning tree of the dual
+graph (see ``mixed_fem``), so the only matrices they factor are P1
+stiffness matrices: the stream function's, for the mixed flux, and the
+stream function's and the potential's, eliminated inside the
+least-squares conjugate gradients.  Each is the Gram matrix R^T R of the
+rows sqrt|K| grad phi that every element contributes.
+``assemble_nodal`` orders the nodes by a nested dissection of the
+elements (George, SIAM J. Numer. Anal. 10, 1973) and forms R^T R on
+the new labels, one system per subset of the nodes: each system is
+assembled once, in the order its factor uses, with 32-bit indices,
+symmetric bit for bit and independent of the unknowns' numbering.
+``solve_spd`` hands a matrix to SuperLU in symmetric mode, without
+pivoting and without a permuted copy, and keeps the factor for further
+solves (``SpdFactor``).  As in
+multilevel partitioning (Karypis-Kumar, SIAM J. Sci. Comput. 20,
+1998), the elements are first coarsened, then cut: the bisection
+forest groups them into clusters of at most 8, the leaves below one
+node three generations up, and the dissection cuts the clusters.  Each
+part is cut across the longer axis of the bounding box of its clusters,
+at the position near its median element that the fewest interior edges
+cross (Gilbert-Miller-Teng, SIAM J. Sci. Comput. 19, 1998, choose among
 candidate cuts by separator size): on the meshes graded toward a corner
 the exact median runs through the densest region.  Each unknown is
 ordered with the lowest part that holds all of its elements.
-``solve_spd`` returns the solution with the number of L+U entries of its
-factor, and raises ``SolverError`` when SuperLU meets a zero pivot.
+``solve_spd`` raises ``SolverError`` when SuperLU meets a zero pivot.
 Both discretizations gate their solves on one relative residual,
 ``_RESIDUAL_TOL``, and raise ``SolverError`` above it.
 """
@@ -37,7 +37,13 @@ import scipy.sparse.linalg as spla
 
 from .quadrature import _centroids
 
-__all__ = ["SolverError", "assemble_spd", "solve_spd", "nested_dissection"]
+__all__ = [
+    "SolverError",
+    "SpdFactor",
+    "assemble_nodal",
+    "solve_spd",
+    "nested_dissection",
+]
 
 _RESIDUAL_TOL = 1e-10
 
@@ -230,47 +236,98 @@ def nested_dissection(conn, dofs, n) -> np.ndarray:
     return np.argsort(end * 64 + k, kind="stable")
 
 
-def assemble_spd(rows, dofs, n, conn) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The SPD system S = R^T R of the elements' rows of R, in its factor's order.
+def assemble_nodal(rows, conn, subsets):
+    """The SPD systems S = R^T R of nodal rows on subsets of the nodes, in their factors' order.
 
-    ``rows[k]`` holds the (r, q) rows of R that element k of ``conn``
-    contributes, on the unknowns ``dofs[k]`` of a system of order n; an
-    entry -1 in ``dofs`` marks an eliminated unknown, whose columns are
-    dropped.  The unknowns are ordered by ``nested_dissection`` and the
-    columns of R relabelled by their rank, so the system A = R^T R is
-    formed once, as S = P A P^T with ``S[i, j] = A[perm[i], perm[j]]``:
+    ``rows[k]`` holds the (r, 3) rows of R that element k of ``conn``
+    contributes on its nodes ``conn.elem_nodes[k]``.  Each boolean mask
+    of ``subsets`` keeps the nodes that are a system's unknowns,
+    numbered in node order, and eliminates the others.  One nested
+    dissection of all the nodes (see ``nested_dissection``) orders
+    every system: a node's part depends only on the elements that hold
+    it, and ties go to the lower node, so each system is ordered as a
+    dissection of its own unknowns would order it.  Returns, per subset,
+    S in its factor's order, that order ``perm``, and R on the same
+    labels (see ``_ordered_gram``): column i of R is unknown ``perm[i]``.
+    """
+    order = nested_dissection(conn, conn.elem_nodes, conn.n_nodes)
+    systems = []
+    for keep in subsets:
+        number = np.cumsum(keep) - 1
+        perm = number[order[keep[order]]]
+        S, R = _ordered_gram(rows, np.where(keep, number, -1)[conn.elem_nodes], perm)
+        systems.append((S, perm, R))
+    return systems
+
+
+def _row_matrix(rows, cols, n) -> sp.csr_matrix:
+    """R as a CSR matrix: the rows ``rows[k]`` of element k on the columns ``cols[k]``.
+
+    Row r of element k is row k r_k + r of R, for the (m, r_k, q)
+    ``rows``; a column -1 is dropped.
+    """
+    cols = np.broadcast_to(cols[:, np.newaxis, :], rows.shape)
+    keep = cols >= 0
+    indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(keep.sum(axis=2))
+    return sp.csr_matrix((rows[keep], cols[keep], indptr), shape=(len(indptr) - 1, n))
+
+
+def _ordered_gram(rows, dofs, perm) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """S = P A P^T of A = R^T R in the order ``perm``, and R on the new labels.
+
+    The columns of R are relabelled by their rank in ``perm``, so the
+    system is formed once, as S with ``S[i, j] = A[perm[i], perm[j]]``:
     a CSR matrix with sorted 32-bit indices.  Every entry of S sums its
     products R[m, i] R[m, j] over the rows m of R in element order,
     whatever the labels, so S equals its transpose bit for bit and does
     not depend on how the unknowns are numbered; an entry whose products
-    cancel exactly is not stored.  Returns S and ``perm``.
+    cancel exactly is not stored.
     """
-    perm = nested_dissection(conn, dofs, n)
+    n = len(perm)
     # rank[-1] is -1, so an eliminated unknown stays eliminated
     rank = np.full(n + 1, -1, dtype=np.int32)
     rank[perm] = np.arange(n, dtype=np.int32)
-    cols = np.broadcast_to(rank[dofs][:, np.newaxis, :], rows.shape)
-    keep = cols >= 0
-    indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(keep.sum(axis=2))
-    R = sp.csr_matrix((rows[keep], cols[keep], indptr), shape=(len(indptr) - 1, n))
+    R = _row_matrix(rows, rank[dofs], n)
     # the rows of R^T list the rows of R in order, so each entry sums
     # its products in element order
     S = R.T.tocsr() @ R
     S.sort_indices()
-    return S, perm
+    return S, R
 
 
-def solve_spd(S, rhs, perm) -> tuple[np.ndarray, int]:
-    """Solve the sparse SPD system A x = rhs; return x and the factor's size.
+class SpdFactor:
+    """The SuperLU factor of S = P A P^T, with ``perm`` its order.
 
-    S is P A P^T as ``assemble_spd`` returns it, with ``perm`` its order;
+    ``solve`` solves A x = rhs again, in the unknowns' own order, for
+    one right-hand side or one per column; ``nnz`` is the number of L+U
+    entries.
+    """
+
+    def __init__(self, lu, perm):
+        self.lu, self.perm = lu, perm
+
+    @property
+    def nnz(self) -> int:
+        return int(self.lu.nnz)
+
+    def solve(self, rhs) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=np.float64)
+        x = np.empty(rhs.shape)
+        x[self.perm] = self.lu.solve(rhs[self.perm])
+        return x
+
+
+def solve_spd(S, rhs, perm) -> tuple[np.ndarray, SpdFactor]:
+    """Factor the sparse SPD system A x = rhs and solve it; return x and the factor.
+
+    S is P A P^T as ``assemble_nodal`` returns it, with ``perm`` its order;
     ``rhs`` is one right-hand side, or one per column, all solved on the
     one factor, and x is in the unknowns' own order.  S is symmetric, so
     its CSR arrays are also its CSC arrays, and SuperLU factors them in
-    place, in their order, without pivoting.  The second value is the
-    number of L+U entries of the factor.  A factorization that meets a
-    zero pivot raises ``SolverError``.
+    place, in their order, without pivoting.  The factor (see
+    ``SpdFactor``) is kept for further solves.  A factorization that
+    meets a zero pivot raises ``SolverError``.
     """
     n = S.shape[0]
     try:
@@ -282,7 +339,5 @@ def solve_spd(S, rhs, perm) -> tuple[np.ndarray, int]:
         )
     except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
         raise SolverError(f"factorization of {n} unknowns failed: {err}") from None
-    rhs = np.asarray(rhs, dtype=np.float64)
-    x = np.empty(rhs.shape)
-    x[perm] = lu.solve(rhs[perm])
-    return x, int(lu.nnz)
+    factor = SpdFactor(lu, perm)
+    return factor.solve(rhs), factor

@@ -11,7 +11,15 @@ element-pair path.
 import numpy as np
 import pytest
 
-from sepfem import Connectivity, MixedPoisson, SafemParams, field_from_name, l_shape, safem_run
+from sepfem import (
+    Connectivity,
+    MixedPoisson,
+    SafemParams,
+    field_from_name,
+    initial_mesh,
+    l_shape,
+    safem_run,
+)
 from sepfem.edges import rt_affine, rt_at_points
 
 _RESULTS = {}
@@ -57,6 +65,20 @@ def graded_l_shape():
         corner = np.all(T.tri_coords() == 0.0, axis=2).any(axis=1)
         T = T.refine(T.leaf_ids[corner])
     return T
+
+
+def grid_without(nx, ny, cells):
+    """The unit squares of an nx by ny grid, each cut along its diagonal
+    into two triangles, except the squares in ``cells``."""
+    pts = [(float(i), float(j)) for j in range(ny + 1) for i in range(nx + 1)]
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            if (i, j) in cells:
+                continue
+            a, b = j * (nx + 1) + i, j * (nx + 1) + i + 1
+            tris += [(a, b, b + nx + 1), (a, b + nx + 1, a + nx + 1)]
+    return initial_mesh(pts, tris)
 
 
 def edge_midpoints(conn):

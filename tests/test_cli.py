@@ -414,15 +414,15 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
 def test_singular_factor_exits_3_with_the_level(monkeypatch, capsys):
     # from the second level on the P1 matrix is all zeros, so SuperLU
     # meets a zero pivot
-    real = sepfem.mixed_fem.assemble_spd
+    real = sepfem.mixed_fem.assemble_nodal
     calls = []
 
     def singular_from_level_1(*args):
         calls.append(None)
-        S, perm = real(*args)
-        return (S * 0.0 if len(calls) > 1 else S), perm
+        systems = real(*args)
+        return [(S * 0.0 if len(calls) > 1 else S, perm, R) for S, perm, R in systems]
 
-    monkeypatch.setattr(sepfem.mixed_fem, "assemble_spd", singular_from_level_1)
+    monkeypatch.setattr(sepfem.mixed_fem, "assemble_nodal", singular_from_level_1)
     code = main(SMALL)
     captured = capsys.readouterr()
     assert code == 3

@@ -178,6 +178,11 @@ def test_record_bookkeeping_invariants():
     assert len(res.solutions) == len(res.records)
 
 
+# the P1 systems each level factors: the stream function of the mixed
+# flux; the stream function and the potential of least squares
+FACTORS_PER_LEVEL = {MixedPoisson: 1, LeastSquaresPoisson: 2}
+
+
 @pytest.mark.parametrize("cls", [MixedPoisson, LeastSquaresPoisson])
 def test_records_carry_the_factored_size_and_fill(cls, monkeypatch):
     factored = []
@@ -190,33 +195,56 @@ def test_records_carry_the_factored_size_and_fill(cls, monkeypatch):
 
     monkeypatch.setattr(sparse_direct.spla, "splu", counting_splu)
     res = safem_run(cls(field_from_name("one")), l_shape(), small_params())
-    assert len(factored) == len(res.records)
-    assert [(r.extra["unknowns"], r.extra["lu_nnz"]) for r in res.records] == factored
+    k = FACTORS_PER_LEVEL[cls]
+    assert len(factored) == k * len(res.records)
+    sums = [tuple(map(sum, zip(*factored[i : i + k]))) for i in range(0, len(factored), k)]
+    assert [(r.extra["unknowns"], r.extra["lu_nnz"]) for r in res.records] == sums
+
+
+def perturb_factor_solves(monkeypatch, change):
+    """Make every solve on a factor ``solve_spd`` keeps return ``change(x, serial)``.
+
+    ``serial`` counts the factors in the order they are made, from 1;
+    returns the list whose one entry is the number made so far.
+    """
+    made = [0]
+    init, solve = sparse_direct.SpdFactor.__init__, sparse_direct.SpdFactor.solve
+
+    def counted(self, *args):
+        init(self, *args)
+        made[0] += 1
+        self.serial = made[0]
+
+    monkeypatch.setattr(sparse_direct.SpdFactor, "__init__", counted)
+    monkeypatch.setattr(
+        sparse_direct.SpdFactor, "solve", lambda self, rhs: change(solve(self, rhs), self.serial)
+    )
+    return made
 
 
 @pytest.mark.parametrize(
     "cls, module", [(MixedPoisson, sepfem.mixed_fem), (LeastSquaresPoisson, sepfem.ls_fem)]
 )
 def test_residual_gates_reject_a_perturbed_solve_and_name_the_level(cls, module, monkeypatch):
-    # every solve from the (first + 1)-th on returns x (1 + 1e-6)
-    calls, first = [0], [0]
-    solve_spd = module.solve_spd
-
-    def perturbed(*args):
-        x, lu_nnz = solve_spd(*args)
-        calls[0] += 1
-        return (x * (1.0 + 1e-6) if calls[0] > first[0] else x), lu_nnz
-
-    monkeypatch.setattr(module, "solve_spd", perturbed)
+    # every P1 solve on a factor made after the first ``first`` returns
+    # x (1 + 1e-6): the mixed solve's one, and each of least squares'
+    # eliminations inside its conjugate gradients, whose Schur complement
+    # the perturbation changes; the gate reads the unknowns' own basis
+    assert module.solve_spd is sparse_direct.solve_spd
+    first = [0]
+    made = perturb_factor_solves(
+        monkeypatch, lambda x, serial: x * (1.0 + 1e-6) if serial > first[0] else x
+    )
     problem = cls(field_from_name("one"))
     with pytest.raises(SolverError, match="residual"):
         problem.solve(l_shape().uniform_refine())
 
-    calls[0], first[0] = 0, 2
-    with pytest.raises(SolverError) as err:
+    k = FACTORS_PER_LEVEL[cls]
+    made[0], first[0] = 0, 2 * k
+    with pytest.raises(SolverError, match="residual") as err:
         safem_run(problem, l_shape(), small_params())
     assert err.value.level == 2
-    assert calls[0] == 3
+    assert made[0] == 3 * k
 
 
 @pytest.mark.parametrize(
@@ -224,19 +252,28 @@ def test_residual_gates_reject_a_perturbed_solve_and_name_the_level(cls, module,
     [(MixedPoisson, sepfem.mixed_fem, "mixed"), (LeastSquaresPoisson, sepfem.ls_fem, "ls")],
 )
 def test_residual_gates_reject_a_nan_solve_and_name_the_level(cls, module, kind, monkeypatch, capsys):
-    # a NaN residual compares false with the bound, so it must not pass the gate
-    solve_spd = module.solve_spd
-
-    def nan_solve(*args):
-        x, lu_nnz = solve_spd(*args)
-        return np.full_like(x, np.nan), lu_nnz
-
-    monkeypatch.setattr(module, "solve_spd", nan_solve)
+    # a NaN residual compares false with the bound, so it must not pass
+    # the gate; in least squares it also stops the conjugate gradients
+    assert module.solve_spd is sparse_direct.solve_spd
+    perturb_factor_solves(monkeypatch, lambda x, serial: np.full_like(x, np.nan))
     with pytest.raises(SolverError, match="residual nan") as err:
         safem_run(cls(field_from_name("one")), l_shape(), small_params())
     assert err.value.level == 0
     assert main(["--problem", kind, "--max-elements", "60"]) == 3
     assert "solver failure at level 0: " in capsys.readouterr().err
+
+
+def test_conjugate_gradients_that_miss_their_tolerance_raise_and_name_the_level(
+    monkeypatch, capsys
+):
+    # with a tolerance of 0 the gradients run to the order of their
+    # system, which bounds them, and stop there
+    monkeypatch.setattr(sepfem.ls_fem, "_CG_TOL", 0.0)
+    with pytest.raises(SolverError, match="conjugate gradients") as err:
+        safem_run(LeastSquaresPoisson(field_from_name("one")), l_shape(), small_params())
+    assert err.value.level == 0
+    assert main(["--problem", "ls", "--domain", "l-shape", "--max-elements", "60"]) == 3
+    assert "solver failure at level 0: conjugate gradients" in capsys.readouterr().err
 
 
 def held_array_bytes(root):
@@ -519,3 +556,6 @@ def test_benchmark_trajectories_are_pinned(workload):
     res = safem_run(cls(field_from_name(field)), l_shape(), params)
     assert res.stop_reason == "element-cap"
     assert [(r.N, r.case, r.marked) for r in res.records] == want
+    if kind == "ls":
+        # the conjugate gradients on the tree fluxes stay far from their cap
+        assert all(1 <= r.extra["cg_iterations"] <= 20 for r in res.records)

@@ -34,7 +34,6 @@ from sepfem.ls_fem import assemble_ls, ls_functional
 from sepfem.marking import ElementOscillation
 from sepfem.mixed_fem import _mass_rows
 from sepfem.quadrature import integrate_many
-from sepfem.sparse_direct import assemble_spd
 
 
 def geometric_signs(conn):
@@ -265,22 +264,14 @@ def test_closed_form_integrals_match_the_midpoint_rule(closed_form):
         assert np.all(err <= 1e-13 * np.abs(scale).reshape(len(got), -1).max(axis=1))
 
 
-def test_least_squares_rows_give_the_functional(monkeypatch):
-    # assemble_ls forms its matrix as R^T R of four rows per element; with
+def test_least_squares_rows_give_the_functional():
+    # assemble_ls returns four rows of R per element; with
     # b = -sqrt|K| f_K on each divergence row, ||R x - b||^2 + mu^2 is the
     # least-squares functional of x = (p, u), as the 7-point rule gives
     # Q((f + c)^2) = |K| (f_K + c)^2 + Q((f - f_K)^2) for a constant c
     T = graded_l_shape()
     f = field_from_name("radial-alpha:0.6")
-    calls = []
-
-    def record(rows, dofs, n, conn):
-        calls.append((rows, dofs))
-        return assemble_spd(rows, dofs, n, conn)
-
-    monkeypatch.setattr(sepfem.ls_fem, "assemble_spd", record)
-    conn, interior = assemble_ls(T, f)[3:]
-    ((rows, dofs),) = calls
+    rows, dofs, _, conn, interior = assemble_ls(T, f)
     assert rows.shape == (len(conn.tris), 4, 6)
     b = np.zeros(rows.shape[:2])
     b[:, 0] = -np.sqrt(conn.areas) * integrate_many(f, conn.pts) / conn.areas

@@ -15,8 +15,9 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import prolonged_flux
+from conftest import grid_without, prolonged_flux
 from sepfem import (
     Connectivity,
     LeastSquaresPoisson,
@@ -25,6 +26,7 @@ from sepfem import (
     delta_ls,
     eta_ls,
     field_from_name,
+    initial_mesh,
     integrate_many,
     l_shape,
     ls_functional,
@@ -98,10 +100,18 @@ def brute_minimize(T, f):
     return conn, p, u, ls_of(c)
 
 
-@pytest.mark.parametrize("field_name", ["one", "linear-x"])
-def test_solver_matches_brute_force_minimizer(field_name):
-    f = field_from_name(field_name)
-    T = unit_square_criss().uniform_refine()
+def gram(rows, dofs, n):
+    """The optimality matrix R^T R, formed here from the elements' rows of
+    ``assemble_ls`` on their unknowns ``dofs`` (-1 dropped)."""
+    m, r, _ = rows.shape
+    cols = np.broadcast_to(dofs[:, np.newaxis, :], rows.shape)
+    line = np.broadcast_to(np.arange(m * r).reshape(m, r, 1), rows.shape)
+    keep = cols >= 0
+    R = sp.coo_matrix((rows[keep], (line[keep], cols[keep])), shape=(m * r, n)).tocsr()
+    return (R.T @ R).tocsr()
+
+
+def assert_matches_brute_force(T, f):
     conn_ref, p_ref, u_ref, ls_ref = brute_minimize(T, f)
     sol = solve_ls(T, f)
     pkg = {tuple(int(v) for v in e): i for i, e in enumerate(sol.conn.edges)}
@@ -111,24 +121,67 @@ def test_solver_matches_brute_force_minimizer(field_name):
     assert abs(sol.ls_total - ls_ref) < 1e-12 * max(1.0, ls_ref)
 
 
+@pytest.mark.parametrize("field_name", ["one", "linear-x"])
+def test_solver_matches_brute_force_minimizer(field_name):
+    assert_matches_brute_force(unit_square_criss().uniform_refine(), field_from_name(field_name))
+
+
+def ring_or_criss(mesh):
+    """The 4 x 3 grid without one square (one hole, off the centre), or the
+    criss square refined once (no hole)."""
+    return grid_without(4, 3, {(1, 1)}) if mesh == "ring" else unit_square_criss().uniform_refine()
+
+
+@pytest.mark.parametrize("mesh", ["ring", "criss"])
+def test_tree_basis_minimizer_matches_brute_force_with_and_without_a_hole(mesh):
+    # on the ring the load varies and the hole sits off the centre, so
+    # the minimizer has a part around the hole that neither the tree
+    # fluxes nor the curls give: the hole's field carries it
+    T = ring_or_criss(mesh)
+    conn = Connectivity(T)
+    holes = conn.n_edges - T.n_elements - conn.n_nodes + 1
+    assert holes == (mesh == "ring")
+    assert_matches_brute_force(T, field_from_name("linear-x"))
+
+
+@pytest.mark.parametrize("mesh", ["ring", "criss"])
+def test_stream_function_and_potential_are_decoupled_exactly(mesh):
+    # (curl psi, grad v) = 0 for v vanishing on the boundary: the mean
+    # rows of the curls, sqrt|K| curl phi = sqrt|K| (d phi/dy, -d phi/dx),
+    # against those of the interior nodes' hats, -sqrt|K| grad phi, sum
+    # to exactly 0.0 once assembled, so the two P1 systems are solved apart
+    rows, dofs, rhs, conn, interior = assemble_ls(ring_or_criss(mesh), field_from_name("one"))
+    grad = rows[:, 2:, 3:]
+    curl = np.stack((-grad[:, 1], grad[:, 0]), axis=1)
+    nodes = np.where(interior[conn.elem_nodes], conn.n_nodes + conn.elem_nodes, -1)
+    coupling = gram(
+        np.concatenate((curl, grad), axis=2),
+        np.concatenate((conn.elem_nodes, nodes), axis=1),
+        2 * conn.n_nodes,
+    )
+    block = coupling[: conn.n_nodes, conn.n_nodes :].toarray()
+    assert np.any(coupling[: conn.n_nodes, : conn.n_nodes].toarray() != 0.0)
+    assert np.any(coupling[conn.n_nodes :, conn.n_nodes :].toarray() != 0.0)
+    assert np.all(block == 0.0)
+
+
 def test_system_is_symmetric_positive_definite():
     T = l_shape().uniform_refine()
-    S, _, rhs, conn, interior = assemble_ls(T, field_from_name("one"))
-    D = S.toarray()
+    rows, dofs, rhs, conn, interior = assemble_ls(T, field_from_name("one"))
+    D = gram(rows, dofs, len(rhs)).toarray()
     assert np.max(np.abs(D - D.T)) < 1e-14
     w = np.linalg.eigvalsh(D)
     assert w.min() > 0.0
-    assert S.shape[0] == conn.n_edges + int(interior.sum())
+    assert D.shape[0] == conn.n_edges + int(interior.sum())
 
 
 def test_a_solve_peaks_below_1000_bytes_per_unknown(graded_mesh):
-    # the solve forms its system once, in its factor's order, as R^T R
-    # of the elements' rows with 32-bit indices, and SuperLU factors that
-    # matrix's own arrays.  tracemalloc sees numpy's arrays (not
-    # SuperLU's factor): with 64-bit triplets, the unfiltered index
-    # arrays and three permuted copies of S for the factor, this solve
-    # peaked at 1 237 B per unknown; summing (6, 6) element blocks
-    # through COO triplets, 767 B; it now takes 523 B
+    # the bound is 1000 B per unknown of the least-squares system, edge
+    # fluxes and interior nodes (7 233 here), although the solve now
+    # factors two P1 systems of 3 617 unknowns between them; it reads
+    # 445 B.  tracemalloc sees numpy's arrays (not SuperLU's factors):
+    # the elements' rows, the rows of R on the tree fluxes, and the P1
+    # systems, each formed once in its factor's order with 32-bit indices
     T = graded_mesh
     Connectivity.of(T)  # the mesh's own tables are not the solve's
     f = field_from_name("one")
@@ -136,12 +189,14 @@ def test_a_solve_peaks_below_1000_bytes_per_unknown(graded_mesh):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sol = solve_ls(T, f)
+        solve_ls(T, f)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert T.n_elements == 3616 and sol.unknowns == 7233
-    assert peak <= 1000 * sol.unknowns
+    conn = Connectivity.of(T)
+    assert T.n_elements == 3616
+    assert conn.n_edges + int((~conn.boundary_node).sum()) == 7233
+    assert peak <= 1000 * 7233
 
 
 def test_zero_data_gives_zero_minimum():
@@ -170,15 +225,16 @@ def test_functional_rejects_partial_potential_vector():
 
 
 def test_minimum_drop_equals_energy_norm_of_update():
-    # with S the SPD system and b its load, LS(coarse) - LS(fine) equals
-    # d^T S d for d the coefficient difference in the fine space (S is
-    # assembled in its factor's order, so d is read in that order)
+    # with A = R^T R the optimality matrix and b its load, LS(coarse) -
+    # LS(fine) equals d^T A d for d the coefficient difference in the
+    # fine space
     f = field_from_name("one")
     Tc = l_shape()
     sol_c = solve_ls(Tc, f)
     Tf = Tc.uniform_refine()
     sol_f = solve_ls(Tf, f)
-    S, perm, rhs, conn_f, interior = assemble_ls(Tf, f)
+    rows, dofs, rhs, conn_f, interior = assemble_ls(Tf, f)
+    A = gram(rows, dofs, len(rhs))
     p_up = prolonged_flux(Tc, sol_c.p, Tf)
     # the coarse potential at each fine element's vertices, from the
     # barycentric coordinates of those vertices in the coarse ancestor
@@ -191,8 +247,8 @@ def test_minimum_drop_equals_energy_norm_of_update():
     u_up[conn_f.elem_nodes] = np.einsum("kij,kj->ki", lam, sol_c.u[sol_c.conn.elem_nodes[rows]])
     carried = ls_functional(conn_f, f, p_up, u_up)
     assert abs(carried - sol_c.ls_total) < 1e-12 * sol_c.ls_total
-    d = np.concatenate((p_up - sol_f.p, (u_up - sol_f.u)[interior]))[perm]
-    drop = float(d @ (S @ d))
+    d = np.concatenate((p_up - sol_f.p, (u_up - sol_f.u)[interior]))
+    drop = float(d @ (A @ d))
     got = delta_ls(sol_c, sol_f)
     assert abs(got - drop) < 1e-10 * sol_c.ls_total
     assert got >= 0.0
@@ -209,6 +265,23 @@ def test_minimum_is_monotone_under_refinement():
         sol = solve_ls(T, f)
         assert sol.ls_total <= prev.ls_total * (1.0 + 1e-12)
         prev = sol
+
+
+@pytest.mark.parametrize("scale", [30.0, 1000.0])
+def test_adaptive_runs_on_a_scaled_l_shape_solve_every_level(scale):
+    # the functional weighs q against div q by the element size squared,
+    # so on large elements the mean rows, which the preconditioner of the
+    # conjugate gradients leaves out, dominate: they take more iterations,
+    # bounded by the order of their system, and every level still passes
+    # the gate up to the element cap
+    T0 = l_shape()
+    T = initial_mesh(T0.forest.coords() * scale, T0.tris())
+    params = SafemParams(theta_a=0.5, max_elements=3000)
+    res = safem_run(LeastSquaresPoisson(field_from_name("one")), T, params)
+    assert res.stop_reason == "element-cap" and len(res.records) >= 15
+    for r in res.records:
+        assert r.extra["solver_residual"] <= 1e-10
+        assert 1 <= r.extra["cg_iterations"] <= T.n_elements + r.N
 
 
 def test_distance_clamps_and_warns_on_increase(caplog):

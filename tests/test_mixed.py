@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 import sepfem.mixed_fem
-from conftest import graded_l_shape, prolonged_flux
+from conftest import graded_l_shape, grid_without, prolonged_flux
 from sepfem import (
     Connectivity,
     MixedPoisson,
@@ -386,20 +386,6 @@ def test_problem_wrapper_contract():
     extras = prob.extras(T, sol)
     assert extras["constraint_residual"] <= 1e-12
     assert extras["solver_residual"] <= 1e-10
-
-
-def grid_without(nx, ny, cells):
-    """The unit squares of an nx by ny grid, each cut along its diagonal
-    into two triangles, except the squares in ``cells``."""
-    pts = [(float(i), float(j)) for j in range(ny + 1) for i in range(nx + 1)]
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            if (i, j) in cells:
-                continue
-            a, b = j * (nx + 1) + i, j * (nx + 1) + i + 1
-            tris += [(a, b, b + nx + 1), (a, b + nx + 1, a + nx + 1)]
-    return initial_mesh(pts, tris)
 
 
 def holes_and_components(T):

@@ -18,13 +18,17 @@ from sepfem.ls_fem import assemble_ls
 from sepfem.mesh import initial_mesh, read_mesh, unit_square_criss, write_mesh
 from sepfem.mixed_fem import solve_mixed
 from sepfem.quadrature import _centroids
+from sepfem.ls_fem import solve_ls
+from sepfem.mixed_fem import _dual_tree, _free_nodes_and_holes
 from sepfem.sparse_direct import (
     _CLUSTER_DEPTH,
     SolverError,
     _clusters,
     _dissect,
     _leaf_slots,
-    assemble_spd,
+    _ordered_gram,
+    _row_matrix,
+    assemble_nodal,
     nested_dissection,
     solve_spd,
 )
@@ -296,17 +300,31 @@ def median_dissection(S, coords):
     return np.lexsort((np.arange(n), -depth, last))
 
 
+def assemble_spd(rows, dofs, n, conn):
+    """S and perm of the system R^T R on any unknowns ``dofs``.
+
+    The module's two steps, as ``assemble_nodal`` takes them for nodal
+    unknowns: ``nested_dissection`` orders the unknowns, and
+    ``_ordered_gram`` forms the system in that order.
+    """
+    perm = nested_dissection(conn, dofs, n)
+    return _ordered_gram(rows, dofs, perm)[0], perm
+
+
 def recorded_assemblies(module, monkeypatch):
-    """Each ``assemble_spd`` call ``module`` makes: its arguments
-    (rows, dofs, n, conn) and what it returned, (S, perm)."""
+    """Each system ``module`` assembles through ``assemble_nodal``: the
+    arguments (rows, dofs, n, conn) of the system on its unknowns in
+    node order, and what was returned for it, (S, perm)."""
     calls = []
 
-    def record(*args):
-        out = assemble_spd(*args)
-        calls.append((args, out))
+    def record(rows, conn, subsets):
+        out = assemble_nodal(rows, conn, subsets)
+        for keep, (S, perm, _) in zip(subsets, out):
+            dofs = np.where(keep, np.cumsum(keep) - 1, -1)[conn.elem_nodes]
+            calls.append(((rows, dofs, int(keep.sum()), conn), (S, perm)))
         return out
 
-    monkeypatch.setattr(module, "assemble_spd", record)
+    monkeypatch.setattr(module, "assemble_nodal", record)
     return calls
 
 
@@ -325,29 +343,31 @@ def gram(rows, dofs, n):
 
 
 def spd_system(call, **rest):
-    """The system of one ``assemble_spd`` call: A = R^T R formed on the
-    unknowns' own labels, and S and perm as ``assemble_spd`` returned
-    them."""
+    """The system of one assembly: A = R^T R formed on the unknowns' own
+    labels, and S and perm as the assembly returned them."""
     (rows, dofs, n, conn), (S, perm) = call
     return SimpleNamespace(A=gram(rows, dofs, n), S=S, perm=perm, conn=conn, dofs=dofs, **rest)
 
 
-def ls_system(levels, monkeypatch):
+def ls_system(levels):
     T = l_shape()
     for _ in range(levels):
         T = T.uniform_refine()
-    return ls_system_on(T, monkeypatch)
+    return ls_system_on(T)
 
 
-def ls_system_on(T, monkeypatch):
-    """The LS system and right-hand side, with one point per unknown for
-    the reference orderings."""
-    calls = recorded_assemblies(sepfem.ls_fem, monkeypatch)
-    _, _, rhs, conn, interior = assemble_ls(T, field_from_name("one"))
+def ls_system_on(T):
+    """The least-squares optimality system on edges and interior nodes,
+    assembled here from the rows of ``assemble_ls``, and its right-hand
+    side, with one point per unknown for the reference orderings.  The
+    solver factors only P1 systems, but this one, with three kinds of
+    coupling, still tests the ordering."""
+    rows, dofs, rhs, conn, interior = assemble_ls(T, field_from_name("one"))
+    args = (rows, dofs, len(rhs), conn)
     coords = np.concatenate(
         (edge_midpoints(conn), T.forest.coords()[conn.node_vertices[interior]])
     )
-    return spd_system(calls[0], rhs=rhs, coords=coords)
+    return spd_system((args, assemble_spd(*args)), rhs=rhs, coords=coords)
 
 
 def curl_system_on(T, monkeypatch):
@@ -388,15 +408,15 @@ def is_permutation(perm, n):
     return np.array_equal(np.sort(perm), np.arange(n))
 
 
-def test_small_system_keeps_natural_order(monkeypatch):
-    system = ls_system(1, monkeypatch)
+def test_small_system_keeps_natural_order():
+    system = ls_system(1)
     assert len(system.conn.tris) <= 16
     n = system.S.shape[0]
     assert system.perm.tolist() == list(range(n))
 
 
-def test_ordering_is_a_permutation_that_cuts_fill(monkeypatch):
-    system = ls_system(8, monkeypatch)
+def test_ordering_is_a_permutation_that_cuts_fill():
+    system = ls_system(8)
     assert is_permutation(system.perm, system.S.shape[0])
     # the natural order of the unknowns follows the forest and is far
     # from banded; dissection must cut the factor's fill several times
@@ -405,7 +425,7 @@ def test_ordering_is_a_permutation_that_cuts_fill(monkeypatch):
 
 def graded_system(T, system, monkeypatch):
     if system == "ls":
-        system = ls_system_on(T, monkeypatch)
+        system = ls_system_on(T)
     else:
         system = curl_system_on(T, monkeypatch)
     assert len(system.conn.tris) == 3616
@@ -600,17 +620,21 @@ def test_singular_system_raises_solver_error():
         solve_spd(S, np.ones(2), perm)
 
 
-def test_superlu_path_matches_reference_solve(monkeypatch):
-    system = ls_system(3, monkeypatch)
+def test_superlu_path_matches_reference_solve():
+    system = ls_system(3)
     A, rhs = system.A, system.rhs
-    x, lu_nnz = solve_spd(system.S, rhs, system.perm)
+    x, factor = solve_spd(system.S, rhs, system.perm)
     ref = spla.spsolve(sp.csc_matrix(A), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
     lu = spla.splu(
         reordered(A, system.perm).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
-    assert lu_nnz == lu.nnz
+    assert factor.nnz == lu.nnz
+    # the kept factor solves again, in the unknowns' own order
+    assert np.array_equal(factor.solve(rhs), x)
+    both = factor.solve(np.column_stack((rhs, 2.0 * rhs)))
+    assert np.array_equal(both[:, 0], x) and np.array_equal(both[:, 1], 2.0 * x)
 
 
 @pytest.mark.parametrize("system", ["ls", "curl"])
@@ -694,3 +718,45 @@ def test_names_the_benchmark_tracer_wraps_are_in_place(monkeypatch):
     monkeypatch.setattr(sepfem.mixed_fem, "solve_spd", traced)
     sol = solve_mixed(l_shape().uniform_refine(), field_from_name("one"))
     assert sizes == [sol.unknowns] and sol.unknowns > 0
+    # least squares factors its two P1 systems through the same name
+    sizes.clear()
+    monkeypatch.setattr(sepfem.ls_fem, "solve_spd", traced)
+    sol = solve_ls(l_shape().uniform_refine(), field_from_name("one"))
+    assert len(sizes) == 2 and sum(sizes) == sol.unknowns and min(sizes) > 0
+
+
+def test_one_node_dissection_orders_each_nodal_system_as_its_own_would(graded_mesh, monkeypatch):
+    # a node's part depends only on the elements that hold it, so the
+    # dissection of all nodes, restricted to the free nodes of the
+    # stream function or the interior nodes of the potential, is the
+    # order a dissection of each system's own unknowns gives it: S and
+    # perm come out bit for bit, from one call of ``_leaf_slots``
+    # instead of two
+    conn = Connectivity(graded_mesh)
+    free, _ = _free_nodes_and_holes(conn, _dual_tree(conn), conn.edge_nodes())
+    interior = ~conn.boundary_node
+    rows = np.sqrt(conn.areas)[:, np.newaxis, np.newaxis] * conn.p1_grads().transpose(0, 2, 1)
+    calls = []
+
+    def counted(c):
+        calls.append(1)
+        return _leaf_slots(c)
+
+    monkeypatch.setattr(sparse_direct, "_leaf_slots", counted)
+    systems = assemble_nodal(rows, conn, (free, interior))
+    assert len(calls) == 1
+    for keep, (S, perm, R) in zip((free, interior), systems):
+        m = int(keep.sum())
+        dofs = np.where(keep, np.cumsum(keep) - 1, -1)[conn.elem_nodes]
+        ref_S, ref_perm = assemble_spd(rows, dofs, m, conn)
+        assert np.array_equal(perm, ref_perm)
+        assert np.array_equal(S.indptr, ref_S.indptr)
+        assert np.array_equal(S.indices, ref_S.indices)
+        assert np.array_equal(S.data.view(np.int64), ref_S.data.view(np.int64))
+        # R is on the factor's labels: its column i is unknown perm[i]
+        rank = np.empty(m, dtype=np.int64)
+        rank[perm] = np.arange(m)
+        assert (R != _row_matrix(rows, np.where(dofs >= 0, rank[dofs], -1), m)).nnz == 0
+    calls.clear()
+    solve_ls(graded_mesh, field_from_name("one"))
+    assert len(calls) == 1
