@@ -68,7 +68,7 @@ class LsSolution:
         return Connectivity.of(self.mesh)
 
 
-def assemble_ls(T: Triangulation, f):
+def assemble_ls(T: Triangulation, f, grads=None, means=None):
     """The rows of the least-squares functional and the right-hand side.
 
     Unknowns are all edge fluxes followed by the interior nodal values.
@@ -79,11 +79,17 @@ def assemble_ls(T: Triangulation, f):
     |K| (div q)^2 = |K| (2 a)^2, a^2 J_K and the two components of
     |K| |qbar - grad v|^2, as x - x_K has mean zero on K.  The only
     load is -(f, div r), R^T b for b = -sqrt|K| f_K on each divergence
-    row.  Returns the (n, 4, 6) rows, the (n, 6) unknowns they sit on
-    (-1 on a boundary node), the right-hand side, the connectivity and
-    the mask of interior nodes.
+    row.  ``grads`` and ``means`` are ``conn.p1_grads()`` and
+    ``conn.rt_means()``, passed by a caller that reads them again.
+    Returns the (n, 4, 6) rows, the (n, 6) unknowns they sit on (-1 on a
+    boundary node), the right-hand side, the connectivity and the mask
+    of interior nodes.
     """
     conn = Connectivity.of(T)
+    if grads is None:
+        grads = conn.p1_grads()
+    if means is None:
+        means = conn.rt_means()
     n = len(conn.tris)
     ne = conn.n_edges
 
@@ -105,8 +111,8 @@ def assemble_ls(T: Triangulation, f):
     rows = np.zeros((n, 4, 6))
     rows[:, 0, :3] = 2.0 * root * sgn_s
     rows[:, 1, :3] = np.sqrt(conn.second_moments())[:, np.newaxis] * sgn_s
-    rows[:, 2:, :3] = (root * sgn)[:, np.newaxis, :] * conn.rt_means().transpose(0, 2, 1)
-    rows[:, 2:, 3:] = -p1_rows(conn, conn.p1_grads())
+    rows[:, 2:, :3] = (root * sgn)[:, np.newaxis, :] * means.transpose(0, 2, 1)
+    rows[:, 2:, 3:] = -p1_rows(conn, grads)
 
     load = integrate_many(f, conn.pts)  # int_K f
     rhs = np.zeros(ne + nint)
@@ -135,28 +141,25 @@ def _rot(Y) -> np.ndarray:
 
 
 class _Stiffness:
-    """One P1 stiffness system R^T R on the ``keep`` nodes, factored at its first solve.
+    """One P1 stiffness system R^T R on the ``keep`` nodes, factored as it is made.
 
     ``S``, ``perm`` and R are as ``assemble_nodal`` gives them, so the
     unknowns are numbered in the factor's order, and the factor's own
     order is the identity (see ``solve_spd``): unknown i is unknown
-    ``perm[i]`` of the subset in node order, on node ``nodes[i]``.
+    ``perm[i]`` of the subset in node order, on node ``nodes[i]``.  S is
+    factored with no right-hand side, and not kept.
     """
 
     def __init__(self, S, perm, R, keep):
-        self.S, self.perm, self.R, self.RT = S, perm, R, R.T
+        self.perm, self.R, self.RT = perm, R, R.T
         self.nodes = np.flatnonzero(keep)[perm]
         self.unknowns = S.shape[0]
-        self.factor = None
+        identity = np.arange(self.unknowns)
+        self.factor = solve_spd(S, np.empty((self.unknowns, 0)), identity)[1]
 
     def project(self, Y):
         """w = (R^T R)^-1 R^T Y and R w, the projection of the rows Y on R's range."""
-        rhs = self.RT @ Y
-        if self.factor is None:
-            w, self.factor = solve_spd(self.S, rhs, np.arange(self.unknowns))
-            self.S = None
-        else:
-            w = self.factor.solve(rhs)
+        w = self.factor.solve(self.RT @ Y)
         return w, self.R @ w
 
 
@@ -187,11 +190,12 @@ def _solve_tree_basis(rows, rhs, conn: Connectivity, interior):
     n, ne = len(conn.tris), conn.n_edges
     basis = TreeBasis.of(conn)
     tree = basis.tree
-    grad = -rows[:, 2:, 3:]  # the P1 rows sqrt|K| grad phi
-    subsets = (basis.free, interior)
-    psi_sys, u_sys = (
-        _Stiffness(*s, keep) for s, keep in zip(assemble_nodal(grad, conn, subsets), subsets)
-    )
+    # both systems, on the P1 rows sqrt|K| grad phi, are factored before
+    # the tree fluxes' rows are built, and each S is dropped once
+    # factored: the second factorization is the solve's peak in memory
+    systems = assemble_nodal(-rows[:, 2:, 3:], conn, (basis.free, interior))
+    psi_sys = _Stiffness(*systems.pop(0), basis.free)
+    u_sys = _Stiffness(*systems.pop(0), interior)
 
     flux = rows[:, :, :3]
     column = np.full(ne, -1, dtype=np.int64)
@@ -274,9 +278,13 @@ def solve_ls(T: Triangulation, f) -> LsSolution:
     The minimizer comes from the dual tree's basis (see
     ``_solve_tree_basis``).  The residual is that of the optimality
     system in the unknowns' own basis, R^T R x - R^T b relative to
-    R^T b, with R^T R x summed from the elements' rows.
+    R^T b, with R^T R x summed from the elements' rows.  The hat
+    gradients and the basis means are derived once, for the rows and the
+    functional.
     """
-    rows, dofs, rhs, conn, interior = assemble_ls(T, f)
+    conn = Connectivity.of(T)
+    grads, means = conn.p1_grads(), conn.rt_means()
+    rows, dofs, rhs, _, interior = assemble_ls(T, f, grads, means)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         x = np.zeros(len(rhs))
@@ -290,19 +298,21 @@ def solve_ls(T: Triangulation, f) -> LsSolution:
     p = x[: conn.n_edges]
     u = np.zeros(conn.n_nodes)
     u[interior] = x[conn.n_edges :]
-    total = ls_functional(conn, f, p, u)
+    total = ls_functional(conn, f, p, u, grads, means)
     return LsSolution(T, p, u, res, total, unknowns, lu_nnz, iterations)
 
 
-def ls_functional(conn: Connectivity, f, p, u) -> float:
+def ls_functional(conn: Connectivity, f, p, u, grads=None, means=None) -> float:
     """Least-squares functional value LS(f; p, u) on the mesh of ``conn``.
 
     The divergence part integrates (f + div q)^2 with the fixed rule,
     div q = 2 a; the flux part is the closed-form norm of the pair
     (a, qbar - grad v), with (a, qbar) that of q (see ``rt_affine``).
-    The per-element values are summed with fsum.
+    The per-element values are summed with fsum.  ``grads`` and ``means``
+    are ``conn.p1_grads()`` and ``conn.rt_means()``, passed by a caller
+    that reads them more than once.
     """
-    a, pbar = rt_affine(conn, conn.local_flux_dofs(np.asarray(p)))
+    a, pbar = rt_affine(conn, conn.local_flux_dofs(np.asarray(p)), means)
     divp = 2.0 * a
 
     def shifted_sq(x, y):
@@ -314,7 +324,9 @@ def ls_functional(conn: Connectivity, f, p, u) -> float:
     u = np.asarray(u, dtype=float)
     if len(u) != conn.n_nodes:
         raise ValueError("u must carry one value per mesh node")
-    gradu = np.einsum("ni,nik->nk", u[conn.elem_nodes], conn.p1_grads())
+    if grads is None:
+        grads = conn.p1_grads()
+    gradu = np.einsum("ni,nik->nk", u[conn.elem_nodes], grads)
     part_flux = rt_norm2(conn, a, pbar - gradu)
 
     return math.fsum((part_div + part_flux).tolist())

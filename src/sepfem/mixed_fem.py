@@ -11,9 +11,14 @@ works in the basis of a spanning tree of the dual graph, rooted outside
 the domain: one tree flux per element carries the load, so the
 constraint holds element by element by construction, and the curls of
 a P1 stream function (plus one field per hole) carry the rest.  Its one
-factored system is the P1 stiffness matrix, and the tree steps are unit
+system is the P1 stiffness matrix, and the tree steps are unit
 triangular solves (see ``_solve_flux``); the least-squares solve
-works in the same basis (``TreeBasis``).  The residual is measured on
+works in the same basis (``TreeBasis``).  A problem keeps the last
+stiffness factor it made.  The meshes of one run are nested, so their
+P1 spaces are too, and a large level within twice the kept level's size
+is solved by conjugate gradients with a two-grid preconditioner whose
+coarse solve is that factor (``_KeptFactor``, ``_two_grid_cg``); every
+other level is ordered and factored, and its factor is kept instead.  The residual is measured on
 the saddle-point system, summed element by element in closed form from
 each element's affine flux, so its matrices are never assembled, and
 the elementwise divergence gap is gated too.  The error estimator
@@ -38,10 +43,26 @@ from .edges import Connectivity, rt_affine, rt_at_points, rt_norm2, tangential_j
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import _centroids, integrate_many
-from .sparse_direct import _RESIDUAL_TOL, SolverError, assemble_nodal, solve_spd
+from .sparse_direct import _RESIDUAL_TOL, SolverError, _ordered_gram, assemble_nodal, solve_spd
 
 # the worst elementwise gap of div p = -f_K, relative to the divergence's terms
 _DIV_GAP_TOL = 1e-12
+# A level whose stream function has at least _REUSE_MIN free unknowns,
+# and at most _REUSE_GROWTH times those of the last factor its problem
+# made, is solved by conjugate gradients on that factor (see
+# ``_KeptFactor``) instead of being ordered and factored.  On the
+# mixed-adaptive benchmark run (41 levels to 30 000 elements) 8 levels
+# take the gradients, with 13-15 iterations each.  With no minimum, 30
+# of the 41 levels took them and the time gained on the large levels
+# was lost on the small ones; with 4x growth, up to 20 iterations were
+# needed and the gain was lost too.
+_REUSE_MIN = 3000
+_REUSE_GROWTH = 2
+# the damping of the Jacobi sweeps around the coarse correction
+_JACOBI_DAMPING = 0.6
+# the conjugate gradients stop at this residual, relative to the
+# right-hand side's
+_CG_TOL = 1e-13
 
 __all__ = [
     "SolverError",
@@ -60,8 +81,9 @@ class MixedSolution:
     pair: tuple            # the flux's elementwise pair (a, pbar) (see ``rt_affine``)
     residual: float
     div_gap: float         # worst elementwise gap of div p = -f_K (see ``_div_gap``)
-    unknowns: int = 0      # size of the factored P1 system, 0 if none was
-    lu_nnz: int = 0        # and the L+U entries of its factor
+    unknowns: int = 0      # size of the P1 system, 0 if none was solved
+    lu_nnz: int = 0        # the L+U entries of the factor it was solved on
+    pcg_iterations: int = 0  # conjugate-gradient iterations, 0 if it was factored
 
     @property
     def conn(self) -> Connectivity:
@@ -248,24 +270,157 @@ class TreeBasis:
         return (psi[self.ends[:, 1]] - psi[self.ends[:, 0]]) / lengths
 
 
-def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, means):
+class _KeptFactor:
+    """The last stream-function factor a problem made, the coarse solve of later levels.
+
+    Nested meshes have nested P1 spaces, so a level that refines the
+    kept one is solved by ``_two_grid_cg`` with the kept factor as its
+    exact coarse solve (Xu, SIAM Rev. 34, 1992).  A problem keeps at
+    most one factor: a level that factors drops the kept one first, then
+    keeps its own.  ``mesh`` is the level the factor was made on, and
+    ``unknown`` numbers that level's free nodes by forest vertex, in the
+    order of the factor's unknowns, with -1 on every other vertex.
+    """
+
+    def __init__(self):
+        self.drop()
+
+    def drop(self):
+        self.factor = self.mesh = self.unknown = None
+
+    def keep(self, T: Triangulation, conn: Connectivity, free, factor):
+        self.unknown = np.full(T.forest.n_vertices, -1, dtype=np.int64)
+        self.unknown[conn.node_vertices[free]] = np.arange(len(factor.perm))
+        self.factor, self.mesh = factor, T
+
+    def interpolation(self, T: Triangulation, conn: Connectivity, free):
+        """The P1 interpolation P from the kept level's free nodes to the ``free`` nodes of T.
+
+        Column j of P is the kept level's hat of unknown j on T's free
+        nodes: each node takes the barycentric coordinates of its point
+        in the ancestor (``coarse_rows``) of one element that holds it.
+        Returns None when the kept factor does not serve T: none is
+        kept, T lies in another forest or does not refine the kept
+        level, or T's free unknowns number fewer than ``_REUSE_MIN`` or
+        more than ``_REUSE_GROWTH`` times the factor's.
+        """
+        if self.factor is None or T.forest is not self.mesh.forest:
+            return None
+        n_free, n_coarse = int(free.sum()), len(self.factor.perm)
+        if not _REUSE_MIN <= n_free <= _REUSE_GROWTH * n_coarse:
+            return None
+        rows = T.coarse_rows(self.mesh)
+        if np.any(rows < 0):
+            return None
+        holder = np.empty(conn.n_nodes, dtype=np.int64)
+        holder[conn.elem_nodes] = np.arange(len(conn.tris))[:, np.newaxis]
+        corners = T.forest.tris(self.mesh.leaf_ids[rows[holder[free]]])
+        coords = T.forest.coords()
+        c = coords[corners]
+        x = coords[conn.node_vertices[free]]
+
+        def cross(u, v):
+            return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+        # exact at the kept level's vertices: (1, 0, 0), (0, 1, 0), (0, 0, 1)
+        e1, e2, dx = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0], x - c[:, 0]
+        det = cross(e1, e2)
+        l1, l2 = cross(dx, e2) / det, cross(e1, dx) / det
+        weights = np.column_stack((1.0 - l1 - l2, l1, l2))
+        cols = self.unknown[corners]
+        # the roundoff left on a zero coordinate is dropped with it
+        on = (cols >= 0) & (np.abs(weights) > 1e-12)
+        indptr = np.zeros(n_free + 1, dtype=np.int64)
+        np.cumsum(on.sum(axis=1), out=indptr[1:])
+        return sp.csr_matrix((weights[on], cols[on], indptr), shape=(n_free, n_coarse))
+
+
+def _two_grid_cg(S, rhs, P, coarse):
+    """Solve S x = rhs by conjugate gradients with a symmetric two-grid preconditioner.
+
+    The preconditioner is one damped Jacobi sweep (``_JACOBI_DAMPING``)
+    from zero, the coarse correction P K^-1 P^T of the residual, with K
+    the coarse system that the SPD factor ``coarse`` solves, and one more
+    sweep.  Each column of ``rhs`` runs from x = 0 until its residual is
+    below ``_CG_TOL`` of its own.  In exact arithmetic it ends within the order
+    of S; a column that has not met its tolerance there, or whose
+    residual underflows first, raises ``SolverError``.  Returns x and the
+    iterations summed over the columns.
+    """
+    n = S.shape[0]
+    scale = _JACOBI_DAMPING / S.diagonal()
+
+    def precondition(r):
+        z = scale * r
+        z += P @ coarse.solve(P.T @ (r - S @ z))
+        return z + scale * (r - S @ z)
+
+    x = np.zeros(rhs.shape)
+    total = 0
+    for b, xj in zip(rhs.T, x.T):
+        r = b.copy()
+        z = precondition(r)
+        d, rz = z, float(r @ z)
+        stop = _CG_TOL * float(np.linalg.norm(b))
+        for iterations in range(1, n + 1):
+            q = S @ d
+            curvature = float(d @ q)
+            # both are 0 once the residual has underflowed, short of a
+            # tolerance of 0
+            if rz == 0.0 or curvature == 0.0:
+                break
+            alpha = rz / curvature
+            xj += alpha * d
+            r -= alpha * q
+            # the residual must fall below the tolerance, so a tolerance
+            # of 0 is never met; a NaN residual stops too, and fails the gate
+            if not np.linalg.norm(r) >= stop:
+                break
+            z = precondition(r)
+            rz, rz_old = float(r @ z), rz
+            d = z + (rz / rz_old) * d
+        # a zero right-hand side is solved by x = 0
+        if np.linalg.norm(r) >= stop and b.any():
+            raise SolverError(
+                f"conjugate gradients on the stream function did not reach {_CG_TOL:g}: "
+                f"they stopped after {iterations} of at most {n} iterations, the order "
+                "of its system"
+            )
+        total += iterations
+    return x, total
+
+
+def _stream_functions(T: Triangulation, fields: np.ndarray, free: np.ndarray, means, kept):
     """The psi with (curl psi, curl phi) = -(v, curl phi) for each column v of ``fields``.
 
-    ``fields`` is (n_edges, m) RT0 coefficients; the P1 test functions
-    phi are the hats of the ``free`` nodes, and psi is 0 on the others.
-    The matrix is the P1 stiffness, the Gram matrix of the rows
-    sqrt|K| grad phi on each element, factored once for all m columns.
-    On K, (v, curl phi) = |K| pbar . curl phi, as x - x_K has mean zero
-    there, with curl phi = (d phi / dy, -d phi / dx); ``means`` is
+    ``fields`` is (n_edges, m) RT0 coefficients on T; the P1 test
+    functions phi are the hats of the ``free`` nodes, and psi is 0 on
+    the others.  The matrix is the P1 stiffness, the Gram matrix of the
+    rows sqrt|K| grad phi on each element.  Where the factor ``kept``
+    holds serves T (see ``_KeptFactor.interpolation``), the system is
+    formed in node order and solved by ``_two_grid_cg`` on it; otherwise
+    ``kept`` drops its factor, the system is ordered and factored once
+    for all m columns, and ``kept`` keeps the new factor.  ``kept`` is
+    None for a solve that neither reads nor keeps one.  On K,
+    (v, curl phi) = |K| pbar . curl phi, as x - x_K has mean zero there,
+    with curl phi = (d phi / dy, -d phi / dx); ``means`` is
     ``conn.rt_means()``.  Returns the (n_nodes, m) psi, the number of
-    unknowns and the L+U entries of the factor.
+    unknowns, the L+U entries of the factor solved on and the conjugate
+    gradients' iterations (0 where the level factors).
     """
+    conn = Connectivity.of(T)
     n_free = int(free.sum())
     dofs = np.where(free, np.cumsum(free) - 1, -1)[conn.elem_nodes]
     held = dofs >= 0
     grads = conn.p1_grads()
-    # R is not kept: the factorization runs without it
-    S, perm = assemble_nodal(p1_rows(conn, grads), conn, (free,))[0][:2]
+    P = None if kept is None else kept.interpolation(T, conn, free)
+    if P is None:
+        if kept is not None:
+            kept.drop()
+        # R is not kept: the factorization runs without it
+        S, perm = assemble_nodal(p1_rows(conn, grads), conn, (free,))[0][:2]
+    else:
+        S = _ordered_gram(p1_rows(conn, grads), dofs, np.arange(n_free))[0]
     rhs = np.empty((n_free, fields.shape[1]))
     for j, v in enumerate(fields.T):
         pbar = rt_affine(conn, conn.local_flux_dofs(v), means)[1]
@@ -274,11 +429,16 @@ def _stream_functions(conn: Connectivity, fields: np.ndarray, free: np.ndarray, 
         )
         rhs[:, j] = -np.bincount(dofs[held], weights=local[held], minlength=n_free)
     psi = np.zeros((conn.n_nodes, fields.shape[1]))
+    if P is not None:
+        psi[free], iterations = _two_grid_cg(S, rhs, P, kept.factor)
+        return psi, n_free, kept.factor.nnz, iterations
     psi[free], factor = solve_spd(S, rhs, perm)
-    return psi, n_free, factor.nnz
+    if kept is not None:
+        kept.keep(T, conn, free, factor)
+    return psi, n_free, factor.nnz, 0
 
 
-def _solve_flux(conn: Connectivity, load, means):
+def _solve_flux(T: Triangulation, load, means, kept):
     """Flux of the mixed system in the dual tree's basis.
 
     RT0 is the tree fluxes, one per element, plus the divergence-free
@@ -295,22 +455,25 @@ def _solve_flux(conn: Connectivity, load, means):
        is projected off the curls as one more column on the same
        factor; a g x g system in the mass then gives alpha.
 
-    ``means`` is ``conn.rt_means()``.  Returns p, the tree, the number
-    of P1 unknowns factored and the L+U entries of the factor.
+    ``means`` is ``conn.rt_means()``, and ``kept`` the problem's kept
+    factor (see ``_stream_functions``).  Returns p, the tree, the number
+    of P1 unknowns, the L+U entries of the factor solved on and the
+    conjugate gradients' iterations.
     """
+    conn = Connectivity.of(T)
     basis = TreeBasis.of(conn)
     # the columns: p_f, then each hole's field
     fields = np.column_stack((np.zeros(conn.n_edges), basis.holes))
     fields[basis.tree.edge, 0] = basis.fluxes(load[:, np.newaxis])[:, 0]
 
-    psi, n_free, lu_nnz = _stream_functions(conn, fields, basis.free, means)
+    psi, n_free, lu_nnz, iterations = _stream_functions(T, fields, basis.free, means, kept)
     fields += basis.curls(psi)
     p, z = fields[:, 0], fields[:, 1:].T
     if len(z):
         pp, *pz = [rt_affine(conn, conn.local_flux_dofs(v), means) for v in fields.T]
         gram = [[_mass_inner(conn, zi, zj) for zj in pz] for zi in pz]
         p = p + np.linalg.solve(gram, [-_mass_inner(conn, zi, pp) for zi in pz]) @ z
-    return p, basis.tree, n_free, lu_nnz
+    return p, basis.tree, n_free, lu_nnz, iterations
 
 
 def _div_sums(conn: Connectivity, p) -> np.ndarray:
@@ -358,7 +521,7 @@ def _saddle_residual(conn: Connectivity, p, mass, u, load) -> np.ndarray:
     return np.concatenate((flux, _div_sums(conn, p) + load))
 
 
-def solve_mixed(T: Triangulation, f) -> MixedSolution:
+def solve_mixed(T: Triangulation, f, kept: _KeptFactor | None = None) -> MixedSolution:
     """Solve the mixed system; it must meet two gates.
 
     The flux is computed in the dual tree's basis (see ``_solve_flux``),
@@ -370,7 +533,9 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
     (see ``_div_gap``), 1e-12; either failure raises ``SolverError``.
     The load is the quadrature of f per element.  The basis means and
     the flux's pair (see ``rt_affine``) are derived once; the solution
-    keeps the pair for ``eta_mixed`` and ``delta_mixed``.
+    keeps the pair for ``eta_mixed`` and ``delta_mixed``.  ``kept`` is
+    the factor a problem keeps from level to level (see
+    ``_stream_functions``); without it, the level factors its own.
     """
     conn = Connectivity.of(T)
     load = integrate_many(f, conn.pts)
@@ -378,10 +543,10 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
     if bnorm == 0.0:
         p, u, res, gap = np.zeros(conn.n_edges), np.zeros(len(load)), 0.0, 0.0
         pair = (np.zeros(len(load)), np.zeros((len(load), 2)))
-        unknowns = lu_nnz = 0
+        unknowns = lu_nnz = iterations = 0
     else:
         means = conn.rt_means()
-        p, tree, unknowns, lu_nnz = _solve_flux(conn, load, means)
+        p, tree, unknowns, lu_nnz, iterations = _solve_flux(T, load, means, kept)
         pair = rt_affine(conn, conn.local_flux_dofs(p), means)
         mass = _mass_rows(conn, pair, means)
         u = _tree_potential(tree, mass)
@@ -395,7 +560,7 @@ def solve_mixed(T: Triangulation, f) -> MixedSolution:
             raise SolverError(
                 f"mixed divergence gap {gap:.3e} above {_DIV_GAP_TOL:g}"
             )
-    return MixedSolution(T, p, u, pair, res, gap, unknowns, lu_nnz)
+    return MixedSolution(T, p, u, pair, res, gap, unknowns, lu_nnz, iterations)
 
 
 def eta_mixed(T: Triangulation, sol: MixedSolution) -> IndicatorField:
@@ -444,16 +609,21 @@ def delta_mixed(Tc: Triangulation, Tf: Triangulation, sol_c: MixedSolution, sol_
 
 
 class MixedPoisson:
-    """Problem instance bundling solver, estimator, data terms and distance."""
+    """Problem instance bundling solver, estimator, data terms and distance.
+
+    It keeps the last stream-function factor its solves made, which later
+    levels of the same forest solve on (see ``_KeptFactor``).
+    """
 
     kind = "mixed"
 
     def __init__(self, data_field):
         self.field = data_field
         self.oscillation = ElementOscillation(data_field)
+        self._kept = _KeptFactor()
 
     def solve(self, T: Triangulation) -> MixedSolution:
-        return solve_mixed(T, self.field)
+        return solve_mixed(T, self.field, self._kept)
 
     def eta(self, T: Triangulation, sol: MixedSolution) -> IndicatorField:
         return eta_mixed(T, sol)
@@ -470,4 +640,5 @@ class MixedPoisson:
             "solver_residual": sol.residual,
             "unknowns": sol.unknowns,
             "lu_nnz": sol.lu_nnz,
+            "pcg_iterations": sol.pcg_iterations,
         }

@@ -12,8 +12,12 @@ the new labels, one system per subset of the nodes: each system is
 assembled once, in the order its factor uses, with 32-bit indices,
 symmetric bit for bit and independent of the unknowns' numbering.
 ``solve_spd`` hands a matrix to SuperLU in symmetric mode, without
-pivoting and without a permuted copy, and keeps the factor for further
-solves (``SpdFactor``).  As in
+pivoting and without a permuted copy, and returns the factor for
+further solves (``SpdFactor``): least squares' eliminations inside its
+conjugate gradients, and the coarse solves of the mixed method's later
+levels, which form their systems in node order (``_ordered_gram`` with
+the identity order) and solve them by conjugate gradients instead of
+factoring them.  As in
 multilevel partitioning (Karypis-Kumar, SIAM J. Sci. Comput. 20,
 1998), the elements are first coarsened, then cut: the bisection
 forest groups them into clusters of at most 8, the leaves below one
@@ -322,8 +326,9 @@ def solve_spd(S, rhs, perm) -> tuple[np.ndarray, SpdFactor]:
     """Factor the sparse SPD system A x = rhs and solve it; return x and the factor.
 
     S is P A P^T as ``assemble_nodal`` returns it, with ``perm`` its order;
-    ``rhs`` is one right-hand side, or one per column, all solved on the
-    one factor, and x is in the unknowns' own order.  S is symmetric, so
+    ``rhs`` is one right-hand side, or one per column (none, to factor
+    only), all solved on the one factor, and x is in the unknowns' own
+    order.  S is symmetric, so
     its CSR arrays are also its CSC arrays, and SuperLU factors them in
     place, in their order, without pivoting.  The factor (see
     ``SpdFactor``) is kept for further solves.  A factorization that

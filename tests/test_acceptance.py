@@ -102,6 +102,12 @@ def test_criterion_1_certificates_on_live_runs(mixed_run, ls_run, acceptance_log
             most_cg = max(r.extra["cg_iterations"] for r in res.records)
             run_ok = run_ok and most_cg <= 20
             part += f" max_cg={most_cg}"
+        else:
+            # some levels solve on an earlier level's factor, in few
+            # conjugate-gradient iterations
+            pcg = [r.extra["pcg_iterations"] for r in res.records if r.extra["pcg_iterations"]]
+            run_ok = run_ok and len(pcg) >= 1 and max(pcg) <= 30
+            part += f" reused={len(pcg)} max_pcg={max(pcg, default=0)}"
         ok = ok and run_ok
         parts.append(f"{part} {seconds:.1f}s")
     record(acceptance_log, 1, "axiom certificates on live runs", ok, "; ".join(parts))

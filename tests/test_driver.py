@@ -3,6 +3,7 @@
 import gc
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -559,3 +560,108 @@ def test_benchmark_trajectories_are_pinned(workload):
     if kind == "ls":
         # the conjugate gradients on the tree fluxes stay far from their cap
         assert all(1 <= r.extra["cg_iterations"] <= 20 for r in res.records)
+
+
+# the per-level (N, case, marked) of the mixed-adaptive workload itself,
+# on l_shape() to its 30 000-element cap, from the direct solve of every
+# level; from 3 000 free unknowns on, some levels solve on the factor of
+# an earlier one instead, and a flip there changes this list
+MIXED_ADAPTIVE_30000 = [
+    (0, "A", 2), (4, "A", 3), (7, "A", 3), (11, "A", 2), (14, "A", 4), (18, "A", 4),
+    (24, "A", 7), (38, "A", 6), (52, "A", 8), (62, "A", 12), (82, "A", 12), (94, "A", 19),
+    (130, "A", 22), (168, "A", 25), (206, "A", 33), (250, "A", 46), (314, "A", 53),
+    (392, "A", 71), (494, "A", 85), (594, "A", 97), (730, "A", 116), (868, "A", 152),
+    (1074, "A", 185), (1318, "A", 224), (1616, "A", 296), (2006, "A", 363),
+    (2480, "A", 402), (2986, "A", 472), (3610, "A", 613), (4350, "A", 781),
+    (5296, "A", 940), (6444, "A", 1179), (7884, "A", 1443), (9604, "A", 1597),
+    (11452, "A", 1811), (13568, "A", 2291), (16220, "A", 2911), (19560, "A", 3530),
+    (23642, "A", 4213), (28430, "A", 5286), (34354, "-", 0),
+]
+MIXED_ADAPTIVE = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=30_000)
+
+
+def test_levels_that_solve_on_an_earlier_factor_keep_the_pinned_trajectory(monkeypatch):
+    factored = []
+    splu = sparse_direct.spla.splu
+
+    def counting_splu(A, **kwargs):
+        lu = splu(A, **kwargs)
+        factored.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(sparse_direct.spla, "splu", counting_splu)
+    res = safem_run(MixedPoisson(field_from_name("one")), l_shape(), MIXED_ADAPTIVE)
+    assert [(r.N, r.case, r.marked) for r in res.records] == MIXED_ADAPTIVE_30000
+    assert all(r.extra["solver_residual"] <= 1e-10 for r in res.records)
+    iterations = [r.extra["pcg_iterations"] for r in res.records]
+    assert sum(1 <= k <= 30 for k in iterations) >= 5
+    # one factorization per level that factors; a level that reuses one
+    # reports the fill of the last factor made and the size of its own
+    # system, all nodes but the one pinned
+    assert len(factored) == iterations.count(0)
+    made = iter(factored)
+    for rec, T in zip(res.records, res.meshes):
+        if rec.extra["pcg_iterations"] == 0:
+            last = next(made)
+        assert rec.extra["lu_nnz"] == last
+        assert rec.extra["unknowns"] == len(np.unique(T.tris())) - 1
+
+
+def test_a_problem_run_on_two_meshes_records_what_two_fresh_problems_do():
+    # the second initial mesh has more free nodes than the minimum for
+    # reuse, and the first run leaves a factor of another forest behind
+    second = unit_square_criss()
+    for _ in range(12):
+        second = second.uniform_refine()
+    params = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=16_000)
+    f = field_from_name("one")
+
+    def rows(res):
+        return [(r.N, r.case, r.marked, r.eta2, r.mu2, r.delta2, r.extra) for r in res.records]
+
+    shared = MixedPoisson(f)
+    first_runs = [safem_run(shared, T0, params) for T0 in (l_shape(), second)]
+    fresh_runs = [safem_run(MixedPoisson(f), T0, params) for T0 in (l_shape(), second)]
+    assert [rows(r) for r in first_runs] == [rows(r) for r in fresh_runs]
+    assert any(r.extra["pcg_iterations"] for r in first_runs[0].records)
+    assert first_runs[1].records[0].extra["pcg_iterations"] == 0
+
+
+def test_a_problem_drops_its_factor_before_it_factors_again(monkeypatch):
+    factors, alive = [], []
+    init = sparse_direct.SpdFactor.__init__
+    splu = sparse_direct.spla.splu
+
+    def made(self, *args):
+        init(self, *args)
+        factors.append(weakref.ref(self))
+
+    def checked_splu(A, **kwargs):
+        alive.append(sum(ref() is not None for ref in factors))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(sparse_direct.SpdFactor, "__init__", made)
+    monkeypatch.setattr(sparse_direct.spla, "splu", checked_splu)
+    problem = MixedPoisson(field_from_name("one"))
+    res = safem_run(problem, l_shape(), small_params(max_elements=3000))
+    assert len(alive) == len(res.records) >= 20
+    assert alive == [0] * len(alive)
+    # the last one is kept by the problem, not by its result
+    assert factors[-1]() is not None
+    del problem
+    assert factors[-1]() is None
+
+
+def test_conjugate_gradients_on_an_earlier_factor_that_miss_their_tolerance_raise_and_name_the_level(
+    monkeypatch, capsys
+):
+    # level 31 of the mixed-adaptive run is the first to solve on an
+    # earlier level's factor; a tolerance of 0 is never met, so its
+    # gradients run until the residual underflows, inside their bound,
+    # the order of the system, and stop there
+    monkeypatch.setattr(sepfem.mixed_fem, "_CG_TOL", 0.0)
+    with pytest.raises(SolverError, match="stream function did not reach 0: .* of at most 3362") as err:
+        safem_run(MixedPoisson(field_from_name("one")), l_shape(), MIXED_ADAPTIVE)
+    assert err.value.level == 31
+    assert main(["--domain", "l-shape", "--max-elements", "30000"]) == 3
+    assert "solver failure at level 31: conjugate gradients" in capsys.readouterr().err

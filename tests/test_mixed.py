@@ -509,8 +509,8 @@ def test_divergence_gap_is_reported_and_gated(monkeypatch):
     real = sepfem.mixed_fem._solve_flux
     calls = []
 
-    def perturbed(conn, load, means):
-        p, *rest = real(conn, load, means)
+    def perturbed(*args):
+        p, *rest = real(*args)
         calls.append(len(calls))
         if len(calls) >= 3:
             p = p.copy()
@@ -522,3 +522,62 @@ def test_divergence_gap_is_reported_and_gated(monkeypatch):
     with pytest.raises(SolverError, match="divergence gap") as err:
         safem_run(prob, l_shape(), params)
     assert err.value.level == 2
+
+
+def test_the_interpolation_from_a_kept_level_spans_its_galerkin_coarse_space(monkeypatch):
+    # P^T S P is the kept level's own stiffness: nested P1 spaces, with
+    # the same node pinned on both levels
+    Tc = graded_l_shape().uniform_refine()
+    T = Tc.refine(Tc.leaf_ids[::3])
+    kept = sepfem.mixed_fem._KeptFactor()
+    solve_mixed(Tc, field_from_name("one"), kept)
+
+    def stiffness(T):
+        conn = Connectivity.of(T)
+        free = sepfem.mixed_fem.TreeBasis.of(conn).free
+        grads = conn.p1_grads()
+        K = np.einsum("n,nik,njk->nij", conn.areas, grads, grads)
+        nodes = conn.elem_nodes
+        A = sp.csr_matrix(
+            (K.ravel(), (np.repeat(nodes, 3, axis=1).ravel(), np.tile(nodes, 3).ravel()))
+        )
+        return conn, free, A[free][:, free]
+
+    conn_c, free_c, Sc = stiffness(Tc)
+    conn, free, S = stiffness(T)
+    assert 0 < free.sum() <= 2 * free_c.sum()
+    assert kept.interpolation(T, conn, free) is None  # below the minimum size
+    monkeypatch.setattr(sepfem.mixed_fem, "_REUSE_MIN", 0)
+    P = kept.interpolation(T, conn, free)
+    assert P.shape == (free.sum(), free_c.sum())
+    assert abs(P.T @ S @ P - Sc).max() <= 1e-13 * abs(Sc).max()
+    # a node of both levels takes its own coarse value, exactly
+    weights = P.toarray()
+    coarse = np.isin(conn.node_vertices[free], conn_c.node_vertices[free_c])
+    assert np.array_equal(np.sort(weights[coarse], axis=1)[:, -1], np.ones(coarse.sum()))
+    assert np.count_nonzero(weights[coarse]) == coarse.sum()
+    # T refined twice more is over twice the size, and another forest's
+    # mesh is never served
+    larger = T.uniform_refine().uniform_refine()
+    for other in (larger, unit_square_criss().uniform_refine()):
+        c = Connectivity.of(other)
+        assert kept.interpolation(other, c, sepfem.mixed_fem.TreeBasis.of(c).free) is None
+
+
+@pytest.mark.parametrize("mesh", ["l-shape", "ring"])
+def test_levels_solved_on_a_kept_factor_match_their_direct_solves(mesh, monkeypatch):
+    # with no minimum size, every level within twice the kept factor's
+    # unknowns solves on it; the ring's hole adds a second column
+    monkeypatch.setattr(sepfem.mixed_fem, "_REUSE_MIN", 0)
+    T0 = l_shape() if mesh == "l-shape" else grid_without(4, 3, {(1, 1)})
+    f = field_from_name("radial-alpha:0.6")
+    params = SafemParams(theta_a=0.3, kappa=1.0, rho_b=0.5, sigma_tol=0.0, max_elements=1500)
+    res = safem_run(MixedPoisson(f), T0, params)
+    reused = [k for k, r in enumerate(res.records) if r.extra["pcg_iterations"]]
+    assert len(reused) >= 5
+    for k in reused:
+        direct = solve_mixed(res.meshes[k], f)
+        p = res.solutions[k].p
+        assert np.abs(p - direct.p).max() <= 1e-11 * np.abs(direct.p).max()
+        assert res.records[k].extra["unknowns"] == direct.unknowns
+        assert res.records[k].extra["solver_residual"] <= 1e-11
