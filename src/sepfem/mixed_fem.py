@@ -278,8 +278,9 @@ class _KeptFactor:
     exact coarse solve (Xu, SIAM Rev. 34, 1992).  A problem keeps at
     most one factor: a level that factors drops the kept one first, then
     keeps its own.  ``mesh`` is the level the factor was made on, and
-    ``unknown`` numbers that level's free nodes by forest vertex, in the
-    order of the factor's unknowns, with -1 on every other vertex.
+    ``unknown`` numbers that level's free nodes by forest vertex, in node
+    order as the factor's ``solve`` takes them, with -1 on every other
+    vertex.
     """
 
     def __init__(self):
