@@ -3,14 +3,16 @@
 A problem instance bundles five operations over a triangulation: solve,
 the squared error indicators eta (per element), the squared data
 indicators mu (per element), a squared distance delta between the
-solutions on two nested meshes, and a dict of diagnostic extras.  The
+solutions on two nested meshes, and a dict of diagnostic extras.  A
+problem that keeps something from one solve for the next (the mixed one
+keeps its last factor) may also define release(), which drops it.  The
 driver runs one of three loops on top of that interface:
 
 * safem_run: separate marking.  On each level either the data term is
   small (mu2 <= kappa * eta2, case A) and a bulk of the error
   indicators is marked, or the data term dominates (case B) and the
   mesh is overlaid with an approximation mesh driven to a fraction
-  rho_b of the current data term.
+  rho_b of the current data term; the problem is released first.
 * cafem_run: collective marking on the combined per-element indicator
   eta2 + mu2.
 * uniform_run: every element is bisected twice per level.
@@ -226,6 +228,11 @@ def safem_run(problem, T0: Triangulation, params: SafemParams | None = None) -> 
             rec.marked = len(marked)
             return T.refine(marked)
         rec.case = "B"
+        # APPROX and the overlay build tables of their own, so what the
+        # problem keeps for its next solve is dropped first
+        release = getattr(problem, "release", None)
+        if release is not None:
+            release()
         if approx is None:
             approx = ApproxState(T0, problem.oscillation)
         tol = params.rho_b * mu2.total

@@ -31,7 +31,14 @@ from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .mixed_fem import TreeBasis, p1_rows
 from .quadrature import integrate_many
-from .sparse_direct import _RESIDUAL_TOL, SolverError, _row_matrix, assemble_nodal, solve_spd
+from .sparse_direct import (
+    _RESIDUAL_TOL,
+    SolverError,
+    _pcg,
+    _row_matrix,
+    assemble_nodal,
+    solve_spd,
+)
 
 __all__ = [
     "LsSolution",
@@ -174,7 +181,7 @@ def _solve_tree_basis(rows, rhs, conn: Connectivity, interior):
     So for fixed t = (tau, alpha) the best psi and u project the mean
     rows of R t on the two ranges, one P1 factor each (``_Stiffness``),
     and t solves the Schur complement R_t^T (I - Pi) R_t t = R_t^T b.
-    Preconditioned conjugate gradients solve it from t = 0.  On tau the
+    Preconditioned conjugate gradients (``_pcg``) solve it from t = 0.  On tau the
     divergence row and the row of a = div q / 2 of element K sum to
     (4 |K| + J_K) a^2 = (B tau)_K^2 / W_K: B the tree's matrix scaled
     by the outward lengths and W_K = 4 |K|^2 / (4 |K| + J_K), so two
@@ -182,10 +189,9 @@ def _solve_tree_basis(rows, rhs, conn: Connectivity, interior):
     fields' Gram matrix.  What the preconditioner leaves out, the mean
     rows after the projection, grows against the divergence rows with
     the element size, so a mesh of larger elements takes more
-    iterations.  psi and u follow the iterates with the same steps.
-    Returns x, the P1 unknowns, the L+U entries of the two factors and
-    the iterations.  In exact arithmetic the gradients end within the
-    order n + g of the system; more iterations raise ``SolverError``.
+    iterations.  psi and u are the projection of the final t.  Returns
+    x, the P1 unknowns, the L+U entries of the two factors and the
+    iterations.
     """
     n, ne = len(conn.tris), conn.n_edges
     basis = TreeBasis.of(conn)
@@ -214,15 +220,19 @@ def _solve_tree_basis(rows, rhs, conn: Connectivity, interior):
     R_alpha = np.einsum("nrq,nqg->nrg", flux, fields[conn.elem_edges])
     gram = np.einsum("nrg,nrh->gh", R_alpha, R_alpha)
 
-    def schur(d):
-        # R_t^T (I - Pi) R_t d, with the psi and u that project R_t d
-        Y = (R_tau @ d[:n]).reshape(n, 4) + R_alpha @ d[n:]
+    def project(t):
+        # (I - Pi) R_t t, and the psi and u that project R_t t
+        Y = (R_tau @ t[:n]).reshape(n, 4) + R_alpha @ t[n:]
         mean = Y[:, 2:].ravel()
         w_psi, grad_psi = psi_sys.project(_rot(mean))
         w_u, grad_u = u_sys.project(mean)
         Y[:, 2:] -= (grad_u - _rot(grad_psi)).reshape(n, 2)
-        q = np.concatenate((R_tau_T @ Y.ravel(), np.einsum("nrg,nr->g", R_alpha, Y)))
-        return q, w_psi, w_u
+        return Y, w_psi, w_u
+
+    def schur(d):
+        # R_t^T (I - Pi) R_t d
+        Y = project(d)[0]
+        return np.concatenate((R_tau_T @ Y.ravel(), np.einsum("nrg,nr->g", R_alpha, Y)))
 
     weight = 4.0 * conn.areas**2 / (4.0 * conn.areas + conn.second_moments())
 
@@ -235,30 +245,8 @@ def _solve_tree_basis(rows, rhs, conn: Connectivity, interior):
         return np.concatenate((t, np.linalg.solve(gram, r[n:]) if g else []))
 
     b = np.concatenate((rhs[:ne][tree.edge], fields.T @ rhs[:ne]))
-    t = np.zeros(n + g)
-    w_psi, w_u = np.zeros(psi_sys.unknowns), np.zeros(u_sys.unknowns)
-    r = b.copy()
-    z = precondition(r)
-    d, rz = z, float(r @ z)
-    stop = _CG_TOL * float(np.linalg.norm(b))
-    for iterations in range(1, n + g + 1):
-        q, step_psi, step_u = schur(d)
-        alpha = rz / (d @ q)
-        t += alpha * d
-        w_psi += alpha * step_psi
-        w_u += alpha * step_u
-        r -= alpha * q
-        # a NaN residual stops too, and fails the gate
-        if not np.linalg.norm(r) > stop:
-            break
-        z = precondition(r)
-        rz, rz_old = float(r @ z), rz
-        d = z + (rz / rz_old) * d
-    else:
-        raise SolverError(
-            f"conjugate gradients on the tree fluxes did not reach {_CG_TOL:g} "
-            f"in {n + g} iterations, the order of their system"
-        )
+    t, iterations = _pcg(schur, precondition, b, _CG_TOL, "the tree fluxes")
+    w_psi, w_u = project(t)[1:]
 
     p = fields @ t[n:]
     p[tree.edge] += t[:n]

@@ -18,10 +18,11 @@ stiffness factor it made.  The meshes of one run are nested, so their
 P1 spaces are too, and a large level within twice the kept level's size
 is solved by conjugate gradients with a two-grid preconditioner whose
 coarse solve is that factor (``_KeptFactor``, ``_two_grid_cg``); every
-other level is ordered and factored, and its factor is kept instead.  The residual is measured on
-the saddle-point system, summed element by element in closed form from
-each element's affine flux, so its matrices are never assembled, and
-the elementwise divergence gap is gated too.  The error estimator
+other level is ordered and factored, and its factor is kept instead.
+The residual is measured on the saddle-point system, summed element by
+element in closed form from each element's affine flux, so its
+matrices are never assembled, and the elementwise divergence gap is
+gated too.  The error estimator
 combines an area-weighted flux volume term with tangential
 inter-element jumps.  Each solve keeps its flux's elementwise affine
 pair, and the distance between nested solutions, the H(div) norm of the
@@ -43,7 +44,14 @@ from .edges import Connectivity, rt_affine, rt_at_points, rt_norm2, tangential_j
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .quadrature import _centroids, integrate_many
-from .sparse_direct import _RESIDUAL_TOL, SolverError, _ordered_gram, assemble_nodal, solve_spd
+from .sparse_direct import (
+    _RESIDUAL_TOL,
+    SolverError,
+    _ordered_gram,
+    _pcg,
+    assemble_nodal,
+    solve_spd,
+)
 
 # the worst elementwise gap of div p = -f_K, relative to the divergence's terms
 _DIV_GAP_TOL = 1e-12
@@ -277,7 +285,9 @@ class _KeptFactor:
     kept one is solved by ``_two_grid_cg`` with the kept factor as its
     exact coarse solve (Xu, SIAM Rev. 34, 1992).  A problem keeps at
     most one factor: a level that factors drops the kept one first, then
-    keeps its own.  ``mesh`` is the level the factor was made on, and
+    keeps its own, and a case-B level of the separate-marking loop drops
+    it before its approximation mesh is built (``MixedPoisson.release``).
+    ``mesh`` is the level the factor was made on, and
     ``unknown`` numbers that level's free nodes by forest vertex, in node
     order as the factor's ``solve`` takes them, with -1 on every other
     vertex.
@@ -342,13 +352,10 @@ def _two_grid_cg(S, rhs, P, coarse):
     The preconditioner is one damped Jacobi sweep (``_JACOBI_DAMPING``)
     from zero, the coarse correction P K^-1 P^T of the residual, with K
     the coarse system that the SPD factor ``coarse`` solves, and one more
-    sweep.  Each column of ``rhs`` runs from x = 0 until its residual is
-    below ``_CG_TOL`` of its own.  In exact arithmetic it ends within the order
-    of S; a column that has not met its tolerance there, or whose
-    residual underflows first, raises ``SolverError``.  Returns x and the
-    iterations summed over the columns.
+    sweep.  Each column of ``rhs`` is solved by ``_pcg`` to ``_CG_TOL`` of
+    its own residual.  Returns x and the iterations summed over the
+    columns.
     """
-    n = S.shape[0]
     scale = _JACOBI_DAMPING / S.diagonal()
 
     def precondition(r):
@@ -356,37 +363,10 @@ def _two_grid_cg(S, rhs, P, coarse):
         z += P @ coarse.solve(P.T @ (r - S @ z))
         return z + scale * (r - S @ z)
 
-    x = np.zeros(rhs.shape)
+    x = np.empty(rhs.shape)
     total = 0
-    for b, xj in zip(rhs.T, x.T):
-        r = b.copy()
-        z = precondition(r)
-        d, rz = z, float(r @ z)
-        stop = _CG_TOL * float(np.linalg.norm(b))
-        for iterations in range(1, n + 1):
-            q = S @ d
-            curvature = float(d @ q)
-            # both are 0 once the residual has underflowed, short of a
-            # tolerance of 0
-            if rz == 0.0 or curvature == 0.0:
-                break
-            alpha = rz / curvature
-            xj += alpha * d
-            r -= alpha * q
-            # the residual must fall below the tolerance, so a tolerance
-            # of 0 is never met; a NaN residual stops too, and fails the gate
-            if not np.linalg.norm(r) >= stop:
-                break
-            z = precondition(r)
-            rz, rz_old = float(r @ z), rz
-            d = z + (rz / rz_old) * d
-        # a zero right-hand side is solved by x = 0
-        if np.linalg.norm(r) >= stop and b.any():
-            raise SolverError(
-                f"conjugate gradients on the stream function did not reach {_CG_TOL:g}: "
-                f"they stopped after {iterations} of at most {n} iterations, the order "
-                "of its system"
-            )
+    for j, b in enumerate(rhs.T):
+        x[:, j], iterations = _pcg(S.dot, precondition, b, _CG_TOL, "the stream function")
         total += iterations
     return x, total
 
@@ -613,7 +593,8 @@ class MixedPoisson:
     """Problem instance bundling solver, estimator, data terms and distance.
 
     It keeps the last stream-function factor its solves made, which later
-    levels of the same forest solve on (see ``_KeptFactor``).
+    levels of the same forest solve on (see ``_KeptFactor``), until
+    ``release`` drops it.
     """
 
     kind = "mixed"
@@ -625,6 +606,11 @@ class MixedPoisson:
 
     def solve(self, T: Triangulation) -> MixedSolution:
         return solve_mixed(T, self.field, self._kept)
+
+    def release(self):
+        # case B calls it: an overlay has more than doubled the free
+        # unknowns on every level measured, past what the factor serves
+        self._kept.drop()
 
     def eta(self, T: Triangulation, sol: MixedSolution) -> IndicatorField:
         return eta_mixed(T, sol)

@@ -346,3 +346,45 @@ def solve_spd(S, rhs, perm) -> tuple[np.ndarray, SpdFactor]:
         raise SolverError(f"factorization of {n} unknowns failed: {err}") from None
     factor = SpdFactor(lu, perm)
     return factor.solve(rhs), factor
+
+
+def _pcg(apply, precondition, b, tol, what) -> tuple[np.ndarray, int]:
+    """Solve A x = b from x = 0 by preconditioned conjugate gradients.
+
+    ``apply`` multiplies by the SPD matrix A and ``precondition`` by an
+    SPD approximation of its inverse.  The residual must fall below
+    ``tol`` of b's, so a tolerance of 0 is never met; a zero b is solved
+    by x = 0.  In exact arithmetic the gradients end within the order of
+    A, which bounds them; they stop short of it where r . z or the
+    curvature underflows to 0.  Ending at or above the tolerance raises
+    ``SolverError``, which names ``what`` they solve for; a NaN residual
+    stops them too, and is left to the caller's gate on its solution.
+    Returns x and the iterations.
+    """
+    n = len(b)
+    x = np.zeros(n)
+    if not b.any():
+        return x, 0
+    r = b.copy()
+    z = precondition(r)
+    d, rz = z, float(r @ z)
+    stop = tol * float(np.linalg.norm(b))
+    for iterations in range(1, n + 1):
+        q = apply(d)
+        curvature = float(d @ q)
+        if rz == 0.0 or curvature == 0.0:
+            break
+        alpha = rz / curvature
+        x += alpha * d
+        r -= alpha * q
+        if not np.linalg.norm(r) >= stop:
+            break
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
+    if np.linalg.norm(r) >= stop:
+        raise SolverError(
+            f"conjugate gradients on {what} did not reach {tol:g}: they stopped "
+            f"after {iterations} of at most {n} iterations, the order of its system"
+        )
+    return x, iterations

@@ -267,8 +267,8 @@ def test_residual_gates_reject_a_nan_solve_and_name_the_level(cls, module, kind,
 def test_conjugate_gradients_that_miss_their_tolerance_raise_and_name_the_level(
     monkeypatch, capsys
 ):
-    # with a tolerance of 0 the gradients run to the order of their
-    # system, which bounds them, and stop there
+    # a tolerance of 0 is never met: the gradients stop at the order of
+    # their system, which bounds them, or where their residual underflows
     monkeypatch.setattr(sepfem.ls_fem, "_CG_TOL", 0.0)
     with pytest.raises(SolverError, match="conjugate gradients") as err:
         safem_run(LeastSquaresPoisson(field_from_name("one")), l_shape(), small_params())
@@ -649,6 +649,34 @@ def test_a_problem_drops_its_factor_before_it_factors_again(monkeypatch):
     # the last one is kept by the problem, not by its result
     assert factors[-1]() is not None
     del problem
+    assert factors[-1]() is None
+
+
+def test_a_problem_holds_no_factor_while_case_b_builds_its_approximation(monkeypatch):
+    factors, alive = [], []
+    init = sparse_direct.SpdFactor.__init__
+    run = ApproxState.run
+
+    def made(self, *args):
+        init(self, *args)
+        factors.append(weakref.ref(self))
+
+    def checked_run(self, tol):
+        alive.append(sum(ref() is not None for ref in factors))
+        return run(self, tol)
+
+    monkeypatch.setattr(sparse_direct.SpdFactor, "__init__", made)
+    monkeypatch.setattr(ApproxState, "run", checked_run)
+    params = SafemParams(theta_a=0.3, kappa=0.1, rho_b=0.5, sigma_tol=0.0, max_elements=3000)
+    problem = MixedPoisson(field_from_name("radial-alpha:0.6"))
+    res = safem_run(problem, l_shape(), params)
+    cases = [r.case for r in res.records]
+    assert cases.count("B") >= 5 and "A" in cases
+    # every level factors, and its factor is kept until case B
+    assert len(factors) == len(res.records)
+    assert alive == [0] * cases.count("B")
+    assert factors[-1]() is not None
+    problem.release()
     assert factors[-1]() is None
 
 
