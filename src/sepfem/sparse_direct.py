@@ -17,7 +17,8 @@ further solves (``SpdFactor``): least squares' eliminations inside its
 conjugate gradients, and the coarse solves of the mixed method's later
 levels, which form their systems in node order (``_ordered_gram`` with
 the identity order) and solve them by conjugate gradients instead of
-factoring them.  As in
+factoring them.  Both methods' conjugate gradients run in one loop,
+``_pcg``.  As in
 multilevel partitioning (Karypis-Kumar, SIAM J. Sci. Comput. 20,
 1998), the elements are first coarsened, then cut: the bisection
 forest groups them into clusters of at most 8, the leaves below one
