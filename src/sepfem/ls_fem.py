@@ -181,12 +181,12 @@ def _solve_tree_basis(rows, rhs, conn: Connectivity, interior):
     So for fixed t = (tau, alpha) the best psi and u project the mean
     rows of R t on the two ranges, one P1 factor each (``_Stiffness``),
     and t solves the Schur complement R_t^T (I - Pi) R_t t = R_t^T b.
-    Preconditioned conjugate gradients (``_pcg``) solve it from t = 0.  On tau the
-    divergence row and the row of a = div q / 2 of element K sum to
-    (4 |K| + J_K) a^2 = (B tau)_K^2 / W_K: B the tree's matrix scaled
-    by the outward lengths and W_K = 4 |K|^2 / (4 |K| + J_K), so two
-    unit triangular solves invert that part; alpha is preconditioned by the
-    fields' Gram matrix.  What the preconditioner leaves out, the mean
+    Preconditioned conjugate gradients (``_pcg``) solve it from t = 0.
+    On tau the divergence row and the row of a = div q / 2 of element K
+    sum to (4 |K| + J_K) a^2 = (B tau)_K^2 / W_K: B the tree's matrix
+    scaled by the outward lengths and W_K = 4 |K|^2 / (4 |K| + J_K), so
+    two unit triangular solves invert that part; alpha is preconditioned
+    by the fields' Gram matrix.  What the preconditioner leaves out, the mean
     rows after the projection, grows against the divergence rows with
     the element size, so a mesh of larger elements takes more
     iterations.  psi and u are the projection of the final t.  Returns
