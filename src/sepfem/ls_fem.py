@@ -12,10 +12,14 @@ eliminated with a factor of its P1 stiffness matrix; conjugate
 gradients solve the Schur complement in the tree fluxes (see
 ``solve_ls``).  The gate is the gradient residual of the optimality
 system in the unknowns' own basis, edge fluxes and interior nodes,
-computed from the rows without forming R^T R.  The natural distance
-between nested solutions is the difference of the minima, which is
-nonnegative because the spaces are nested and is computed from the
-functional values directly.
+computed from the rows without forming R^T R.  The load and the
+functional read f's 7-point data per forest node
+(``marking.ElementOscillation``), the functional's divergence part in
+closed form, and the estimate reads the flux's elementwise pair and
+grad u that the solve derived for the functional, so each is derived
+once per level.  The natural distance between nested solutions is the
+difference of the minima, which is nonnegative because the spaces are
+nested and is computed from the functional values directly.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .edges import Connectivity, rt_affine, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
 from .mixed_fem import TreeBasis, p1_rows
-from .quadrature import integrate_many
 from .sparse_direct import (
     _RESIDUAL_TOL,
     SolverError,
@@ -68,6 +71,10 @@ class LsSolution:
     unknowns: int = 0         # size of the two factored P1 systems, 0 if none was
     lu_nnz: int = 0           # and the L+U entries of their factors
     cg_iterations: int = 0    # conjugate-gradient iterations on the tree fluxes
+    # the pair (a, pbar) of p and grad u per element (see ``_local_fields``),
+    # as the functional derived them, for ``eta_ls``; the problem drops
+    # them once it has the estimate, so a finished level keeps only p and u
+    fields: tuple | None = None
 
     @property
     def conn(self) -> Connectivity:
@@ -86,8 +93,10 @@ def assemble_ls(T: Triangulation, f, grads=None, means=None):
     |K| (div q)^2 = |K| (2 a)^2, a^2 J_K and the two components of
     |K| |qbar - grad v|^2, as x - x_K has mean zero on K.  The only
     load is -(f, div r), R^T b for b = -sqrt|K| f_K on each divergence
-    row.  ``grads`` and ``means`` are ``conn.p1_grads()`` and
-    ``conn.rt_means()``, passed by a caller that reads them again.
+    row, with int_K f read from f's data (``ElementOscillation.loads``;
+    ``f`` is the field or its store).  ``grads`` and ``means`` are
+    ``conn.p1_grads()`` and ``conn.rt_means()``, passed by a caller that
+    reads them again.
     Returns the (n, 4, 6) rows, the (n, 6) unknowns they sit on (-1 on a
     boundary node), the right-hand side, the connectivity and the mask
     of interior nodes.
@@ -121,7 +130,7 @@ def assemble_ls(T: Triangulation, f, grads=None, means=None):
     rows[:, 2:, :3] = (root * sgn)[:, np.newaxis, :] * means.transpose(0, 2, 1)
     rows[:, 2:, 3:] = -p1_rows(conn, grads)
 
-    load = integrate_many(f, conn.pts)  # int_K f
+    load = ElementOscillation.of(f).loads(conn)  # int_K f
     rhs = np.zeros(ne + nint)
     rhs[:ne] = conn.signed_edge_sum(-conn.rt_div() * load[:, np.newaxis])
     return rows, dofs, rhs, conn, interior
@@ -266,13 +275,16 @@ def solve_ls(T: Triangulation, f) -> LsSolution:
     The minimizer comes from the dual tree's basis (see
     ``_solve_tree_basis``).  The residual is that of the optimality
     system in the unknowns' own basis, R^T R x - R^T b relative to
-    R^T b, with R^T R x summed from the elements' rows.  The hat
-    gradients and the basis means are derived once, for the rows and the
-    functional.
+    R^T b, with R^T R x summed from the elements' rows.  ``f`` is the
+    field or its store, which the rows and the functional both read.
+    The hat gradients and the basis means are derived once, for the
+    rows and the solution's elementwise fields, which the functional
+    and the estimate read.
     """
     conn = Connectivity.of(T)
+    data = ElementOscillation.of(f)
     grads, means = conn.p1_grads(), conn.rt_means()
-    rows, dofs, rhs, _, interior = assemble_ls(T, f, grads, means)
+    rows, dofs, rhs, _, interior = assemble_ls(T, data, grads, means)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         x = np.zeros(len(rhs))
@@ -286,37 +298,47 @@ def solve_ls(T: Triangulation, f) -> LsSolution:
     p = x[: conn.n_edges]
     u = np.zeros(conn.n_nodes)
     u[interior] = x[conn.n_edges :]
-    total = ls_functional(conn, f, p, u, grads, means)
-    return LsSolution(T, p, u, res, total, unknowns, lu_nnz, iterations)
+    fields = _local_fields(conn, p, u, grads, means)
+    total = ls_functional(conn, data, p, u, fields)
+    return LsSolution(T, p, u, res, total, unknowns, lu_nnz, iterations, fields)
 
 
-def ls_functional(conn: Connectivity, f, p, u, grads=None, means=None) -> float:
-    """Least-squares functional value LS(f; p, u) on the mesh of ``conn``.
+def _local_fields(conn: Connectivity, p, u, grads=None, means=None):
+    """The pair (a, pbar) of the flux p on each element (see ``rt_affine``) and grad u.
 
-    The divergence part integrates (f + div q)^2 with the fixed rule,
-    div q = 2 a; the flux part is the closed-form norm of the pair
-    (a, qbar - grad v), with (a, qbar) that of q (see ``rt_affine``).
-    The per-element values are summed with fsum.  ``grads`` and ``means``
-    are ``conn.p1_grads()`` and ``conn.rt_means()``, passed by a caller
-    that reads them more than once.
+    ``grads`` and ``means`` are ``conn.p1_grads()`` and
+    ``conn.rt_means()``, passed by a caller that reads them again.
     """
     a, pbar = rt_affine(conn, conn.local_flux_dofs(np.asarray(p)), means)
-    divp = 2.0 * a
-
-    def shifted_sq(x, y):
-        v = f(x, y) + divp[:, np.newaxis]
-        return v * v
-
-    part_div = integrate_many(shifted_sq, conn.pts)
-
     u = np.asarray(u, dtype=float)
     if len(u) != conn.n_nodes:
         raise ValueError("u must carry one value per mesh node")
     if grads is None:
         grads = conn.p1_grads()
-    gradu = np.einsum("ni,nik->nk", u[conn.elem_nodes], grads)
-    part_flux = rt_norm2(conn, a, pbar - gradu)
+    return a, pbar, np.einsum("ni,nik->nk", u[conn.elem_nodes], grads)
 
+
+def ls_functional(conn: Connectivity, f, p, u, fields=None) -> float:
+    """Least-squares functional value LS(f; p, u) on the mesh of ``conn``.
+
+    The divergence part on K, the 7-point rule's Q((f + div q)^2) with
+    div q = 2 a, is |K| (f_K + 2 a)^2 + mu^2(K) in closed form, f_K the
+    mean of f and mu(K) its oscillation: the rule's weights sum to one,
+    so Q(f - f_K) = 0 and Q((f - f_K)^2) = mu^2(K).  Both come from f's
+    data (``ElementOscillation``; ``f`` is the field or its store).  The
+    flux part is the closed-form norm of the pair (a, qbar - grad v),
+    with (a, qbar) that of q (see ``rt_affine``).  The per-element
+    values are summed with fsum.  ``fields`` is (a, qbar, grad v) as
+    ``_local_fields`` derives them, passed by a caller that reads them
+    again.
+    """
+    if fields is None:
+        fields = _local_fields(conn, p, u)
+    a, pbar, gradu = fields
+    data = ElementOscillation.of(f)
+    load, mu = data.loads(conn), data.node_values(conn.forest, conn.leaf_ids)
+    part_div = conn.areas * (load / conn.areas + 2.0 * a) ** 2 + mu * mu
+    part_flux = rt_norm2(conn, a, pbar - gradu)
     return math.fsum((part_div + part_flux).tolist())
 
 
@@ -328,15 +350,15 @@ def eta_ls(T: Triangulation, sol: LsSolution) -> IndicatorField:
              + |K|^{1/2} sum_{E in E(K), E interior} |E| [grad u . n_E]^2
 
     where the first term is a^2 J_K, p being the pair (a, pbar) on K.
+    The pair and grad u are those the solve derived (``sol.fields``),
+    or derived here once the solution no longer holds them.
     """
     conn = sol.conn
-    a, pbar = rt_affine(conn, conn.local_flux_dofs(sol.p))
+    a, pbar, gradu = sol.fields or _local_fields(conn, sol.p, sol.u)
     t_mean = a * a * conn.second_moments()
 
     t_tang = tangential_jump_norms(conn, a, pbar)[conn.elem_edges].sum(axis=1)
 
-    un = sol.u[conn.elem_nodes]
-    gradu = np.einsum("ni,nik->nk", un, conn.p1_grads())
     jumps = conn.signed_edge_sum(np.repeat(gradu[:, np.newaxis, :], 3, axis=1))
     jump = np.einsum("ek,ek->e", jumps, conn.normals)
     jn = np.where(conn.boundary_edge, 0.0, conn.lengths * jump * jump)
@@ -375,10 +397,13 @@ class LeastSquaresPoisson:
         self.oscillation = ElementOscillation(data_field)
 
     def solve(self, T: Triangulation) -> LsSolution:
-        return solve_ls(T, self.field)
+        return solve_ls(T, self.oscillation)
 
     def eta(self, T: Triangulation, sol: LsSolution) -> IndicatorField:
-        return eta_ls(T, sol)
+        eta2 = eta_ls(T, sol)
+        # the estimate is the last reader of the solution's elementwise fields
+        sol.fields = None
+        return eta2
 
     def mu(self, T: Triangulation) -> IndicatorField:
         return self.oscillation.mesh_values2(T)

@@ -12,6 +12,12 @@ partition and each partition element's surrogate weight only in its
 heap, and its passes go in runs: one quadrature call fetches the
 would-be children of many elements ahead, the passes are replayed in
 Python, and one ``split`` makes all children of the run.
+
+The element values live in one store per data field and forest
+(``ElementOscillation``): per forest node, mu(K) and the integral of f,
+from one quadrature batch.  The data term, APPROX's children and the
+loads of both discretizations read it, so f is evaluated at most once
+per forest node in a run.
 """
 
 from __future__ import annotations
@@ -111,54 +117,136 @@ def tilde_mu_children(mu_parent, tilde_parent, mu_child1, mu_child2) -> np.ndarr
     return tilde_parent * (mu_child1 + mu_child2) / np.where(den == 0.0, 1.0, den)
 
 
-class _CachedElementValue:
-    """Per-forest cache of a nonnegative per-element value.
+class _NodeRecords:
+    """One forest's records: ``width`` fields per node id, grown with the forest.
 
-    Per forest, a value array and a computed-mask, both indexed by node
-    id and grown with the forest.
+    ``fields[k][n]`` is field k of node n, and ``known`` marks the
+    computed nodes.  The two children's fields of a node that ``split``
+    had not split when they were computed wait in a row of ``ahead``
+    (a pair per field) until the children are made and read; ``rows``
+    maps the node to its row, ``held`` marks it, and ``top`` counts the
+    rows written.
     """
+
+    __slots__ = ("fields", "known", "ahead", "rows", "held", "top")
+
+    def __init__(self, width):
+        self.fields = [np.zeros(0) for _ in range(width)]
+        self.known = np.zeros(0, dtype=bool)
+        self.ahead = np.zeros((0, 2 * width))
+        self.rows = {}
+        self.held = np.zeros(0, dtype=bool)
+        self.top = 0
+
+    def keep(self, nodes, pairs):
+        """Hold ``pairs[i]``, the children's fields of ``nodes[i]``, until they are made."""
+        k = len(nodes)
+        self.ahead = _grow(self.ahead, self.top + k)
+        self.ahead[self.top : self.top + k] = pairs
+        self.rows.update(zip(nodes.tolist(), range(self.top, self.top + k)))
+        self.held[nodes] = True
+        self.top += k
+
+    def take(self, nodes) -> np.ndarray:
+        """The held children's fields of ``nodes``, which no longer wait."""
+        pairs = self.ahead[[self.rows.pop(n) for n in nodes.tolist()]]
+        self.held[nodes] = False
+        if self.top > 2 * len(self.rows) + 1024:
+            # compact the rows still waiting
+            live = np.fromiter(self.rows.values(), dtype=np.int64, count=len(self.rows))
+            self.ahead[: len(live)] = self.ahead[live]
+            self.rows = dict(zip(self.rows, range(len(live))))
+            self.top = len(live)
+        return pairs
+
+
+class _CachedElementValue:
+    """Per-forest cache of per-element fields, each node computed at most once.
+
+    Each element has ``width`` fields, its value first.  Per forest
+    (``_NodeRecords``), they are indexed by node id, and the children's
+    fields that ``child_values`` computes before the children exist
+    are kept until ``split`` makes them; a node is computed only where
+    neither holds it, so every forest node is evaluated at most once.
+    """
+
+    width = 1
 
     def __init__(self, field):
         self.field = field
         self._caches = weakref.WeakKeyDictionary()
 
     def _compute_batch(self, coords):
+        """The ``width`` fields, each (m,), of the (m, 3, 2) triangles ``coords``."""
         raise NotImplementedError
 
-    def _cache(self, forest: BisectionForest):
-        """The value and computed-mask arrays of ``forest``, grown to its node count."""
-        vals, known = self._caches.get(forest, (np.zeros(0), np.zeros(0, dtype=bool)))
-        vals, known = _grow(vals, forest.n_nodes), _grow(known, forest.n_nodes)
-        self._caches[forest] = vals, known
-        return vals, known
+    def _records(self, forest: BisectionForest, nodes=()) -> _NodeRecords:
+        """The records of ``forest``, with those of the id array ``nodes`` computed.
 
-    def node_values(self, forest: BisectionForest, nodes) -> np.ndarray:
-        """Values of the forest nodes in the id array ``nodes`` (any shape).
-
-        The uncached ones are computed in one batch and cached.
+        Children that ``split`` made since their fields were computed
+        ahead take them; the other missing nodes are computed in one
+        batch.  All are cached.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        vals, known = self._cache(forest)
-        missing = nodes[~known[nodes]]
+        rec = self._caches.get(forest)
+        if rec is None:
+            rec = self._caches[forest] = _NodeRecords(self.width)
+        rec.fields = [_grow(field, forest.n_nodes) for field in rec.fields]
+        rec.known = _grow(rec.known, forest.n_nodes)
+        rec.held = _grow(rec.held, forest.n_nodes)
+        missing = nodes[~rec.known[nodes]]
+        if len(missing) and rec.rows:
+            parents = forest.parents()[missing]
+            made = np.unique(parents[rec.held[parents] & (parents >= 0)])
+            if len(made):
+                kids = forest.first_children(made)[:, np.newaxis] + np.arange(2)
+                pairs = rec.take(made)
+                for k, field in enumerate(rec.fields):
+                    field[kids] = pairs[:, 2 * k : 2 * k + 2]
+                rec.known[kids] = True
+                missing = missing[~rec.known[missing]]
         if len(missing):
-            vals[missing] = self._compute_batch(forest.node_coords(missing))
-            known[missing] = True
-        return vals[nodes]
+            batch = self._compute_batch(forest.node_coords(missing))
+            for field, values in zip(rec.fields, batch):
+                field[missing] = values
+            rec.known[missing] = True
+        return rec
+
+    def node_values(self, forest: BisectionForest, nodes) -> np.ndarray:
+        """Values of the forest nodes in the id array ``nodes`` (any shape)."""
+        return self._records(forest, nodes).fields[0][nodes]
 
     def child_values(self, forest: BisectionForest, nodes) -> np.ndarray:
-        """(m, 2) values of the two children ``split`` gives each node, in one batch.
+        """(m, 2) values of the two children ``split`` gives each node.
 
-        The children need not exist, and nothing is cached: ``store``
-        caches the values once the children are made.
+        The children need not exist.  Those whose fields are held are
+        read; the others are computed in one batch, cached where the
+        children exist and kept ahead where they do not.
         """
-        coords = forest.child_coords(np.asarray(nodes, dtype=np.int64))
-        return self._compute_batch(coords.reshape(-1, 3, 2)).reshape(-1, 2)
-
-    def store(self, forest: BisectionForest, nodes, values):
-        """Cache ``values`` as the values of the existing forest nodes ``nodes``."""
-        vals, known = self._cache(forest)
-        vals[nodes] = values
-        known[nodes] = True
+        nodes = np.asarray(nodes, dtype=np.int64)
+        rec = self._records(forest)
+        first = forest.first_children(nodes)
+        made = first >= 0
+        kids = first[:, np.newaxis] + np.arange(2)
+        # read where held; the rows of children not made yet are filled below
+        out = [field[kids] for field in rec.fields]
+        need = np.zeros(kids.shape, dtype=bool)
+        need[made] = ~rec.known[kids[made]]
+        need[~made] = True
+        for i in np.flatnonzero(~made & rec.held[nodes]).tolist():
+            need[i] = False
+            for o, pair in zip(out, rec.ahead[rec.rows[nodes[i]]].reshape(-1, 2)):
+                o[i] = pair
+        if need.any():
+            batch = self._compute_batch(forest.child_coords(nodes)[need])
+            stored = need & made[:, np.newaxis]
+            for o, values, field in zip(out, batch, rec.fields):
+                o[need] = values
+                field[kids[stored]] = o[stored]
+            rec.known[kids[stored]] = True
+            ahead = need[:, 0] & ~made
+            rec.keep(nodes[ahead], np.concatenate([o[ahead] for o in out], axis=1))
+        return out[0]
 
     def mesh_values2(self, T: Triangulation) -> IndicatorField:
         """Squared values for all leaves, filling the per-node cache."""
@@ -167,10 +255,33 @@ class _CachedElementValue:
 
 
 class ElementOscillation(_CachedElementValue):
-    """mu(K) = ||f - f_K||_{L2(K)}, the piecewise-constant data oscillation."""
+    """mu(K) = ||f - f_K||_{L2(K)}, kept with int_K f: f's 7-point data per forest node.
+
+    One ``mu2_elements`` batch gives both (see ``_compute_batch``), so
+    the data term, APPROX and the loads of both discretizations
+    (``loads``) evaluate f once per forest node.  A problem keeps one
+    for its field; a solve given the bare field makes its own (``of``).
+    """
+
+    width = 2
+
+    @classmethod
+    def of(cls, f) -> "ElementOscillation":
+        """``f`` if it is already f's data, else a new, empty store for the field ``f``."""
+        return f if isinstance(f, cls) else cls(f)
 
     def _compute_batch(self, coords):
-        return np.sqrt(mu2_elements(self.field, coords))
+        integrals = np.empty(len(coords))
+        mu2 = mu2_elements(self.field, coords, integrals)
+        return np.sqrt(mu2), integrals
+
+    def loads(self, T) -> np.ndarray:
+        """int_K f over the elements of T, bit for bit ``integrate_many(f, T.tri_coords())``.
+
+        T is a Triangulation or its Connectivity: either carries the
+        forest and the leaf ids.
+        """
+        return self._records(T.forest, T.leaf_ids).fields[1][T.leaf_ids]
 
 
 class WeightedDataSize(_CachedElementValue):
@@ -178,7 +289,7 @@ class WeightedDataSize(_CachedElementValue):
 
     def _compute_batch(self, coords):
         f = self.field
-        return _areas(coords) * np.sqrt(integrate_many(lambda x, y: f(x, y) ** 2, coords))
+        return (_areas(coords) * np.sqrt(integrate_many(lambda x, y: f(x, y) ** 2, coords)),)
 
 
 class ApproxState:
@@ -187,8 +298,8 @@ class ApproxState:
     Keeps the (possibly nonconforming) working partition as a heap of
     (-surrogate weight, node), one entry per partition element and the
     only store of the partition and of the weights (the element values
-    mu(K) are read from ``values``' cache), so that successive calls
-    with decreasing tolerances continue where the previous call stopped
+    mu(K) are read from ``values``), so that successive calls with
+    decreasing tolerances continue where the previous call stopped
     instead of restarting from the initial mesh.
 
     The greedy passes go in runs.  A run begins with one quadrature
@@ -196,12 +307,12 @@ class ApproxState:
     heap entries (``_fetch_ahead``).  Its passes are then replayed in
     Python: each child gets the id ``split`` will give it and goes into
     the heap at once.  A run ends (``_flush``) with one ``split`` of its
-    elements in pass order, and their children's values go into the
-    cache.  This happens when a pass needs an element that was not
-    fetched ahead (one created in the run, or one past the prefetch),
-    when the running total is made exact at the tolerance check and
-    before ``run`` returns, so nothing else splits the forest while a
-    run is open.  The quadrature gives every element the same bits in
+    elements in pass order; ``values`` keeps the children's values it
+    computed ahead until they are made.  This happens when a pass needs
+    an element that was not fetched ahead (one created in the run, or
+    one past the prefetch), when the running total is made exact at the
+    tolerance check and before ``run`` returns, so nothing else splits
+    the forest while a run is open.  The quadrature gives every element the same bits in
     any batch, and ``split`` numbers nodes and midpoints in order of
     first need, so the result equals that of a greedy that splits and
     fetches one element at a time.
@@ -218,8 +329,8 @@ class ApproxState:
         self._heap = list(zip((-mu).tolist(), roots.tolist()))
         heapq.heapify(self._heap)
         # partition elements fetched ahead, node -> (-tilde of its
-        # children, increment of the running total, the children's two
-        # values), each kept until the element is split
+        # children, increment of the running total), each kept until the
+        # element is split
         self._ahead = {}
         # the elements bisected in the open run, in pass order, and the
         # id the next new node gets
@@ -238,10 +349,11 @@ class ApproxState:
         self.mu2_total = math.fsum((mu * mu).tolist())
 
     def _flush(self):
-        """End the open run: split its elements and cache their children's values."""
+        """End the open run: split its elements."""
         if self._pending:
-            kids = self.forest.split(np.array(self._pending, dtype=np.int64))
-            self.values.store(self.forest, kids, [self._ahead.pop(n)[2:] for n in self._pending])
+            self.forest.split(np.array(self._pending, dtype=np.int64))
+            for n in self._pending:
+                del self._ahead[n]
             self._pending = []
 
     def _fetch_ahead(self, batch, top):
@@ -265,8 +377,7 @@ class ApproxState:
         m0, m1 = self.values.child_values(self.forest, nodes).T
         neg = -tilde_mu_children(mu, tilde, m0, m1)
         delta = m0 * m0 + m1 * m1 - mu * mu
-        entries = zip(neg.tolist(), delta.tolist(), m0.tolist(), m1.tolist())
-        ahead.update(zip(nodes.tolist(), entries))
+        ahead.update(zip(nodes.tolist(), zip(neg.tolist(), delta.tolist())))
 
     def _pass(self):
         """Bisect every element attaining the maximal surrogate weight.
@@ -293,7 +404,7 @@ class ApproxState:
         for n, c in zip(batch, first):
             if c < 0:
                 c, new = new, new + 2
-            neg, d = ahead[n][:2]
+            neg, d = ahead[n]
             heapq.heappush(heap, (neg, c))
             heapq.heappush(heap, (neg, c + 1))
             self.mu2_total += d

@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .quadrature import _areas
 
@@ -143,6 +145,7 @@ class BisectionForest:
         self.roots = np.arange(len(tri))
         keys, _, counts = _edge_table(tri)
         self._boundary = keys[counts == 1]
+        self._lowest = None
 
     # -- vertices -----------------------------------------------------------
 
@@ -157,6 +160,24 @@ class BisectionForest:
     def boundary_keys(self) -> np.ndarray:
         """Sorted keys ``(a << 32) + b``, a < b, of every boundary edge created so far."""
         return self._boundary
+
+    def lowest_vertices(self) -> np.ndarray:
+        """The lowest vertex of each connected component of the root mesh.
+
+        Refinement changes neither the components nor their lowest
+        vertices (every midpoint is numbered after the initial
+        vertices), so they are derived once, on first read.
+        """
+        if self._lowest is None:
+            roots = self._tri[: len(self.roots)]
+            nv = int(roots.max()) + 1
+            graph = sp.csr_matrix(
+                (np.ones(roots.size), (roots.ravel(), roots[:, [1, 2, 0]].ravel())), shape=(nv, nv)
+            )
+            labels = connected_components(graph, directed=False)[1]
+            used = np.unique(roots)
+            self._lowest = used[np.unique(labels[used], return_index=True)[1]]
+        return self._lowest
 
     def midpoints(self, keys) -> np.ndarray:
         """Midpoint vertex of each edge key, -1 for an edge never split."""

@@ -37,13 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 from scipy.sparse.linalg import spsolve_triangular
 
 from .edges import Connectivity, rt_affine, rt_at_points, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
 from .mesh import Triangulation
-from .quadrature import _centroids, integrate_many
+from .quadrature import _centroids
 from .sparse_direct import (
     _RESIDUAL_TOL,
     SolverError,
@@ -190,25 +190,16 @@ def _free_nodes_and_holes(conn: Connectivity, tree: _DualTree, ends: np.ndarray)
     """The P1 nodes left free, and one cotree edge per hole of the mesh.
 
     The curls of P1 lose the constants of each connected component, so
-    the lowest node of each is pinned.  Refinement changes neither the
-    components nor their lowest nodes, which are vertices of the root
-    mesh (the forest numbers them before every midpoint), so both are
-    read from the root triangles.  A mesh with g holes, where
-    g = edges - elements - nodes + components, has g divergence-free
-    fields that are no curl: the cotree edges off a spanning forest of
-    the primal graph, closed through the tree, are one per hole.  Any
-    forest serves, so its weights are the edge numbers.  ``ends`` holds
-    the two nodes of each edge.
+    the lowest node of each, a vertex of the root mesh that the forest
+    derives once (``BisectionForest.lowest_vertices``), is pinned.  A
+    mesh with g holes, where g = edges - elements - nodes + components,
+    has g divergence-free fields that are no curl: the cotree edges off
+    a spanning forest of the primal graph, closed through the tree, are
+    one per hole.  Any forest serves, so its weights are the edge
+    numbers.  ``ends`` holds the two nodes of each edge.
     """
     n_nodes = conn.n_nodes
-    roots = conn.forest.tris(conn.forest.roots)
-    nv = int(roots.max()) + 1
-    graph = sp.csr_matrix(
-        (np.ones(roots.size), (roots.ravel(), roots[:, [1, 2, 0]].ravel())), shape=(nv, nv)
-    )
-    labels = connected_components(graph, directed=False)[1]
-    used = np.unique(roots)
-    lowest = used[np.unique(labels[used], return_index=True)[1]]
+    lowest = conn.forest.lowest_vertices()
     free = np.ones(n_nodes, dtype=bool)
     free[np.searchsorted(conn.node_vertices, lowest)] = False
     if conn.n_edges - len(conn.tris) - n_nodes + len(lowest) == 0:
@@ -512,14 +503,16 @@ def solve_mixed(T: Triangulation, f, kept: _KeptFactor | None = None) -> MixedSo
     in (p, u) (see ``_saddle_residual``) must meet 1e-10, and the worst
     elementwise gap of div p = -f_K, relative to the divergence's terms
     (see ``_div_gap``), 1e-12; either failure raises ``SolverError``.
-    The load is the quadrature of f per element.  The basis means and
-    the flux's pair (see ``rt_affine``) are derived once; the solution
-    keeps the pair for ``eta_mixed`` and ``delta_mixed``.  ``kept`` is
-    the factor a problem keeps from level to level (see
+    The load is the quadrature of f per element, read from f's data
+    (``ElementOscillation.loads``): ``f`` is the field, or the store its
+    problem keeps, which evaluates each forest node once.  The basis
+    means and the flux's pair (see ``rt_affine``) are derived once; the
+    solution keeps the pair for ``eta_mixed`` and ``delta_mixed``.
+    ``kept`` is the factor a problem keeps from level to level (see
     ``_stream_functions``); without it, the level factors its own.
     """
     conn = Connectivity.of(T)
-    load = integrate_many(f, conn.pts)
+    load = ElementOscillation.of(f).loads(conn)
     bnorm = float(np.linalg.norm(load))
     if bnorm == 0.0:
         p, u, res, gap = np.zeros(conn.n_edges), np.zeros(len(load)), 0.0, 0.0
@@ -605,7 +598,7 @@ class MixedPoisson:
         self._kept = _KeptFactor()
 
     def solve(self, T: Triangulation) -> MixedSolution:
-        return solve_mixed(T, self.field, self._kept)
+        return solve_mixed(T, self.oscillation, self._kept)
 
     def release(self):
         # case B calls it: an overlay has more than doubled the free

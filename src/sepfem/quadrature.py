@@ -8,7 +8,10 @@ the same arithmetic whatever batch it is evaluated in: the sum over the
 quadrature points is taken row by row in a fixed order, so a value
 computed for one triangle equals, bit for bit, the value the same
 triangle gets among thousands.  Cached values and exact ties of
-the greedy data approximation depend on that.
+the greedy data approximation depend on that.  One batch of field
+values gives each element's oscillation and its integral of f
+(``mu2_elements``), which ``marking`` keeps per forest node for the
+data term and both discretizations' loads.
 """
 
 from __future__ import annotations
@@ -106,19 +109,24 @@ def integrate_many(f, tris) -> np.ndarray:
     return _areas(t) * _weighted_sum(vals)
 
 
-def mu2_elements(f, tris) -> np.ndarray:
+def mu2_elements(f, tris, integrals=None) -> np.ndarray:
     """Squared data oscillation per element.
 
     mu^2(K) = ||f - f_K||_{L2(K)}^2 with f_K the quadratured mean of f
     over K.  Evaluated as the quadrature of (f - f_K)^2, which is
     nonnegative by construction (positive weights) and algebraically
-    identical to Q(f^2) - area * f_K^2.
+    identical to Q(f^2) - area * f_K^2.  Where ``integrals``, an (n,)
+    array, is given, the quadrature of f itself goes into it, bit for
+    bit as ``integrate_many`` computes it, from the same field values.
     """
     t = _tri_array(tris)
     vals = _values_at_points(f, t)
     means = _weighted_sum(vals)
+    areas = _areas(t)
+    if integrals is not None:
+        np.multiply(areas, means, out=integrals)
     dev = vals - means[:, np.newaxis]
-    return _areas(t) * _weighted_sum(dev * dev)
+    return areas * _weighted_sum(dev * dev)
 
 
 class ScalarField:

@@ -8,9 +8,10 @@ least-squares conjugate gradients.  Each is the Gram matrix R^T R of the
 rows sqrt|K| grad phi that every element contributes.
 ``assemble_nodal`` orders the nodes by a nested dissection of the
 elements (George, SIAM J. Numer. Anal. 10, 1973) and forms R^T R on
-the new labels, one system per subset of the nodes: each system is
-assembled once, in the order its factor uses, with 32-bit indices,
-symmetric bit for bit and independent of the unknowns' numbering.
+the new labels once, on the union of the subsets of the nodes it is
+asked for; each subset's system is a principal block of it, in the
+order its factor uses, with 32-bit indices, symmetric bit for bit and
+independent of the unknowns' numbering.
 ``solve_spd`` hands a matrix to SuperLU in symmetric mode, without
 pivoting and without a permuted copy, and returns the factor for
 further solves (``SpdFactor``): least squares' eliminations inside its
@@ -251,18 +252,47 @@ def assemble_nodal(rows, conn, subsets):
     dissection of all the nodes (see ``nested_dissection``) orders
     every system: a node's part depends only on the elements that hold
     it, and ties go to the lower node, so each system is ordered as a
-    dissection of its own unknowns would order it.  Returns, per subset,
+    dissection of its own unknowns would order it.  One Gram matrix is
+    formed, on the union of the subsets in its factor's order (see
+    ``_ordered_gram``), and each system is a principal block of it
+    (see ``_block``): every entry sums the same products in the same
+    order as a Gram of the subset alone, so the arrays are those of
+    ``_ordered_gram`` on the subset, bit for bit.  Returns, per subset,
     S in its factor's order, that order ``perm``, and R on the same
-    labels (see ``_ordered_gram``): column i of R is unknown ``perm[i]``.
+    labels: column i of R is unknown ``perm[i]``.
     """
     order = nested_dissection(conn, conn.elem_nodes, conn.n_nodes)
+    union = np.logical_or.reduce(subsets)
+    # the union's nodes in its factor's order
+    nodes = order[union[order]]
+    number = np.cumsum(union) - 1
+    S, R = _ordered_gram(rows, np.where(union, number, -1)[conn.elem_nodes], number[nodes])
     systems = []
     for keep in subsets:
-        number = np.cumsum(keep) - 1
-        perm = number[order[keep[order]]]
-        S, R = _ordered_gram(rows, np.where(keep, number, -1)[conn.elem_nodes], perm)
-        systems.append((S, perm, R))
+        inside = keep[nodes]
+        perm = (np.cumsum(keep) - 1)[nodes[inside]]
+        if inside.all():
+            systems.append((S, perm, R))
+        else:
+            every = np.ones(R.shape[0], dtype=bool)
+            systems.append((_block(S, inside, inside), perm, _block(R, every, inside)))
     return systems
+
+
+def _block(A, rows, cols) -> sp.csr_matrix:
+    """The block of the CSR matrix A on the rows and columns its masks ``rows`` and ``cols`` keep.
+
+    Both are renumbered in order, and the block's entries are A's, in
+    A's order, so sorted indices stay sorted.
+    """
+    take = np.repeat(rows, np.diff(A.indptr)) & cols[A.indices]
+    before = np.zeros(len(take) + 1, dtype=np.int32)
+    np.cumsum(take, out=before[1:])
+    indptr = np.concatenate((before[:1], before[A.indptr[1:]][rows]))
+    label = (np.cumsum(cols) - 1).astype(np.int32)
+    return sp.csr_matrix(
+        (A.data[take], label[A.indices[take]], indptr), shape=(int(rows.sum()), int(cols.sum()))
+    )
 
 
 def _row_matrix(rows, cols, n) -> sp.csr_matrix:

@@ -21,6 +21,7 @@ from sepfem import (
     doerfler_select,
     field_from_name,
     fit_rate,
+    integrate_many,
     l_shape,
     safem_run,
     uniform_run,
@@ -31,6 +32,7 @@ from sepfem import (
 import sepfem.ls_fem
 import sepfem.marking
 import sepfem.mixed_fem
+import sepfem.quadrature
 from sepfem import sparse_direct
 from sepfem.cli import main
 from sepfem.ls_fem import LeastSquaresPoisson
@@ -693,3 +695,53 @@ def test_conjugate_gradients_on_an_earlier_factor_that_miss_their_tolerance_rais
     assert err.value.level == 31
     assert main(["--domain", "l-shape", "--max-elements", "30000"]) == 3
     assert "solver failure at level 31: conjugate gradients" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cls, field, kappa",
+    [
+        (MixedPoisson, "one", 1.0),
+        (LeastSquaresPoisson, "one", 1.0),
+        (MixedPoisson, "radial-alpha:0.6", 0.1),
+        (LeastSquaresPoisson, "radial-alpha:0.6", 0.1),
+    ],
+)
+def test_a_run_evaluates_f_once_per_forest_node(cls, field, kappa, monkeypatch):
+    # the data term, APPROX's children and both solves' loads read one
+    # store of f's 7-point data per forest node, so no triangle's points
+    # are evaluated twice in a run, case B included; every level's load
+    # is bit for bit the quadrature of f over its elements
+    seen = []
+
+    def recorded(f, tris):
+        seen.append(np.ascontiguousarray(tris).reshape(len(tris), -1))
+        return values_at_points(f, tris)
+
+    values_at_points = sepfem.quadrature._values_at_points
+    monkeypatch.setattr(sepfem.quadrature, "_values_at_points", recorded)
+    loads = []
+    read = sepfem.marking.ElementOscillation.loads
+
+    def kept(self, T):
+        out = read(self, T)
+        loads.append((T.leaf_ids, out.copy()))
+        return out
+
+    monkeypatch.setattr(sepfem.marking.ElementOscillation, "loads", kept)
+    problem = cls(field_from_name(field))
+    params = SafemParams(theta_a=0.3, kappa=kappa, rho_b=0.5, sigma_tol=0.0, max_elements=3000)
+    res = safem_run(problem, l_shape(), params)
+    monkeypatch.undo()
+    rows = np.concatenate(seen)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    # each row is a forest node's record, or one of two children that
+    # APPROX fetched ahead and the store keeps until they are made
+    records = problem.oscillation._records(res.meshes[-1].forest)
+    assert len(rows) == np.count_nonzero(records.known) + 2 * len(records.rows)
+    if kappa < 1.0:
+        assert "B" in {r.case for r in res.records}
+    f = field_from_name(field)
+    for T in res.meshes:
+        read = [load for ids, load in loads if np.array_equal(ids, T.leaf_ids)]
+        want = integrate_many(f, T.tri_coords()).tobytes()
+        assert read and all(load.tobytes() == want for load in read)

@@ -398,3 +398,39 @@ def test_problem_wrapper_contract():
     sol2 = prob.solve(T2)
     with pytest.raises(ValueError):
         prob.delta(T2, T, sol2, sol)
+
+
+@pytest.mark.parametrize(
+    "field", ["one", "radial-alpha:0.6", "checkerboard:5", "radial-alpha:0.5@0.25,0.75"]
+)
+def test_closed_form_functional_equals_the_7_point_form(field):
+    # the divergence part is |K| (f_K + 2 a)^2 + mu^2(K) in closed form,
+    # which the 7-point rule's Q((f + div q)^2) equals in exact
+    # arithmetic; checked at the minimizer, where f + div q nearly
+    # cancels, and at a perturbed (p, u), on the L-shape refined around
+    # its corner, where radial-alpha:0.6 is singular
+    f = field_from_name(field)
+    T = l_shape().uniform_refine().uniform_refine().uniform_refine()
+    for _ in range(4):
+        corner = np.all(T.tri_coords() == 0.0, axis=2).any(axis=1)
+        T = T.refine(T.leaf_ids[corner])
+    sol = solve_ls(T, f)
+    conn = sol.conn
+    rng = np.random.default_rng(3)
+    interior = ~conn.boundary_node
+    for p, u in (
+        (sol.p, sol.u),
+        (sol.p + 0.1 * rng.standard_normal(len(sol.p)), np.where(interior, 0.1, 0.0) + sol.u),
+    ):
+        a, pbar = rt_affine(conn, conn.local_flux_dofs(p))
+        gradu = np.einsum("ni,nik->nk", u[conn.elem_nodes], conn.p1_grads())
+
+        def shifted_sq(x, y):
+            v = f(x, y) + 2.0 * a[:, np.newaxis]
+            return v * v
+
+        div_part = integrate_many(shifted_sq, conn.pts)
+        want = math.fsum((div_part + rt_norm2(conn, a, pbar - gradu)).tolist())
+        got = ls_functional(conn, f, p, u)
+        assert abs(got - want) <= 1e-13 * want
+    assert ls_functional(conn, f, sol.p, sol.u) == sol.ls_total

@@ -23,6 +23,7 @@ from sepfem import (
     doerfler_select,
     field_from_name,
     l_shape,
+    mu2_elements,
     tilde_mu_children,
     unit_square_criss,
 )
@@ -341,9 +342,11 @@ def test_fetched_ahead_weights_and_increments_are_those_of_one_element():
     fresh = ElementOscillation(f)
     weight = {n: -w for w, n in state._heap}
     assert len(state._ahead) > 0
-    for n, (neg, delta, m0, m1) in state._ahead.items():
+    for n, (neg, delta) in state._ahead.items():
+        # the store keeps the children's values fetched ahead
         c0, c1 = state.forest.child_coords([n])[0]
-        assert [m0, m1] == fresh._compute_batch(np.array([c0, c1])).tolist()
+        m0, m1 = fresh._compute_batch(np.array([c0, c1]))[0].tolist()
+        assert [m0, m1] == state.values.child_values(state.forest, [n])[0].tolist()
         (mu,) = fresh.node_values(state.forest, [n]).tolist()
         assert -neg == float(tilde_mu_children(mu, weight[n], m0, m1))
         assert delta == m0 * m0 + m1 * m1 - mu * mu
@@ -533,3 +536,24 @@ def test_approx_computes_values_once_per_pass(monkeypatch):
     assert calls["passes"] > 100 and calls["completions"] >= 1
     assert 10 * calls["values"] <= calls["passes"]
     assert 10 * calls["splits"] <= calls["passes"]
+
+
+def test_a_second_greedy_on_one_store_evaluates_no_element_again(monkeypatch):
+    # the store keeps the children a greedy fetched ahead but did not
+    # split, and the values of every node it made; a second greedy on
+    # the same forest and store replays the first, reading them all
+    f = field_from_name("radial-alpha:0.6")
+    T0 = l_shape()
+    shared = ElementOscillation(f)
+    T = ApproxState(T0, shared).run(1e-2)
+    assert shared._records(T0.forest).rows
+    rows = []
+
+    def counted(field, tris, integrals=None):
+        rows.append(len(tris))
+        return mu2_elements(field, tris, integrals)
+
+    monkeypatch.setattr(sepfem.marking, "mu2_elements", counted)
+    again = ApproxState(T0, shared).run(1e-2)
+    assert np.array_equal(again.leaf_ids, T.leaf_ids)
+    assert rows == []

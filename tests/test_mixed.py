@@ -13,10 +13,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+import sepfem.mesh
 import sepfem.mixed_fem
 from conftest import graded_l_shape, grid_without, prolonged_flux
 from sepfem import (
     Connectivity,
+    LeastSquaresPoisson,
     MixedPoisson,
     SafemParams,
     SolverError,
@@ -581,3 +583,23 @@ def test_levels_solved_on_a_kept_factor_match_their_direct_solves(mesh, monkeypa
         assert np.abs(p - direct.p).max() <= 1e-11 * np.abs(direct.p).max()
         assert res.records[k].extra["unknowns"] == direct.unknowns
         assert res.records[k].extra["solver_residual"] <= 1e-11
+
+
+@pytest.mark.parametrize("cls", [MixedPoisson, LeastSquaresPoisson])
+def test_the_pinned_vertices_are_derived_once_per_forest(cls, monkeypatch):
+    # the components of the root mesh and their lowest vertices are the
+    # same on every level, so a run derives them once; the hole count,
+    # which refinement may change, is still taken per level
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr(sepfem.mesh, "connected_components", counted)
+    params = SafemParams(theta_a=0.3, sigma_tol=0.0, max_elements=500)
+    res = safem_run(cls(field_from_name("one")), grid_without(4, 3, {(1, 1)}), params)
+    assert len(res.records) >= 5 and len(calls) == 1
+    conn = res.solutions[-1].conn
+    free, holes = _free_nodes_and_holes(conn, _dual_tree(conn), conn.edge_nodes())
+    assert len(calls) == 1 and len(holes) == 1 and np.count_nonzero(~free) == 1

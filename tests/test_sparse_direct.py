@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 import sepfem.ls_fem
 import sepfem.mixed_fem
 import sepfem.sparse_direct as sparse_direct
-from conftest import edge_midpoints
+from conftest import edge_midpoints, grid_without
 from sepfem import field_from_name, l_shape
 from sepfem.edges import Connectivity
 from sepfem.ls_fem import assemble_ls
@@ -725,38 +725,66 @@ def test_names_the_benchmark_tracer_wraps_are_in_place(monkeypatch):
     assert len(sizes) == 2 and sum(sizes) == sol.unknowns and min(sizes) > 0
 
 
+def same_csr(A, B):
+    """The CSR arrays of A and B are equal bit for bit, in the same dtypes."""
+    return all(
+        getattr(A, k).dtype == getattr(B, k).dtype
+        and np.array_equal(getattr(A, k).view(np.uint8), getattr(B, k).view(np.uint8))
+        for k in ("indptr", "indices", "data")
+    )
+
+
 def test_one_node_dissection_orders_each_nodal_system_as_its_own_would(graded_mesh, monkeypatch):
     # a node's part depends only on the elements that hold it, so the
     # dissection of all nodes, restricted to the free nodes of the
     # stream function or the interior nodes of the potential, is the
     # order a dissection of each system's own unknowns gives it: S and
     # perm come out bit for bit, from one call of ``_leaf_slots``
-    # instead of two
-    conn = Connectivity(graded_mesh)
-    free, _ = _free_nodes_and_holes(conn, _dual_tree(conn), conn.edge_nodes())
-    interior = ~conn.boundary_node
-    rows = np.sqrt(conn.areas)[:, np.newaxis, np.newaxis] * conn.p1_grads().transpose(0, 2, 1)
-    calls = []
+    # instead of two.  Both systems are principal blocks of one Gram
+    # matrix on the union of their nodes, formed by one ``_ordered_gram``
+    # call, and their S and R arrays are those a Gram of each subset
+    # alone gives, bit for bit; on the ring, the potential eliminates
+    # the nodes of both boundary components
+    ring = grid_without(4, 3, {(1, 1)}).uniform_refine().uniform_refine()
+    for T in (graded_mesh, ring):
+        conn = Connectivity(T)
+        free, _ = _free_nodes_and_holes(conn, _dual_tree(conn), conn.edge_nodes())
+        interior = ~conn.boundary_node
+        rows = np.sqrt(conn.areas)[:, np.newaxis, np.newaxis] * conn.p1_grads().transpose(0, 2, 1)
+        calls = []
 
-    def counted(c):
-        calls.append(1)
-        return _leaf_slots(c)
+        def counted(c):
+            calls.append(1)
+            return _leaf_slots(c)
 
+        grams = []
+
+        def gram_counted(*args):
+            grams.append(1)
+            return _ordered_gram(*args)
+
+        monkeypatch.setattr(sparse_direct, "_leaf_slots", counted)
+        monkeypatch.setattr(sparse_direct, "_ordered_gram", gram_counted)
+        systems = assemble_nodal(rows, conn, (free, interior))
+        monkeypatch.undo()
+        assert len(calls) == 1 and len(grams) == 1
+        assert not free.all() and not np.array_equal(free, interior)
+        for keep, (S, perm, R) in zip((free, interior), systems):
+            m = int(keep.sum())
+            dofs = np.where(keep, np.cumsum(keep) - 1, -1)[conn.elem_nodes]
+            ref_S, ref_perm = assemble_spd(rows, dofs, m, conn)
+            assert np.array_equal(perm, ref_perm)
+            assert np.array_equal(S.indptr, ref_S.indptr)
+            assert np.array_equal(S.indices, ref_S.indices)
+            assert np.array_equal(S.data.view(np.int64), ref_S.data.view(np.int64))
+            # R is on the factor's labels: its column i is unknown perm[i]
+            rank = np.empty(m, dtype=np.int64)
+            rank[perm] = np.arange(m)
+            assert (R != _row_matrix(rows, np.where(dofs >= 0, rank[dofs], -1), m)).nnz == 0
+            # S and R are the arrays of the subset's own Gram
+            own_S, own_R = _ordered_gram(rows, dofs, perm)
+            assert same_csr(S, own_S) and same_csr(R, own_R)
     monkeypatch.setattr(sparse_direct, "_leaf_slots", counted)
-    systems = assemble_nodal(rows, conn, (free, interior))
-    assert len(calls) == 1
-    for keep, (S, perm, R) in zip((free, interior), systems):
-        m = int(keep.sum())
-        dofs = np.where(keep, np.cumsum(keep) - 1, -1)[conn.elem_nodes]
-        ref_S, ref_perm = assemble_spd(rows, dofs, m, conn)
-        assert np.array_equal(perm, ref_perm)
-        assert np.array_equal(S.indptr, ref_S.indptr)
-        assert np.array_equal(S.indices, ref_S.indices)
-        assert np.array_equal(S.data.view(np.int64), ref_S.data.view(np.int64))
-        # R is on the factor's labels: its column i is unknown perm[i]
-        rank = np.empty(m, dtype=np.int64)
-        rank[perm] = np.arange(m)
-        assert (R != _row_matrix(rows, np.where(dofs >= 0, rank[dofs], -1), m)).nnz == 0
     calls.clear()
     solve_ls(graded_mesh, field_from_name("one"))
     assert len(calls) == 1
