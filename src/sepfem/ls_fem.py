@@ -194,13 +194,14 @@ def _solve_tree_basis(rows, rhs, conn: Connectivity, interior):
     On tau the divergence row and the row of a = div q / 2 of element K
     sum to (4 |K| + J_K) a^2 = (B tau)_K^2 / W_K: B the tree's matrix
     scaled by the outward lengths and W_K = 4 |K|^2 / (4 |K| + J_K), so
-    two unit triangular solves invert that part; alpha is preconditioned
-    by the fields' Gram matrix.  What the preconditioner leaves out, the mean
-    rows after the projection, grows against the divergence rows with
-    the element size, so a mesh of larger elements takes more
-    iterations.  psi and u are the projection of the final t.  Returns
-    x, the P1 unknowns, the L+U entries of the two factors and the
-    iterations.
+    one sweep down the tree's depths and one up invert that part
+    (``TreeBasis.potential``, ``TreeBasis.fluxes``); alpha is
+    preconditioned by the fields' Gram matrix.  What the preconditioner
+    leaves out, the mean rows after the projection, grows against the
+    divergence rows with the element size, so a mesh of larger elements
+    takes more iterations.  psi and u are the projection of the final
+    t.  Returns x, the P1 unknowns, the L+U entries of the two factors
+    and the iterations.
     """
     n, ne = len(conn.tris), conn.n_edges
     basis = TreeBasis.of(conn)
@@ -247,10 +248,8 @@ def _solve_tree_basis(rows, rhs, conn: Connectivity, interior):
 
     def precondition(r):
         # B^-1 W B^-T r: B^T v = r, then B t = W v
-        tree_rows = np.zeros(ne)
-        tree_rows[tree.edge] = -r[:n]
-        v = basis.potential(tree_rows)
-        t = basis.fluxes(-(weight * v)[:, np.newaxis])[:, 0]
+        v = basis.potential(r[:n] / tree.outward)
+        t = basis.fluxes(-(weight * v))
         return np.concatenate((t, np.linalg.solve(gram, r[n:]) if g else []))
 
     b = np.concatenate((rhs[:ne][tree.edge], fields.T @ rhs[:ne]))

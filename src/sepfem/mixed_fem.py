@@ -11,14 +11,16 @@ works in the basis of a spanning tree of the dual graph, rooted outside
 the domain: one tree flux per element carries the load, so the
 constraint holds element by element by construction, and the curls of
 a P1 stream function (plus one field per hole) carry the rest.  Its one
-system is the P1 stiffness matrix, and the tree steps are unit
-triangular solves (see ``_solve_flux``); the least-squares solve
-works in the same basis (``TreeBasis``).  A problem keeps the last
-stiffness factor it made.  The meshes of one run are nested, so their
-P1 spaces are too, and a large level within twice the kept level's size
-is solved by conjugate gradients with a two-grid preconditioner whose
-coarse solve is that factor (``_KeptFactor``, ``_two_grid_cg``); every
-other level is ordered and factored, and its factor is kept instead.
+system is the P1 stiffness matrix, and the tree steps are numpy
+passes over the tree's depths, subtree sums for the flux and
+root-to-leaf sums for the potential (``_DualTree``, ``_solve_flux``);
+the least-squares solve works in the same basis (``TreeBasis``).  A
+problem keeps the last stiffness factor it made.  The meshes of one
+run are nested, so their P1 spaces are too, and a large level within
+twice the kept level's size is solved by conjugate gradients with a
+two-grid preconditioner whose coarse solve is that factor
+(``_KeptFactor``, ``_two_grid_cg``); every other level is ordered and
+factored, and its factor is kept instead.
 The residual is measured on the saddle-point system, summed element by
 element in closed form from each element's affine flux, so its
 matrices are never assembled, and the elementwise divergence gap is
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
-from scipy.sparse.linalg import spsolve_triangular
 
 from .edges import Connectivity, rt_affine, rt_at_points, rt_norm2, tangential_jump_norms
 from .marking import ElementOscillation, IndicatorField
@@ -106,15 +107,24 @@ class _DualTree:
     The dual graph joins the two elements of each interior edge, and joins
     an element to one node outside the domain through each of its
     boundary edges.  Each element owns the edge to its parent, so the
-    tree edges are one per element.  ``order`` lists the elements in the
-    order the search from the outside node reaches them; ``tri`` is the
-    unit upper triangular I - C in that order, with C[parent, child] = 1.
+    tree edges are one per element.  The tree is kept as a sweep plan:
+    ``order`` lists the elements slot by slot, by depth as the search
+    from the outside node reaches them, and ``up`` gives each slot its
+    parent's slot, -1 below the outside node.  Depth d fills the slots
+    ``bounds[2 d]`` to ``bounds[2 d + 2]``: first the children that are
+    not their parent's last, then, from ``bounds[2 d + 1]``, the last
+    ones.  An element has at most two children, one per edge besides
+    its tree edge, so the parents of either half of a depth are
+    distinct, and a sweep adds a depth to the one above in two
+    scatter-adds (``_tree_fluxes``) or takes the one above in one
+    gather (``_tree_potential``).
     """
 
-    order: np.ndarray      # (n,) elements in breadth-first order
+    order: np.ndarray      # (n,) the element in each slot
     edge: np.ndarray       # (n,) each element's tree edge
     outward: np.ndarray    # (n,) its outward flux per unit coefficient, +-|E|
-    tri: sp.csr_matrix
+    up: np.ndarray         # (n,) each slot's parent slot, -1 below the outside node
+    bounds: np.ndarray     # (2 depths + 1,) the first slot of each depth and of its last children
 
 
 def _dual_tree(conn: Connectivity) -> _DualTree:
@@ -134,17 +144,26 @@ def _dual_tree(conn: Connectivity) -> _DualTree:
     edge = conn.elem_edges[rows, local]
     outward = conn.elem_signs[rows, local] * conn.elem_edge_lengths[rows, local]
 
-    pos = np.empty(n, dtype=np.int64)
+    # each element's parent by its place in the search (-1 outside),
+    # nondecreasing as the search takes the parents in turn, so depth
+    # d + 1 ends where the parents pass the end of depth d
+    pos = np.full(n + 1, -1, dtype=np.int64)
     pos[order] = rows
-    child = np.flatnonzero(parent < n)
-    tri = sp.csr_matrix(
-        (
-            np.concatenate((np.ones(n), -np.ones(len(child)))),
-            (np.concatenate((rows, pos[parent[child]])), np.concatenate((rows, pos[child]))),
-        ),
-        shape=(n, n),
-    )
-    return _DualTree(order, edge, outward, tri)
+    up = pos[parent[order]]
+    ends = [0]
+    while ends[-1] < n:
+        ends.append(int(np.searchsorted(up, ends[-1])))
+    depth = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+    # a parent's children are adjacent, so the last is the one before a new parent
+    last = np.append(up[1:] != up[:-1], True)
+    key = 2 * depth + last
+    sweep = np.argsort(key, kind="stable")
+    # each element's slot, with -1 outside as its last entry
+    slot = np.full(n + 1, -1, dtype=np.int64)
+    slot[sweep] = rows
+    up = slot[up[sweep]]
+    bounds = np.searchsorted(key[sweep], np.arange(2 * len(ends) - 1))
+    return _DualTree(order[sweep], edge, outward, up, bounds)
 
 
 def _tree_fluxes(tree: _DualTree, loads: np.ndarray) -> np.ndarray:
@@ -152,28 +171,35 @@ def _tree_fluxes(tree: _DualTree, loads: np.ndarray) -> np.ndarray:
 
     Off the tree the fluxes are zero.  Each element's outward flux q_k
     through its tree edge, less its children's through theirs, is
-    -loads_k, so q is minus the load of the element's subtree: one unit
-    triangular solve per column of ``loads``, which is (n, m).
+    -loads_k, so q is minus the load of the element's subtree, summed
+    from the deepest depth up, the first children before the last (see
+    ``_DualTree``).  ``loads`` is (n,) or (n, m), one column per field.
     """
-    q = np.empty_like(loads)
-    q[tree.order] = spsolve_triangular(
-        tree.tri, -loads[tree.order], lower=False, unit_diagonal=True
-    )
-    return q / tree.outward[:, np.newaxis]
+    x = -loads[tree.order]
+    up, bounds = tree.up, tree.bounds.tolist()
+    for d in range(len(bounds) // 2 - 1, 0, -1):
+        a, m, b = bounds[2 * d : 2 * d + 3]
+        x[up[a:m]] += x[a:m]
+        x[up[m:b]] += x[m:b]
+    q = np.empty_like(x)
+    q[tree.order] = x
+    return q / (tree.outward if q.ndim == 1 else tree.outward[:, np.newaxis])
 
 
-def _tree_potential(tree: _DualTree, mass: np.ndarray) -> np.ndarray:
-    """The potential u that zeroes the saddle rows A p + B^T u of the tree edges.
+def _tree_potential(tree: _DualTree, drops: np.ndarray) -> np.ndarray:
+    """The per-element u with u_k - u_parent = drops_k, and u = 0 outside the domain.
 
-    ``mass`` is A p per edge.  The row of element k's tree edge holds
-    u_k and, with the other sign, its parent's u (0 outside the domain),
-    so u is one solve with the transpose of the tree's matrix.
+    Summed from the outside node down, one depth at a time (see
+    ``_DualTree``).  The saddle rows A p + B^T u of the tree edges are
+    zero for the drops -(A p)_e / (+-|E|) of each element's tree edge e.
     """
-    rhs = -mass[tree.edge] / tree.outward
-    u = np.empty(len(rhs))
-    u[tree.order] = spsolve_triangular(
-        tree.tri.T, rhs[tree.order], lower=True, unit_diagonal=True
-    )
+    x = drops[tree.order]
+    up, bounds = tree.up, tree.bounds.tolist()
+    for d in range(1, len(bounds) // 2):
+        a, b = bounds[2 * d], bounds[2 * d + 2]
+        x[a:b] += x[up[a:b]]
+    u = np.empty_like(x)
+    u[tree.order] = x
     return u
 
 
@@ -256,9 +282,9 @@ class TreeBasis:
         """The tree fluxes whose divergences sum to -loads (see ``_tree_fluxes``)."""
         return _tree_fluxes(self.tree, loads)
 
-    def potential(self, mass: np.ndarray) -> np.ndarray:
-        """The per-element u that zeroes the tree edges' rows (see ``_tree_potential``)."""
-        return _tree_potential(self.tree, mass)
+    def potential(self, drops: np.ndarray) -> np.ndarray:
+        """The per-element u that drops by ``drops`` across the tree edges (``_tree_potential``)."""
+        return _tree_potential(self.tree, drops)
 
     def curls(self, psi: np.ndarray) -> np.ndarray:
         """RT0 coefficients of curl psi, for nodal psi of shape (n_nodes,) or (n_nodes, m).
@@ -436,7 +462,7 @@ def _solve_flux(T: Triangulation, load, means, kept):
     basis = TreeBasis.of(conn)
     # the columns: p_f, then each hole's field
     fields = np.column_stack((np.zeros(conn.n_edges), basis.holes))
-    fields[basis.tree.edge, 0] = basis.fluxes(load[:, np.newaxis])[:, 0]
+    fields[basis.tree.edge, 0] = basis.fluxes(load)
 
     psi, n_free, lu_nnz, iterations = _stream_functions(T, fields, basis.free, means, kept)
     fields += basis.curls(psi)
@@ -523,7 +549,7 @@ def solve_mixed(T: Triangulation, f, kept: _KeptFactor | None = None) -> MixedSo
         p, tree, unknowns, lu_nnz, iterations = _solve_flux(T, load, means, kept)
         pair = rt_affine(conn, conn.local_flux_dofs(p), means)
         mass = _mass_rows(conn, pair, means)
-        u = _tree_potential(tree, mass)
+        u = _tree_potential(tree, -mass[tree.edge] / tree.outward)
         res = float(np.linalg.norm(_saddle_residual(conn, p, mass, u, load))) / bnorm
         if not res <= _RESIDUAL_TOL:
             raise SolverError(

@@ -6,12 +6,14 @@ saddle system is solved densely, then compared coefficient by
 coefficient against the sparse path.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve_triangular
 
 import sepfem.mesh
 import sepfem.mixed_fem
@@ -32,7 +34,14 @@ from sepfem import (
     unit_square_criss,
 )
 from sepfem.edges import rt_affine, rt_norm2
-from sepfem.mixed_fem import _dual_tree, _free_nodes_and_holes, _mass_rows, _saddle_residual
+from sepfem.mixed_fem import (
+    _dual_tree,
+    _free_nodes_and_holes,
+    _mass_rows,
+    _saddle_residual,
+    _tree_fluxes,
+    _tree_potential,
+)
 from sepfem.quadrature import _centroids, integrate_many
 
 ETA2_SQUARE_CONST = 0.07975889843221229
@@ -603,3 +612,92 @@ def test_the_pinned_vertices_are_derived_once_per_forest(cls, monkeypatch):
     conn = res.solutions[-1].conn
     free, holes = _free_nodes_and_holes(conn, _dual_tree(conn), conn.edge_nodes())
     assert len(calls) == 1 and len(holes) == 1 and np.count_nonzero(~free) == 1
+
+
+@pytest.fixture(params=["graded", "ring", "deep-square"])
+def tree_mesh(request, graded_mesh):
+    # the mixed-adaptive mesh at a 3 000-element cap, the CI mesh with a
+    # hole, refined, and a square refined until its tree is 100 deep
+    if request.param == "graded":
+        return graded_mesh
+    if request.param == "ring":
+        T = grid_without(4, 3, {(1, 1)})
+        for _ in range(6):
+            T = T.uniform_refine()
+        return T
+    T = unit_square_criss()
+    while T.n_elements < 2**15:
+        T = T.uniform_refine()
+    return T
+
+
+def test_the_tree_sweeps_equal_the_triangular_solves_bit_for_bit(tree_mesh):
+    # I - C in slot order, with C[parent, child] = 1, built from the
+    # plan's parent slots; the sweeps add a parent's children in the
+    # order this solve does, so they agree to the last bit
+    conn = Connectivity.of(tree_mesh)
+    tree = _dual_tree(conn)
+    n = len(conn.tris)
+    if tree_mesh.n_elements >= 2**15:
+        assert len(tree.bounds) // 2 >= 100
+    child = np.flatnonzero(tree.up >= 0)
+    slots = np.arange(n)
+    tri = sp.csr_matrix(
+        (
+            np.concatenate((np.ones(n), -np.ones(len(child)))),
+            (np.concatenate((slots, tree.up[child])), np.concatenate((slots, child))),
+        ),
+        shape=(n, n),
+    )
+    rng = np.random.default_rng(3)
+    for loads in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        want = np.empty_like(loads)
+        want[tree.order] = spsolve_triangular(
+            tri, -loads[tree.order], lower=False, unit_diagonal=True
+        )
+        outward = tree.outward if loads.ndim == 1 else tree.outward[:, np.newaxis]
+        got = _tree_fluxes(tree, loads)
+        assert got.shape == loads.shape
+        assert np.array_equal(got, want / outward)
+
+    mass = rng.standard_normal(conn.n_edges)
+    drops = -mass[tree.edge] / tree.outward
+    want = np.empty(n)
+    want[tree.order] = spsolve_triangular(tri.T, drops[tree.order], lower=True, unit_diagonal=True)
+    u = _tree_potential(tree, drops)
+    assert np.array_equal(u, want)
+    # the saddle rows A p + B^T u of the tree edges vanish
+    rows = _saddle_residual(conn, np.zeros(conn.n_edges), mass, u, np.zeros(n))[tree.edge]
+    scale = np.abs(tree.outward * u).max()
+    assert np.abs(rows).max() <= 1e-14 * scale
+
+
+def test_the_sweep_plan_is_the_breadth_first_tree_by_depth(tree_mesh):
+    conn = Connectivity.of(tree_mesh)
+    tree = _dual_tree(conn)
+    n = len(conn.tris)
+    assert all(isinstance(getattr(tree, f.name), np.ndarray) for f in dataclasses.fields(tree))
+    assert not hasattr(sepfem.mixed_fem, "spsolve_triangular")
+    assert np.array_equal(np.sort(tree.order), np.arange(n))
+    bounds = tree.bounds
+    assert bounds[0] == 0 and bounds[-1] == n and np.all(np.diff(bounds) >= 0)
+    assert len(bounds) % 2 == 1 and np.all(np.diff(bounds[::2]) > 0)
+    # the children of the outside node fill depth 0 and own a boundary edge
+    top = bounds[2]
+    assert np.all(tree.up[:top] == -1) and np.all(tree.up[top:] >= 0)
+    assert np.all(conn.boundary_edge[tree.edge[tree.order[:top]]])
+    # no element has more than two children
+    children = np.bincount(tree.up[top:], minlength=n)
+    assert children.max() <= 2
+    for d in range(1, len(bounds) // 2):
+        a, m, b = bounds[2 * d : 2 * d + 3]
+        # every parent lies in the depth above, and each half of a depth
+        # holds distinct parents: the first children, then the last
+        assert np.all((tree.up[a:b] >= bounds[2 * d - 2]) & (tree.up[a:b] < a))
+        assert len(np.unique(tree.up[a:m])) == m - a
+        assert len(np.unique(tree.up[m:b])) == b - m
+        assert np.all(np.isin(tree.up[a:m], tree.up[m:b]))
+    # each element's tree edge is an edge of its parent
+    slots = np.arange(top, n)
+    parent_edges = conn.elem_edges[tree.order[tree.up[slots]]]
+    assert np.all((parent_edges == tree.edge[tree.order[slots], np.newaxis]).any(axis=1))
